@@ -32,6 +32,7 @@ from .maxpoly import format_poly
 from .semiring import format_scalar
 from .spectral import char_poly, eigenvalues
 from .tropmat import (
+    DEFAULT_DET_CAP,
     definite_form,
     determinant,
     adjugate,
@@ -61,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("input", help="path to a matrix JSON file")
     p_compute.add_argument("--side", choices=["left", "right"], default="left",
                            help="side for definite-form (default left)")
-    p_compute.add_argument("--det-cap", type=int, default=10,
-                           help="size cap for permutation enumeration (default 10)")
+    p_compute.add_argument("--det-cap", type=int, default=DEFAULT_DET_CAP,
+                           help="largest matrix order n for the determinant kernels, "
+                                "whose cost grows as 2^n (default %(default)s)")
 
     p_demo = sub.add_parser("demo", help="replay a built-in worked example")
     p_demo.add_argument("example", help=f"one of: {', '.join(sorted(DEMOS))}")

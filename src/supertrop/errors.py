@@ -14,7 +14,8 @@ class DimensionMismatchError(SupertropicalError):
 
 
 class SizeCapExceededError(SupertropicalError):
-    """Raised when a permutation-enumeration operation exceeds its size cap."""
+    """Raised when a matrix is larger than the size cap of a determinant-based
+    operation, whose subset fold grows as 2^n."""
 
 
 class StrictlySingularError(SupertropicalError):
@@ -39,6 +40,10 @@ class DegeneratePolynomialError(SupertropicalError):
 
 class ConstraintUnsatisfiableError(SupertropicalError):
     """Raised when constrained random generation exhausts its retry budget."""
+
+
+class VerificationError(SupertropicalError):
+    """Raised when a result fails the self-check made before returning it."""
 
 
 class ParseError(ValueError):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionMismatchError, SizeCapExceededError
@@ -10,7 +9,6 @@ from .maxpoly import Polynomial, RootSet, roots
 from .semiring import (
     GHOST_KIND,
     NEG_INF,
-    ONE,
     Element,
     add,
     ghost_surpasses,
@@ -18,41 +16,35 @@ from .semiring import (
 from .tropmat import (
     DEFAULT_DET_CAP,
     Matrix,
-    _det_on,
-    _require_square,
+    char_poly_coefficients,
     identity,
     mat_mul,
     pseudo_inverse,
+    require_square,
     scalar_mul,
     mat_add,
 )
 
 
 def char_poly(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Polynomial:
-    """Characteristic maxpolynomial of a square matrix.
+    """Characteristic maxpolynomial of a square matrix: det(xI + A), taken
+    as a formal permanent.
 
     The coefficient of x^k (k < n) is the supertropical sum of the
     determinants of all (n-k) x (n-k) principal submatrices; the leading
-    coefficient is the unit.  This subset-enumeration form is the primary
-    definition here; det(xI + A) agrees with it pointwise and serves as an
-    independent test oracle.
+    coefficient is the unit.  All coefficients come from one subset fold
+    (tropmat.char_poly_coefficients); summing the principal minors one by
+    one serves as the independent test oracle.
     """
-    _require_square(a)
+    require_square(a)
     n = a.rows
     if n > cap:
         raise SizeCapExceededError(f"char_poly capped at n <= {cap}, got n = {n}")
-    coeffs = [NEG_INF] * (n + 1)
-    coeffs[n] = ONE
-    for size in range(1, n + 1):
-        acc = NEG_INF
-        for subset in combinations(range(n), size):
-            acc = add(acc, _det_on(a.entries, a.cols, subset, subset))
-        coeffs[n - size] = acc
-    return Polynomial(coeffs)
+    return Polynomial(char_poly_coefficients(a))
 
 
 def trace(a: Matrix) -> Element:
-    _require_square(a)
+    require_square(a)
     acc = NEG_INF
     for i in range(a.rows):
         acc = add(acc, a.at(i, i))
@@ -72,7 +64,7 @@ def check_eigenpair(a: Matrix, v: Sequence[Element], alpha: Element) -> bool:
     The vector must have no ghost entries and alpha must be tangible or
     -inf; ghost inputs are rejected rather than silently projected.
     """
-    _require_square(a)
+    require_square(a)
     if len(v) != a.rows:
         raise DimensionMismatchError(f"vector length {len(v)} does not match n = {a.rows}")
     if any(e.kind == GHOST_KIND for e in v):
@@ -88,7 +80,7 @@ def check_eigenpair(a: Matrix, v: Sequence[Element], alpha: Element) -> bool:
 def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:
     """Substitute the matrix for the variable: sum of coeff(i) * A^i with
     A^0 = I, all supertropically."""
-    _require_square(a)
+    require_square(a)
     n = a.rows
     acc = scalar_mul(f.coeffs[0], identity(n))
     p = identity(n)
@@ -102,7 +94,7 @@ def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:
 def conjugate(a: Matrix, b: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
     """The conjugation pseudo_inverse(A) * B * A (defined whenever det(A)
     is not -inf)."""
-    _require_square(a)
+    require_square(a)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("conjugation needs matrices of equal order")
     return mat_mul(mat_mul(pseudo_inverse(a, cap), b), a)

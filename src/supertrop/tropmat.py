@@ -2,8 +2,13 @@
 
 The determinant here is the tropical permanent: the supertropical sum over
 all permutation tracks, so a maximum attained twice (or through a ghost
-entry) comes out ghost.  Everything downstream (adjoint, pseudo-inverse,
-definite forms, Kleene star) is built on exact enumeration; there is no
+entry) comes out ghost.  It is computed exactly, as a fold over column
+subsets (the Bellman / Held-Karp dynamic program) instead of an enumeration
+of the n! tracks: the semiring is commutative and `add` keeps every tie and
+every ghost, so grouping tracks by the columns their first rows use loses
+nothing.  The same fold gives the adjoint (a forward and a backward fold
+joined), the dominant track of a definite form (read back from the fold)
+and the characteristic coefficients (the fold of xI + A).  There is no
 floating point and no assignment-problem shortcut, because such shortcuts
 do not report tied optima.
 """
@@ -12,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import json
-from functools import lru_cache
-from itertools import permutations
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
@@ -25,6 +30,7 @@ from .errors import (
     ParseError,
     SizeCapExceededError,
     StrictlySingularError,
+    VerificationError,
 )
 from .semiring import (
     GHOST_KIND,
@@ -35,16 +41,18 @@ from .semiring import (
     Element,
     add,
     format_scalar,
+    ghost,
     ghost_surpasses,
     invert,
     mul,
     nu_equiv,
     parse_scalar,
+    tangible,
     to_ghost,
     to_tangible,
 )
 
-DEFAULT_DET_CAP = 10
+DEFAULT_DET_CAP = 16
 
 
 class SingularityClass(enum.Enum):
@@ -137,7 +145,7 @@ def neg_inf_matrix(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, (NEG_INF for _ in range(rows * cols)))
 
 
-def _require_square(a: Matrix) -> None:
+def require_square(a: Matrix) -> None:
     if not a.is_square:
         raise DimensionMismatchError(f"expected a square matrix, got {a.rows}x{a.cols}")
 
@@ -167,7 +175,7 @@ def scalar_mul(c: Element, a: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    _require_square(a)
+    require_square(a)
     if k < 0:
         raise ValueError("mat_pow expects k >= 0")
     acc = identity(a.rows)
@@ -176,53 +184,83 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _perms(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(k)))
+# -- the permanent kernel -----------------------------------------------------
+#
+# A kernel row lists the finite entries of one matrix row as
+# (column bit, key step, magnitude, ghost).  Magnitudes are ints, scaled by
+# the common denominator of the matrix, so ties are exact integer ties and no
+# Fraction is added inside the fold.  A state is [magnitude, ghost]; -inf is
+# a missing key.
 
 
-def _det_on(entries: tuple[Element, ...], ncols: int,
-            row_idx: Sequence[int], col_idx: Sequence[int]) -> Element:
-    """Permanent of the submatrix given by row_idx x col_idx, as one fused
-    enumeration: tracks through -inf are skipped, the best magnitude is kept,
-    and the result ghosts when the best is tied or runs through a ghost."""
-    k = len(row_idx)
-    if k == 0:
-        return ONE
-    best = None
-    best_ghost = False
-    for perm in _perms(k):
-        val = 0
-        has_ghost = False
-        dead = False
-        for t in range(k):
-            e = entries[row_idx[t] * ncols + col_idx[perm[t]]]
-            kd = e.kind
-            if kd == NEG_INF_KIND:
-                dead = True
-                break
-            if kd == GHOST_KIND:
-                has_ghost = True
-            val += e.value
-        if dead:
-            continue
-        if best is None or val > best:
-            best = val
-            best_ghost = has_ghost
-        elif val == best:
-            best_ghost = True
-    if best is None:
+def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
+    """The kernel rows of a and the scale of their magnitudes."""
+    scale = 1
+    for e in a.entries:
+        if e.kind != NEG_INF_KIND:
+            scale = lcm(scale, e.value.denominator)
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j, e in enumerate(a.row(i)):
+            if e.kind != NEG_INF_KIND:
+                v = e.value
+                bit = 1 << j
+                row.append((bit, bit, v.numerator * (scale // v.denominator),
+                            e.kind == GHOST_KIND))
+        rows.append(row)
+    return rows, scale
+
+
+def _element(state: list | None, scale: int) -> Element:
+    """The scalar a kernel state stands for."""
+    if state is None:
         return NEG_INF
-    return Element(GHOST_KIND if best_ghost else TANGIBLE_KIND, best)
+    m, g = state
+    v = m if scale == 1 else Fraction(m, scale)
+    return ghost(v) if g else tangible(v)
+
+
+def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
+    """Subset fold of the permanent over rows[0], rows[1], ...
+
+    After k rows, the state under key K is the supertropical sum over every
+    placement of those rows on distinct columns whose column set is the low
+    bits of K: the permanent of the first k rows on those columns.  A key
+    step may also add to the bits above the columns (char_poly_coefficients
+    counts the degree of x there).  Returns the last layer, or with keep_all
+    every layer in one table.
+    """
+    layer: dict = {0: [0, False]}
+    table = dict(layer)
+    for row in rows:
+        nxt: dict = {}
+        for key, (m, g) in layer.items():
+            for bit, step, w, wg in row:
+                if key & bit:
+                    continue
+                k = key + step
+                v = m + w
+                cur = nxt.get(k)
+                if cur is None or v > cur[0]:
+                    nxt[k] = [v, g or wg]
+                elif v == cur[0]:
+                    cur[1] = True
+        layer = nxt
+        if keep_all:
+            table.update(layer)
+    return table if keep_all else layer
 
 
 def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
-    """Tropical permanent over all n! permutation tracks (n <= cap)."""
-    _require_square(a)
-    if a.rows > cap:
-        raise SizeCapExceededError(f"determinant capped at n <= {cap}, got n = {a.rows}")
-    idx = range(a.rows)
-    return _det_on(a.entries, a.cols, idx, idx)
+    """Tropical permanent, by the subset fold over the 2^n column sets
+    (n <= cap)."""
+    require_square(a)
+    n = a.rows
+    if n > cap:
+        raise SizeCapExceededError(f"determinant capped at n <= {cap}, got n = {n}")
+    rows, scale = _kernel_rows(a)
+    return _element(_fold(rows).get((1 << n) - 1), scale)
 
 
 def classify(a: Matrix, cap: int = DEFAULT_DET_CAP) -> SingularityClass:
@@ -238,20 +276,57 @@ def adjugate(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
     """Entry (i, j) is the determinant of the minor deleting row j, column i.
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
-    adjugate([[a]]) = [[0]].
+    adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
+    the rows and one backward fold: the minor deleting row j and column i is
+    the sum, over column sets S of size j without i, of the forward state at
+    S times the backward state at the columns left over.
     """
-    _require_square(a)
+    require_square(a)
     n = a.rows
     if n - 1 > cap:
         raise SizeCapExceededError(f"adjugate minors capped at n <= {cap}")
-    out = []
-    all_idx = list(range(n))
-    for i in range(n):
-        cols = [c for c in all_idx if c != i]
-        for j in range(n):
-            rows = [r for r in all_idx if r != j]
-            out.append(_det_on(a.entries, a.cols, rows, cols))
-    return Matrix(n, n, out)
+    rows, scale = _kernel_rows(a)
+    fwd = _fold(rows, keep_all=True)
+    bwd = _fold(rows[::-1], keep_all=True)
+    full = (1 << n) - 1
+    acc: list = [None] * (n * n)
+    for s, (m, g) in fwd.items():
+        j = s.bit_count()
+        if j == n:
+            continue
+        free = full ^ s
+        for i in range(n):
+            bit = 1 << i
+            if not free & bit:
+                continue
+            b = bwd.get(free ^ bit)
+            if b is None:
+                continue
+            v = m + b[0]
+            cur = acc[i * n + j]
+            if cur is None or v > cur[0]:
+                acc[i * n + j] = [v, g or b[1]]
+            elif v == cur[0]:
+                cur[1] = True
+    return Matrix(n, n, [_element(st, scale) for st in acc])
+
+
+def char_poly_coefficients(a: Matrix) -> list[Element]:
+    """Coefficients of the formal permanent perm(xI + A), from x^0 to x^n.
+
+    The fold of xI + A keeps the degree of x in the bits above the columns:
+    row r may also take x from the diagonal.  Expanding the product, the
+    coefficient of x^k is the supertropical sum of the determinants of the
+    (n-k) x (n-k) principal submatrices, ghosts included.
+    """
+    require_square(a)
+    n = a.rows
+    rows, scale = _kernel_rows(a)
+    for r, row in enumerate(rows):
+        row.append((1 << r, (1 << r) + (1 << n), 0, False))
+    last = _fold(rows)
+    full = (1 << n) - 1
+    return [_element(last.get(k << n | full), scale) for k in range(n + 1)]
 
 
 def pseudo_inverse(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
@@ -281,7 +356,7 @@ def pseudo_identity_class(m: Matrix, cap: int = DEFAULT_DET_CAP) -> PseudoIdenti
     """Classify against the two pseudo-identity patterns: tangible-0 diagonal
     (plus non-singularity) or ghost-0 diagonal (plus singularity), ghost or
     -inf off the diagonal, and multiplicative idempotence."""
-    _require_square(m)
+    require_square(m)
     n = m.rows
     diag_entries = [m.at(i, i) for i in range(n)]
     if all(e == ONE for e in diag_entries):
@@ -306,33 +381,32 @@ def pseudo_identity_class(m: Matrix, cap: int = DEFAULT_DET_CAP) -> PseudoIdenti
 
 def is_definite(a: Matrix, cap: int = DEFAULT_DET_CAP) -> bool:
     """Tangible 0 on the whole diagonal and determinant exactly tangible 0."""
-    _require_square(a)
+    require_square(a)
     if any(a.at(i, i) != ONE for i in range(a.rows)):
         return False
     return determinant(a, cap) == ONE
 
 
 def _dominant_permutation(a: Matrix) -> tuple[int, ...]:
-    """The unique permutation track attaining a tangible determinant."""
+    """The unique permutation track attaining a tangible determinant, read
+    back from the forward fold: with a tangible determinant, exactly one
+    column of each row extends the track optimally."""
     n = a.rows
-    best = None
-    best_perm: tuple[int, ...] | None = None
-    for perm in _perms(n):
-        val = 0
-        dead = False
-        for i in range(n):
-            e = a.at(i, perm[i])
-            if e.kind == NEG_INF_KIND:
-                dead = True
+    rows, _ = _kernel_rows(a)
+    table = _fold(rows, keep_all=True)
+    mask = (1 << n) - 1
+    perm = [0] * n
+    for r in reversed(range(n)):
+        best = table.get(mask)
+        for bit, _, w, _ in rows[r]:
+            prev = table.get(mask ^ bit) if mask & bit else None
+            if best is not None and prev is not None and prev[0] + w == best[0]:
                 break
-            val += e.value
-        if dead:
-            continue
-        if best is None or val > best:
-            best = val
-            best_perm = perm
-    assert best_perm is not None
-    return best_perm
+        else:
+            raise VerificationError("no permutation track attains the determinant")
+        perm[r] = bit.bit_length() - 1
+        mask ^= bit
+    return tuple(perm)
 
 
 Side = Literal["left", "right"]
@@ -380,9 +454,12 @@ def definite_form(a: Matrix, side: Side = "left",
     definite = Matrix.from_rows(definite_rows)
 
     product = mat_mul(conductor, definite) if side == "left" else mat_mul(definite, conductor)
-    assert product == a, "definite factorization failed to reassemble the input"
-    assert is_definite(definite, cap), "definite factor is not definite"
-    assert determinant(conductor, cap) == det, "conductor does not carry det(A)"
+    if product != a:
+        raise VerificationError("definite factorization failed to reassemble the input")
+    if not is_definite(definite, cap):
+        raise VerificationError("definite factor is not definite")
+    if determinant(conductor, cap) != det:
+        raise VerificationError("conductor does not carry det(A)")
     return conductor, definite
 
 
@@ -427,6 +504,25 @@ def is_invertible(a: Matrix) -> bool:
     return all(c == 1 for c in col_seen)
 
 
+def _star_step(p: list, grid: list, n: int) -> list:
+    """One max-plus product p * grid of flat n x n magnitude grids (None is
+    -inf)."""
+    nxt: list = [None] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            best = None
+            for t in range(n):
+                x = p[i * n + t]
+                y = grid[t * n + j]
+                if x is None or y is None:
+                    continue
+                v = x + y
+                if best is None or v > best:
+                    best = v
+            nxt[i * n + j] = best
+    return nxt
+
+
 def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
                 verify_stabilization: bool = False) -> Matrix:
     """Tropical closure I + A + A^2 + ... of a definite matrix, truncated at
@@ -442,22 +538,6 @@ def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
     n = a.rows
     grid = [e.value for e in a.entries]  # None encodes -inf
 
-    def step(p: list) -> list:
-        nxt: list = [None] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                best = None
-                for t in range(n):
-                    x = p[i * n + t]
-                    y = grid[t * n + j]
-                    if x is None or y is None:
-                        continue
-                    v = x + y
-                    if best is None or v > best:
-                        best = v
-                nxt[i * n + j] = best
-        return nxt
-
     def combine(x: list, y: list) -> list:
         return [a_ if (b_ is None or (a_ is not None and a_ >= b_)) else b_
                 for a_, b_ in zip(x, y)]
@@ -465,19 +545,21 @@ def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
     ident = [0 if i % (n + 1) == 0 else None for i in range(n * n)]
     acc, p = list(ident), list(ident)
     for _ in range(n - 1):
-        p = step(p)
+        p = _star_step(p, grid, n)
         acc = combine(acc, p)
     if verify_stabilization:
         fix, q, guard = list(acc), list(p), 0
         while True:
-            q = step(q)
+            q = _star_step(q, grid, n)
             grown = combine(fix, q)
             if grown == fix:
                 break
             fix = grown
             guard += 1
-            assert guard <= 4 * n + 4, "star failed to stabilize"
-        assert fix == acc, "truncated star disagrees with the fixpoint"
+            if guard > 4 * n + 4:
+                raise VerificationError("star failed to stabilize")
+        if fix != acc:
+            raise VerificationError("truncated star disagrees with the fixpoint")
     return Matrix(n, n, (NEG_INF if v is None else Element(TANGIBLE_KIND, v) for v in acc))
 
 

@@ -1,6 +1,6 @@
 """Shared test helpers: compact builders and independent oracles."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from supertrop import (
     Matrix,
@@ -29,15 +29,40 @@ def poly(s: str) -> Polynomial:
     return Polynomial(parse_scalar(p) for p in s.split(","))
 
 
-def naive_det(a: Matrix):
+def naive_det(a: Matrix, rows=None, cols=None):
     """Independent permanent oracle: fold the scalar semiring ops over every
-    permutation track, one at a time."""
+    permutation track, one at a time.  With rows and cols, the permanent of
+    that submatrix (the unit when both are empty)."""
     assert a.is_square
-    n = a.rows
+    rows = range(a.rows) if rows is None else rows
+    cols = range(a.cols) if cols is None else cols
     acc = NEG_INF
-    for perm in permutations(range(n)):
+    for perm in permutations(cols):
         track = ONE
-        for i in range(n):
-            track = mul(track, a.at(i, perm[i]))
+        for r, c in zip(rows, perm):
+            track = mul(track, a.at(r, c))
         acc = add(acc, track)
     return acc
+
+
+def naive_adj(a: Matrix) -> Matrix:
+    """Adjoint oracle: entry (i, j) is naive_det of the minor deleting row j
+    and column i."""
+    n = a.rows
+    return Matrix(n, n, (
+        naive_det(a, [r for r in range(n) if r != j], [c for c in range(n) if c != i])
+        for i in range(n) for j in range(n)
+    ))
+
+
+def naive_char_poly(a: Matrix) -> Polynomial:
+    """Characteristic polynomial oracle: the coefficient of x^k sums naive_det
+    over every (n-k) x (n-k) principal submatrix."""
+    n = a.rows
+    coeffs = [ONE] * (n + 1)
+    for size in range(1, n + 1):
+        acc = NEG_INF
+        for subset in combinations(range(n), size):
+            acc = add(acc, naive_det(a, subset, subset))
+        coeffs[n - size] = acc
+    return Polynomial(coeffs)

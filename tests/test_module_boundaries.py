@@ -1,0 +1,35 @@
+"""Each supertrop module uses only the public names of the others."""
+
+import ast
+from pathlib import Path
+
+import supertrop
+
+PACKAGE = Path(supertrop.__file__).resolve().parent
+
+
+def private_imports(source: str) -> list[str]:
+    """'module.name' for every underscore-prefixed name imported from a
+    supertrop module, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "supertrop":
+            continue
+        found += [f"{module}.{alias.name}" for alias in node.names
+                  if alias.name.startswith("_")]
+    return found
+
+
+def test_guard_sees_private_imports():
+    assert private_imports("from .tropmat import Matrix, _fold") == ["tropmat._fold"]
+    assert private_imports("from supertrop.semiring import _canon") == ["supertrop.semiring._canon"]
+    assert private_imports("from __future__ import annotations\nfrom os import _exit") == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = {path.name: private_imports(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in offenders.items() if names} == {}
