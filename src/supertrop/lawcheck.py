@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 from .errors import ConstraintUnsatisfiableError, NotDefiniteError, NotNonSingularError
 from .maxpoly import (
     RootSet,
-    essential,
     format_poly,
     inflate,
     poly_ghost_surpasses,
@@ -100,8 +99,8 @@ class GenConfig:
         if self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
         for p in (self.neginf_prob, self.ghost_prob):
-            if not 0 <= p <= 1:
-                raise ValueError("probabilities must lie in [0, 1]")
+            if not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
+                raise ValueError("probabilities must be exact rationals in [0, 1]")
         if not 0 <= self.seed <= _MASK:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -130,10 +129,10 @@ def _draw_value(rng: random.Random, cfg: GenConfig) -> Rational:
 
 
 def _draw_entry(rng: random.Random, cfg: GenConfig) -> Element:
-    if rng.random() < cfg.neginf_prob:
+    if rng.randrange(cfg.neginf_prob.denominator) < cfg.neginf_prob.numerator:
         return NEG_INF
     v = _draw_value(rng, cfg)
-    if rng.random() < cfg.ghost_prob:
+    if rng.randrange(cfg.ghost_prob.denominator) < cfg.ghost_prob.numerator:
         return ghost(v)
     return tangible(v)
 
@@ -367,8 +366,9 @@ def chk_charpoly_power(a: Matrix, m: int) -> TrialResult:
 
     The inflated polynomial of A^m surpasses the m-th power of A's as a
     function (pointwise ghost surpassing, decided exactly on the
-    comparison grid); when the former is ghost-free the two define the
-    same map.  Corner roots transfer both ways: corner roots of A power
+    essential-form breakpoints of both and of their sum); when the former
+    is ghost-free the two define the same map, that is, they have equal
+    essential forms.  Corner roots transfer both ways: corner roots of A power
     up into roots of A^m, and every corner root of A^m is the m-th power
     of a corner root of A.
     """
@@ -382,7 +382,7 @@ def chk_charpoly_power(a: Matrix, m: int) -> TrialResult:
     if not poly_value_surpasses(lhs, rhs):
         bad[f"value_surpassing_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
     if not f_am.has_ghost_coeff():
-        if essential(lhs) != essential(rhs) or not poly_value_equal(lhs, rhs):
+        if not poly_value_equal(lhs, rhs):
             bad[f"tangible_equality_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
     roots_a = roots(f_a)
     roots_am = roots(f_am)

@@ -5,7 +5,9 @@ takes the dominant monomial supertropically, so ties and ghost coefficients
 ghostify the value.  Roots are the points whose value ghost-surpasses -inf;
 they come in two flavours: corner roots at the crossover of two tangible
 essential monomials, and non-corner intervals where a ghost essential
-monomial dominates.
+monomial dominates.  Two polynomials are compared as maps by sampling at and
+between the breakpoints of their essential forms and of their sum; the same
+breakpoints give the roots.
 """
 
 from __future__ import annotations
@@ -169,6 +171,19 @@ def essential(f: Polynomial) -> Polynomial:
     return Polynomial(c if i in keep else NEG_INF for i, c in enumerate(f.coeffs))
 
 
+def _breakpoints(mons: list[tuple[int, Element]]) -> list[Fraction | int]:
+    """Crossover magnitudes of consecutive essential monomials.
+
+    mons are the monomials of an essential form, exponent ascending, so the
+    crossovers come out strictly ascending.
+    """
+    out: list[Fraction | int] = []
+    for (i, a), (j, b) in zip(mons, mons[1:]):
+        q = Fraction(a.value - b.value, j - i)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval of roots.  lo is tangible or -inf; hi is tangible,
@@ -231,13 +246,8 @@ def roots(f: Polynomial) -> RootSet:
     """
     if f.is_neg_inf:
         raise DegeneratePolynomialError("every point is a root of the -inf polynomial")
-    es = essential(f)
-    mons = es.monomials()
-    # Crossover magnitudes between consecutive essential monomials.
-    cross: list[Fraction | int] = []
-    for (i, a), (j, b) in zip(mons, mons[1:]):
-        q = Fraction(a.value - b.value, j - i)
-        cross.append(q.numerator if q.denominator == 1 else q)
+    mons = essential(f).monomials()
+    cross = _breakpoints(mons)
 
     corner: list[tuple[Element, int]] = []
     noncorner: list[Interval] = []
@@ -275,18 +285,16 @@ def poly_ghost_surpasses(f: Polynomial, g: Polynomial) -> bool:
 def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
     """Tangible points that decide any pointwise comparison of f and g.
 
-    Both maps are piecewise linear in the magnitude with kind changes only
-    where two monomials tie, so it suffices to sample every pairwise
-    crossover of the combined monomials plus a midpoint inside each cell
-    and a margin on both unbounded sides.
+    The points are the breakpoints of essential(f), essential(g) and
+    essential(f + g), a midpoint inside each cell between them and a margin
+    on both unbounded sides.  Inside a cell f and g are each one monomial of
+    fixed kind, and their magnitudes cannot cross there: a crossing with
+    different slopes is a kink of max(nu f, nu g) = nu(f + g), hence one of
+    its breakpoints.  So the comparison is constant on every cell.
     """
-    mons = f.monomials() + g.monomials()
     xs = set()
-    for idx, (i, a) in enumerate(mons):
-        for j, b in mons[idx + 1:]:
-            if i != j:
-                q = Fraction(a.value - b.value, j - i)
-                xs.add(q.numerator if q.denominator == 1 else q)
+    for h in (f, g, poly_add(f, g)):
+        xs.update(_breakpoints(essential(h).monomials()))
     if not xs:
         return [Element(TANGIBLE_KIND, 0)]
     pts = sorted(xs)
@@ -314,10 +322,13 @@ def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
 
 
 def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
-    """True iff f and g define the same map, i.e. equal essential forms."""
-    if poly_eval(f, NEG_INF) != poly_eval(g, NEG_INF):
-        return False
-    return all(poly_eval(f, x) == poly_eval(g, x) for x in _comparison_grid(f, g))
+    """True iff f and g define the same map, i.e. equal essential forms.
+
+    Each essential monomial dominates alone on an interval of positive
+    length, where the map shows its exponent, magnitude and kind, and
+    essential(f) is the same map as f.
+    """
+    return essential(f) == essential(g)
 
 
 def poly_nu_equiv(f: Polynomial, g: Polynomial) -> bool:

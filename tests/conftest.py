@@ -1,5 +1,6 @@
 """Shared test helpers: compact builders and independent oracles."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from supertrop import (
@@ -8,8 +9,11 @@ from supertrop import (
     ONE,
     Polynomial,
     add,
+    ghost_surpasses,
     mul,
     parse_scalar,
+    poly_eval,
+    tangible,
 )
 
 
@@ -66,3 +70,26 @@ def naive_char_poly(a: Matrix) -> Polynomial:
             acc = add(acc, naive_det(a, subset, subset))
         coeffs[n - size] = acc
     return Polynomial(coeffs)
+
+
+def _all_pairs_grid(f: Polynomial, g: Polynomial) -> list:
+    """-inf, every pairwise crossover of the combined monomials of f and g, a
+    midpoint inside each cell and a margin on both unbounded sides."""
+    mons = f.monomials() + g.monomials()
+    xs = {Fraction(a.value - b.value, j - i)
+          for k, (i, a) in enumerate(mons) for j, b in mons[k + 1:] if i != j}
+    pts = sorted(xs) or [Fraction(0)]
+    grid = [pts[0] - 1, pts[-1] + 1]
+    grid += pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
+    return [NEG_INF] + [tangible(x) for x in grid]
+
+
+def naive_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
+    """Pointwise ghost surpassing oracle, sampled on the all-pairs grid."""
+    return all(ghost_surpasses(poly_eval(f, x), poly_eval(g, x))
+               for x in _all_pairs_grid(f, g))
+
+
+def naive_value_equal(f: Polynomial, g: Polynomial) -> bool:
+    """Pointwise equality oracle, sampled on the all-pairs grid."""
+    return all(poly_eval(f, x) == poly_eval(g, x) for x in _all_pairs_grid(f, g))

@@ -1,6 +1,7 @@
 """Generators, checkers, reports: determinism, constraints, replay."""
 
 import json
+import random
 
 import pytest
 
@@ -83,7 +84,21 @@ def test_gen_config_validation():
     with pytest.raises(ValueError):
         GenConfig(n=2, neginf_prob=2)
     with pytest.raises(ValueError):
+        GenConfig(n=2, ghost_prob=0.5)
+    with pytest.raises(ValueError):
         GenConfig(n=2, denominator=0)
+
+
+@pytest.mark.parametrize("constraint", list(Constraint))
+def test_gen_draws_no_floats(constraint, monkeypatch):
+    """Entry kinds are exact Bernoulli draws on the rational probabilities,
+    so generation never asks the generator for a float."""
+    def no_float(self):
+        raise AssertionError("float draw in exact generation")
+
+    monkeypatch.setattr(random.Random, "random", no_float)
+    for seed in range(5):
+        gen_matrix(GenConfig(n=3, constraint=constraint, seed=seed))
 
 
 def test_gen_fractional_entries():

@@ -1,5 +1,6 @@
 """Polynomial evaluation, essential forms, and root extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,8 +30,9 @@ from supertrop import (
     roots,
     tangible,
 )
+from supertrop.maxpoly import _comparison_grid
 
-from conftest import el, poly
+from conftest import el, naive_value_equal, naive_value_surpasses, poly
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=4)
 coeffs = st.one_of(st.just(NEG_INF), rationals.map(tangible), rationals.map(ghost))
@@ -274,6 +276,70 @@ def test_value_surpasses_weaker_than_coefficientwise():
     assert not poly_ghost_surpasses(lhs, rhs)
     assert poly_value_surpasses(lhs, rhs)
     assert poly_value_equal(lhs, rhs)
+
+
+def _tie_heavy_poly(rng, degree, num, den):
+    """Numerators in [-num, num] over den, 1/4 -inf and 1/5 ghost coefficients."""
+    cs = []
+    for _ in range(degree + 1):
+        if rng.randrange(4) == 0:
+            cs.append(NEG_INF)
+            continue
+        v = Fraction(rng.randint(-num, num), den)
+        cs.append(ghost(v) if rng.randrange(5) == 0 else tangible(v))
+    return Polynomial(cs)
+
+
+def _tie_heavy_pairs(count, seed):
+    """Seeded (f, g) pairs: independent draws, inflate/poly_pow pairs as the
+    characteristic polynomial power law compares them, f against a copy with
+    one coefficient moved, and f against its essential form."""
+    rng = random.Random(seed)
+    for t in range(count):
+        num, den = rng.choice((2, 4)), rng.choice((1, 2, 3))
+        kind = t % 4
+        f = _tie_heavy_poly(rng, rng.randint(0, 3 if kind == 1 else 5), num, den)
+        if kind == 0:
+            yield f, _tie_heavy_poly(rng, rng.randint(0, 5), num, den)
+        elif kind == 1:
+            m = rng.randint(2, 3)
+            yield inflate(f, m), poly_pow(f, m)
+        elif kind == 2:
+            cs = list(f.coeffs)
+            cs[rng.randrange(len(cs))] = _tie_heavy_poly(rng, 0, num, den).coeffs[0]
+            yield f, Polynomial(cs)
+        else:
+            yield f, essential(f)
+
+
+def test_value_comparisons_match_the_all_pairs_oracle():
+    mismatches = []
+    outcomes = {"surpasses": set(), "equal": set()}
+    for f, g in _tie_heavy_pairs(3200, seed=2013):
+        for a, b in ((f, g), (g, f)):
+            got = poly_value_surpasses(a, b)
+            outcomes["surpasses"].add(got)
+            if got != naive_value_surpasses(a, b):
+                mismatches.append(("surpasses", str(a), str(b)))
+        got = poly_value_equal(f, g)
+        outcomes["equal"].add(got)
+        if got != naive_value_equal(f, g) or got != (essential(f) == essential(g)):
+            mismatches.append(("equal", str(f), str(g)))
+    assert mismatches == []
+    # the mix decides both ways, so agreement is not vacuous
+    assert outcomes == {"surpasses": {True, False}, "equal": {True, False}}
+
+
+def test_comparison_grid_is_linear_in_degree():
+    """Each essential form has at most degree-many breakpoints, and the grid
+    adds a midpoint per cell and two margins.  The first pair has 16
+    monomials a side, whose all-pairs grid has 333 points against a bound
+    of 91."""
+    squares = Polynomial(tangible(-i * i) for i in range(16))
+    shifted = Polynomial(tangible(-i * i + i % 3) for i in range(16))
+    for f, g in [(squares, shifted), *_tie_heavy_pairs(400, seed=7)]:
+        bound = 2 * (f.degree + g.degree + max(f.degree, g.degree)) + 1
+        assert len(_comparison_grid(f, g)) <= bound, (str(f), str(g))
 
 
 # -- text form ---------------------------------------------------------------------------
