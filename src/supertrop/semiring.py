@@ -126,7 +126,8 @@ def mul(a: Element, b: Element) -> Element:
     if a.kind == NEG_INF_KIND or b.kind == NEG_INF_KIND:
         return NEG_INF
     kind = GHOST_KIND if (a.kind == GHOST_KIND or b.kind == GHOST_KIND) else TANGIBLE_KIND
-    return Element(kind, a.value + b.value)
+    v = a.value + b.value
+    return Element(kind, _canon(v) if type(v) is Fraction else v)
 
 
 def power(a: Element, k: int) -> Element:
@@ -137,7 +138,8 @@ def power(a: Element, k: int) -> Element:
         return ONE
     if a.kind == NEG_INF_KIND:
         return NEG_INF
-    return Element(a.kind, a.value * k)
+    v = a.value * k
+    return Element(a.kind, _canon(v) if type(v) is Fraction else v)
 
 
 def to_ghost(a: Element) -> Element:

@@ -6,11 +6,16 @@ entry) comes out ghost.  It is computed exactly, as a fold over column
 subsets (the Bellman / Held-Karp dynamic program) instead of an enumeration
 of the n! tracks: the semiring is commutative and `add` keeps every tie and
 every ghost, so grouping tracks by the columns their first rows use loses
-nothing.  The same fold gives the adjoint (a forward and a backward fold
-joined), the dominant track of a definite form (read back from the fold)
-and the characteristic coefficients (the fold of xI + A).  There is no
-floating point and no assignment-problem shortcut, because such shortcuts
-do not report tied optima.
+nothing.  The same fold gives the adjoint and the pseudo-inverse (one
+forward and one backward fold joined; the pseudo-inverse reads det from the
+forward fold), the dominant track of a definite form (read back from the
+fold that gave its determinant) and the characteristic coefficients (the
+fold of xI + A).  The Kleene star of a definite matrix is its max-plus
+closure, by Floyd-Warshall.  All of these work on magnitudes scaled to ints
+by the matrix's common denominator, so ties are exact integer ties and no
+Fraction is added or compared inside a kernel.  There is no floating point
+and no assignment-problem shortcut, because such shortcuts do not report
+tied optima.
 """
 
 from __future__ import annotations
@@ -41,13 +46,11 @@ from .semiring import (
     Element,
     add,
     format_scalar,
-    ghost,
     ghost_surpasses,
     invert,
     mul,
     nu_equiv,
     parse_scalar,
-    tangible,
     to_ghost,
     to_tangible,
 )
@@ -212,13 +215,22 @@ def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
     return rows, scale
 
 
+def _capped_kernel_rows(a: Matrix, cap: int) -> tuple[list[list[tuple]], int]:
+    """_kernel_rows of a square matrix of order at most cap."""
+    require_square(a)
+    if a.rows > cap:
+        raise SizeCapExceededError(f"determinant capped at n <= {cap}, got n = {a.rows}")
+    return _kernel_rows(a)
+
+
 def _element(state: list | None, scale: int) -> Element:
     """The scalar a kernel state stands for."""
     if state is None:
         return NEG_INF
     m, g = state
-    v = m if scale == 1 else Fraction(m, scale)
-    return ghost(v) if g else tangible(v)
+    if scale != 1:
+        m = m // scale if m % scale == 0 else Fraction(m, scale)
+    return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
 
 
 def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
@@ -255,11 +267,8 @@ def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
 def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     """Tropical permanent, by the subset fold over the 2^n column sets
     (n <= cap)."""
-    require_square(a)
     n = a.rows
-    if n > cap:
-        raise SizeCapExceededError(f"determinant capped at n <= {cap}, got n = {n}")
-    rows, scale = _kernel_rows(a)
+    rows, scale = _capped_kernel_rows(a, cap)
     return _element(_fold(rows).get((1 << n) - 1), scale)
 
 
@@ -272,20 +281,14 @@ def classify(a: Matrix, cap: int = DEFAULT_DET_CAP) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def adjugate(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
-    """Entry (i, j) is the determinant of the minor deleting row j, column i.
+def _minors(rows: list[list[tuple]]) -> tuple[dict, list]:
+    """The forward fold table of rows and the n^2 minor states.
 
-    The minor of a 1x1 matrix is empty and its determinant is the unit, so
-    adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
-    the rows and one backward fold: the minor deleting row j and column i is
-    the sum, over column sets S of size j without i, of the forward state at
-    S times the backward state at the columns left over.
+    State i * n + j is the permanent of the minor deleting row j and column
+    i: the sum, over column sets S of size j without i, of the forward state
+    at S times the backward state at the columns left over.
     """
-    require_square(a)
-    n = a.rows
-    if n - 1 > cap:
-        raise SizeCapExceededError(f"adjugate minors capped at n <= {cap}")
-    rows, scale = _kernel_rows(a)
+    n = len(rows)
     fwd = _fold(rows, keep_all=True)
     bwd = _fold(rows[::-1], keep_all=True)
     full = (1 << n) - 1
@@ -308,7 +311,23 @@ def adjugate(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
                 acc[i * n + j] = [v, g or b[1]]
             elif v == cur[0]:
                 cur[1] = True
-    return Matrix(n, n, [_element(st, scale) for st in acc])
+    return fwd, acc
+
+
+def adjugate(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
+    """Entry (i, j) is the determinant of the minor deleting row j, column i.
+
+    The minor of a 1x1 matrix is empty and its determinant is the unit, so
+    adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
+    the rows and one backward fold, joined.
+    """
+    require_square(a)
+    n = a.rows
+    if n - 1 > cap:
+        raise SizeCapExceededError(f"adjugate minors capped at n <= {cap}")
+    rows, scale = _kernel_rows(a)
+    _, minors = _minors(rows)
+    return Matrix(n, n, [_element(st, scale) for st in minors])
 
 
 def char_poly_coefficients(a: Matrix) -> list[Element]:
@@ -332,15 +351,21 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
 def pseudo_inverse(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
     """The adjoint rescaled by the determinant: (1/det) adj(A) when det is
     tangible, and the ghost of that scaling when det is ghost.  Undefined
-    for strictly singular matrices."""
-    d = determinant(a, cap)
-    if d.kind == NEG_INF_KIND:
+    for strictly singular matrices.
+
+    One forward and one backward fold give both: det is the forward fold's
+    full-set state, and each minor state is rescaled on the scaled ints
+    (magnitude minus det's, ghost if either is ghost).
+    """
+    n = a.rows
+    rows, scale = _capped_kernel_rows(a, cap)
+    fwd, minors = _minors(rows)
+    det = fwd.get((1 << n) - 1)
+    if det is None:
         raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
-    if d.kind == TANGIBLE_KIND:
-        scale = invert(d)
-    else:
-        scale = to_ghost(invert(to_tangible(d)))
-    return scalar_mul(scale, adjugate(a, cap))
+    dm, dg = det
+    return Matrix(n, n, [NEG_INF if st is None else _element((st[0] - dm, st[1] or dg), scale)
+                         for st in minors])
 
 
 def pseudo_inverse_iter(a: Matrix, k: int, cap: int = DEFAULT_DET_CAP) -> Matrix:
@@ -387,13 +412,12 @@ def is_definite(a: Matrix, cap: int = DEFAULT_DET_CAP) -> bool:
     return determinant(a, cap) == ONE
 
 
-def _dominant_permutation(a: Matrix) -> tuple[int, ...]:
+def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ...]:
     """The unique permutation track attaining a tangible determinant, read
-    back from the forward fold: with a tangible determinant, exactly one
-    column of each row extends the track optimally."""
-    n = a.rows
-    rows, _ = _kernel_rows(a)
-    table = _fold(rows, keep_all=True)
+    back from the keep_all fold table of rows, the same fold that gave the
+    determinant: with a tangible determinant, exactly one column of each
+    row extends the track optimally."""
+    n = len(rows)
     mask = (1 << n) - 1
     perm = [0] * n
     for r in reversed(range(n)):
@@ -425,11 +449,14 @@ def definite_form(a: Matrix, side: Side = "left",
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    det = determinant(a, cap)
+    n = a.rows
+    rows, scale = _capped_kernel_rows(a, cap)
+    table = _fold(rows, keep_all=True)
+    det = _element(table.get((1 << n) - 1), scale)
     if det.kind != TANGIBLE_KIND:
         raise NotNonSingularError("definite form needs a tangible determinant")
-    n = a.rows
-    pi = _dominant_permutation(a)
+    pi = _dominant_permutation(rows, table)
+    del rows, table  # release the 2^n table before the checks below fold again
     track = [a.at(i, pi[i]) for i in range(n)]
     conductor_entries = [[NEG_INF] * n for _ in range(n)]
     for i in range(n):
@@ -505,8 +532,8 @@ def is_invertible(a: Matrix) -> bool:
 
 
 def _star_step(p: list, grid: list, n: int) -> list:
-    """One max-plus product p * grid of flat n x n magnitude grids (None is
-    -inf)."""
+    """One max-plus product p * grid of flat n x n grids of scaled int
+    magnitudes (None is -inf)."""
     nxt: list = [None] * (n * n)
     for i in range(n):
         for j in range(n):
@@ -525,42 +552,56 @@ def _star_step(p: list, grid: list, n: int) -> list:
 
 def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
                 verify_stabilization: bool = False) -> Matrix:
-    """Tropical closure I + A + A^2 + ... of a definite matrix, truncated at
-    exponent n-1 where it stabilizes.
+    """Tropical closure I + A + A^2 + ... of a definite matrix.
 
-    The star is the tropical-side object: it is computed on magnitudes and
-    returned with tangible entries, and is magnitude-equivalent to both
-    pseudo_inverse(A) and mat_pow(A, n-1).  With verify_stabilization the
-    sum is also iterated to its fixpoint and checked against the truncation.
+    The closure is computed by Floyd-Warshall on the magnitudes, scaled to
+    ints by the common denominator: n^3 relaxations d[i][j] = max(d[i][j],
+    d[i][k] + d[k][j]), starting from A.  Every non-identity cycle of a
+    definite matrix is strictly negative (a zero-weight one would tie the
+    identity track and ghost det), so the closure is exactly
+    I + A + ... + A^(n-1), where the power sum stabilizes.  The star is the
+    tropical-side object: it is returned with tangible entries, and is
+    magnitude-equivalent to both pseudo_inverse(A) and mat_pow(A, n-1).
+    With verify_stabilization the power sum is also iterated to its
+    fixpoint, independently of the closure, and checked against it.
     """
     if not is_definite(a, cap):
         raise NotDefiniteError("kleene star requires a definite matrix")
     n = a.rows
-    grid = [e.value for e in a.entries]  # None encodes -inf
-
-    def combine(x: list, y: list) -> list:
-        return [a_ if (b_ is None or (a_ is not None and a_ >= b_)) else b_
-                for a_, b_ in zip(x, y)]
-
-    ident = [0 if i % (n + 1) == 0 else None for i in range(n * n)]
-    acc, p = list(ident), list(ident)
-    for _ in range(n - 1):
-        p = _star_step(p, grid, n)
-        acc = combine(acc, p)
+    rows, scale = _kernel_rows(a)
+    grid: list = [None] * (n * n)  # None encodes -inf
+    for i, row in enumerate(rows):
+        for bit, _, w, _ in row:
+            grid[i * n + bit.bit_length() - 1] = w
+    d = list(grid)
+    for k in range(n):
+        dk = d[k * n:(k + 1) * n]
+        for i in range(n):
+            dik = d[i * n + k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is None:
+                    continue
+                v = dik + dkj
+                cur = d[i * n + j]
+                if cur is None or v > cur:
+                    d[i * n + j] = v
     if verify_stabilization:
-        fix, q, guard = list(acc), list(p), 0
-        while True:
-            q = _star_step(q, grid, n)
-            grown = combine(fix, q)
+        fix = [0 if i % (n + 1) == 0 else None for i in range(n * n)]
+        p = list(fix)
+        for _ in range(4 * n + 4):
+            p = _star_step(p, grid, n)
+            grown = [x if (y is None or (x is not None and x >= y)) else y
+                     for x, y in zip(fix, p)]
             if grown == fix:
                 break
             fix = grown
-            guard += 1
-            if guard > 4 * n + 4:
-                raise VerificationError("star failed to stabilize")
-        if fix != acc:
+        else:
+            raise VerificationError("star failed to stabilize")
+        if fix != d:
             raise VerificationError("truncated star disagrees with the fixpoint")
-    return Matrix(n, n, (NEG_INF if v is None else Element(TANGIBLE_KIND, v) for v in acc))
+    return Matrix(n, n, [NEG_INF if v is None else _element((v, False), scale) for v in d])
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:

@@ -10,6 +10,9 @@ from supertrop import (
     Polynomial,
     add,
     ghost_surpasses,
+    identity,
+    mat_add,
+    mat_mul,
     mul,
     parse_scalar,
     poly_eval,
@@ -70,6 +73,17 @@ def naive_char_poly(a: Matrix) -> Polynomial:
             acc = add(acc, naive_det(a, subset, subset))
         coeffs[n - size] = acc
     return Polynomial(coeffs)
+
+
+def naive_star(a: Matrix) -> Matrix:
+    """Kleene star oracle: the power sum I + A + ... + A^(n-1), by repeated
+    mat_mul and mat_add.  Ties in the sum come out ghost, so compare it with
+    the star in magnitude."""
+    acc = p = identity(a.rows)
+    for _ in range(a.rows - 1):
+        p = mat_mul(p, a)
+        acc = mat_add(acc, p)
+    return acc
 
 
 def _all_pairs_grid(f: Polynomial, g: Polynomial) -> list:

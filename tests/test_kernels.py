@@ -2,6 +2,7 @@
 inputs, and their self-checks as typed errors."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,16 +12,28 @@ from pathlib import Path
 import pytest
 
 from supertrop import (
+    NEG_INF,
+    Matrix,
+    StrictlySingularError,
     adjugate,
     char_poly,
     definite_form,
     determinant,
+    hat_matrix,
+    invert,
     is_definite,
+    kleene_star,
     mat_mul,
+    mul,
+    pseudo_inverse,
+    tangible,
+    to_ghost,
+    to_tangible,
+    tropmat,
 )
 from supertrop.lawcheck import GenConfig, gen_matrix
 
-from conftest import naive_adj, naive_char_poly, naive_det
+from conftest import mat, naive_adj, naive_char_poly, naive_det, naive_star
 
 # Matrices per order; the oracles enumerate n! tracks per minor.
 COUNTS = {1: 40, 2: 60, 3: 60, 4: 60, 5: 40, 6: 25, 7: 10}
@@ -36,6 +49,20 @@ def tie_heavy(n, seed):
 
 def cases(n):
     return [tie_heavy(n, 100 * n + t) for t in range(COUNTS[n])]
+
+
+def mixed_cases(n):
+    """Numerators in [-4, 4] over 1, 2 or 3, so the kernels' common scale is
+    rarely 1, with the same -inf and ghost rates as tie_heavy."""
+    return [gen_matrix(GenConfig(n=n, numerator_range=(-4, 4), denominator=1 + t % 3,
+                                 neginf_prob=Fraction(1, 5), ghost_prob=Fraction(1, 10),
+                                 seed=1000 * n + t))
+            for t in range(COUNTS[n])]
+
+
+def definite_cases(n):
+    """The definite factors of the non-singular mixed_cases(n)."""
+    return [definite_form(a)[1] for a in mixed_cases(n) if determinant(a).is_tangible]
 
 
 @pytest.mark.parametrize("n", sorted(COUNTS))
@@ -78,6 +105,97 @@ def test_definite_form_follows_the_dominant_track_on_ties(n):
                 else mat_mul(definite, conductor)
             assert product == a
     assert seen > 0
+
+
+def test_pseudo_inverse_matches_oracle_scaling():
+    """The adjoint oracle scaled by the inverse of the determinant oracle,
+    ghosted when det is ghost; undefined when det is -inf."""
+    kinds = set()
+    for n in sorted(COUNTS):
+        for a in mixed_cases(n):
+            d = naive_det(a)
+            kinds.add(d.kind)
+            if d.is_neg_inf:
+                with pytest.raises(StrictlySingularError):
+                    pseudo_inverse(a)
+                continue
+            c = invert(to_tangible(d))
+            c = to_ghost(c) if d.is_ghost else c
+            assert pseudo_inverse(a) == naive_adj(a).map(lambda e: mul(c, e))
+    assert len(kinds) == 3
+
+
+@pytest.mark.parametrize("n", sorted(COUNTS))
+def test_kleene_star_matches_power_sum_oracle(n):
+    ds = definite_cases(n)
+    assert ds
+    for d in ds:
+        want = hat_matrix(naive_star(d))
+        assert kleene_star(d) == want
+        assert kleene_star(d, verify_stabilization=True) == want
+
+
+@pytest.mark.parametrize("n", sorted(COUNTS))
+def test_definite_form_splits_a_permuted_definite_matrix(n):
+    """definite_form(P * D) is (P, D) for a generalized permutation P and a
+    definite D: P * D's dominant track is P's, and its entries are P's."""
+    rng = random.Random(n)
+    ds = definite_cases(n)
+    assert ds
+    for d in ds:
+        perm = rng.sample(range(n), n)
+        entries = [NEG_INF] * (n * n)
+        for i in range(n):
+            entries[i * n + perm[i]] = tangible(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        p = Matrix(n, n, entries)
+        assert definite_form(mat_mul(p, d)) == (p, d)
+
+
+def test_kernels_fold_their_input_once(monkeypatch):
+    """pseudo_inverse runs one forward and one backward fold, definite_form
+    one fold of A plus one per check on its factors, and kleene_star the
+    power products only to verify stabilization."""
+    folds, steps = [], []
+    fold, star_step = tropmat._fold, tropmat._star_step
+    monkeypatch.setattr(tropmat, "_fold",
+                        lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
+    monkeypatch.setattr(tropmat, "_star_step",
+                        lambda p, grid, n: steps.append(1) or star_step(p, grid, n))
+    a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
+    d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
+    for call, want in [(lambda: pseudo_inverse(a), 2),
+                       (lambda: definite_form(a), 3),
+                       (lambda: kleene_star(d), 1)]:
+        folds.clear()
+        call()
+        assert len(folds) == want
+    assert not steps
+    kleene_star(d, verify_stabilization=True)
+    assert steps
+
+
+# Magnitudes inside the kernels are ints scaled by the common denominator.
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_kernels_do_no_fraction_arithmetic(monkeypatch):
+    a = mat("1/2 -1/3 -inf; 2/3g 0 -1/6; -inf 5/6 -1/2")
+    d = mat("0 -1/2 -inf; -1/3 0 -2/3g; -5/6 -inf 0")
+    assert is_definite(d)
+    calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
+             (tropmat.char_poly_coefficients, a), (tropmat.kleene_star, d),
+             (lambda x: tropmat.kleene_star(x, verify_stabilization=True), d)]
+    want = [f(x) for f, x in calls]
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic inside a kernel")
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    got = [f(x) for f, x in calls]
+    monkeypatch.undo()
+    assert got == want
 
 
 @pytest.mark.parametrize("seed, numerators", [(12, (-2, 2)), (13, (-1000, 1000))])
@@ -129,9 +247,13 @@ def jumping_step(p, grid, n):
     return [100 if len(steps) == n else None] * (n * n)
 
 
+def full_set_only(rows, keep_all=False):
+    """A fold whose full-set state is a tangible 0 that no row extends."""
+    return {(1 << len(rows)) - 1: [0, False]}
+
+
 a = mat("1 0; 3 4")
-print(forced({"determinant": lambda m, cap: tangible(0)},
-             lambda: tropmat.definite_form(mat("-inf -inf; -inf -inf"))))
+print(forced({"_fold": full_set_only}, lambda: tropmat.definite_form(a)))
 print(forced({"mat_mul": lambda x, y: neg_inf_matrix(x.rows, y.cols)},
              lambda: tropmat.definite_form(a)))
 print(forced({"is_definite": lambda m, cap: False},

@@ -157,6 +157,28 @@ def test_chk_charpoly_power_examples():
         assert chk_charpoly_power(diag([tangible(1), tangible(4)]), m).ok
 
 
+def test_chk_charpoly_power_decides_tangible_equality(monkeypatch):
+    """diag(1, 2, 4) has distinct subset sums, so char_poly(A^m) is ghost-free
+    and the check compares the two sides for equality of value."""
+    from supertrop import char_poly, diag, mat_pow, tangible
+    from supertrop import lawcheck
+
+    a = diag([tangible(1), tangible(2), tangible(4)])
+    compared = []
+    value_equal = lawcheck.poly_value_equal
+    monkeypatch.setattr(lawcheck, "poly_value_equal",
+                        lambda f, g: compared.append(f) or value_equal(f, g))
+    for m in (2, 3):
+        assert not char_poly(mat_pow(a, m)).has_ghost_coeff()
+        assert lawcheck.chk_charpoly_power(a, m).ok
+    assert len(compared) == 2
+    monkeypatch.setattr(lawcheck, "poly_value_equal", lambda f, g: False)
+    for m in (2, 3):
+        r = lawcheck.chk_charpoly_power(a, m)
+        assert not r.ok
+        assert list(r.details) == [f"tangible_equality_m{m}"]
+
+
 def test_chk_conjecture_on_pinned_instances():
     # reversal with equality
     assert chk_reversal_conjecture(mat("1 0 -inf; 3 4 -inf; -inf -inf 1")).ok

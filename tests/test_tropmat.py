@@ -327,6 +327,21 @@ def test_kleene_star_cases():
         kleene_star(mat("0 0; 1 2"))
 
 
+def test_integral_results_are_stored_as_int():
+    """Integral values are ints, as the semiring promises, also when they
+    come from adding or scaling Fractions."""
+    half = el("1/2")
+    h = mat("0 -1/2 -inf; -inf 0 -1/2; -inf -inf 0")
+    star = kleene_star(h)
+    assert star.at(0, 2) == tangible(-1)
+    values = [mul(half, half).value, mul(half, el("3/2g")).value, power(half, 4).value]
+    for m in (mat_mul(h, h), star, kleene_star(h, verify_stabilization=True)):
+        values += [e.value for e in m.entries if not e.is_neg_inf]
+    integral = [v for v in values if v.denominator == 1]
+    assert len(integral) > 3
+    assert all(type(v) is int for v in integral)
+
+
 def test_star_agrees_with_pseudo_inverse_and_powers():
     for t in range(40):
         n = 2 + t % 3
