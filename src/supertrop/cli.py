@@ -8,8 +8,10 @@ reversal conjecture.
 
 stdout carries results only; diagnostics go to stderr.  Exit codes:
 0 success, 1 parse/usage error, 2 domain error (for example taking the
-pseudo-inverse of a strictly singular matrix).  Reports are byte
-deterministic for fixed flags; pass --timing to embed wall-clock time.
+pseudo-inverse of a strictly singular matrix, or any determinant kernel
+on a matrix of order above the fixed size cap, tropmat.DEFAULT_DET_CAP).
+Reports are byte deterministic for fixed flags; wall-clock times go to
+stderr only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .maxpoly import format_poly
 from .semiring import format_scalar
 from .spectral import char_poly, eigenvalues
 from .tropmat import (
-    DEFAULT_DET_CAP,
     definite_form,
     determinant,
     adjugate,
@@ -62,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("input", help="path to a matrix JSON file")
     p_compute.add_argument("--side", choices=["left", "right"], default="left",
                            help="side for definite-form (default left)")
-    p_compute.add_argument("--det-cap", type=int, default=DEFAULT_DET_CAP,
-                           help="largest matrix order n for the determinant kernels, "
-                                "whose cost grows as 2^n (default %(default)s)")
 
     p_demo = sub.add_parser("demo", help="replay a built-in worked example")
     p_demo.add_argument("example", help=f"one of: {', '.join(sorted(DEMOS))}")
@@ -82,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ghost-prob", default="1/10",
                        help="probability of a ghost entry, as a rational (default 1/10)")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--timing", action="store_true",
-                       help="embed elapsed_ms in the report (breaks byte determinism)")
 
     p_check = sub.add_parser("check", help="run the law-checking suite")
     p_check.add_argument("--suite", default="all",
@@ -126,25 +122,24 @@ def _emit_report(args, payload: dict) -> None:
 
 def _cmd_compute(args) -> int:
     a = load_matrix(args.input)
-    cap = args.det_cap
     if args.what == "det":
-        print(format_scalar(determinant(a, cap)))
+        print(format_scalar(determinant(a)))
     elif args.what == "adj":
-        print(json.dumps(matrix_to_dict(adjugate(a, cap)), indent=2))
+        print(json.dumps(matrix_to_dict(adjugate(a)), indent=2))
     elif args.what == "nabla":
-        print(json.dumps(matrix_to_dict(pseudo_inverse(a, cap)), indent=2))
+        print(json.dumps(matrix_to_dict(pseudo_inverse(a)), indent=2))
     elif args.what == "star":
-        print(json.dumps(matrix_to_dict(kleene_star(a, cap)), indent=2))
+        print(json.dumps(matrix_to_dict(kleene_star(a)), indent=2))
     elif args.what == "charpoly":
-        print(format_poly(char_poly(a, cap)))
+        print(format_poly(char_poly(a)))
     elif args.what == "eigen":
-        rs = eigenvalues(a, cap)
+        rs = eigenvalues(a)
         corner = ", ".join(f"({format_scalar(v)}, {m})" for v, m in rs.corner) or "none"
         noncorner = ", ".join(str(iv) for iv in rs.noncorner) or "none"
         print(f"corner: {corner}")
         print(f"noncorner: {noncorner}")
     elif args.what == "definite-form":
-        conductor, definite = definite_form(a, args.side, cap)
+        conductor, definite = definite_form(a, args.side)
         print(json.dumps(
             {"conductor": matrix_to_dict(conductor), "definite": matrix_to_dict(definite)},
             indent=2,
@@ -178,7 +173,7 @@ def _cmd_check(args) -> int:
     reports = run_suite(cfg, args.trials, suite)
     failures = sum(len(r.failures) for r in reports)
     counterexamples = sum(len(r.counterexamples) for r in reports)
-    payload = {"reports": [r.to_dict(include_timing=args.timing) for r in reports]}
+    payload = {"reports": [r.to_dict() for r in reports]}
     _emit_report(args, payload)
     for r in reports:
         print(f"{r.check_id}: {r.passes}/{r.trials} passed "
@@ -194,7 +189,7 @@ def _cmd_explore(args) -> int:
         return EXIT_PARSE
     cfg = _config_from_args(args, Constraint.NON_SINGULAR)
     report = explore_conjecture(cfg, args.trials)
-    _emit_report(args, report.to_dict(include_timing=args.timing))
+    _emit_report(args, report.to_dict())
     print(f"counterexamples: {len(report.counterexamples)} "
           f"(n={args.n}, trials={args.trials}, seed={args.seed})", file=sys.stderr)
     return EXIT_OK

@@ -14,8 +14,9 @@ class DimensionMismatchError(SupertropicalError):
 
 
 class SizeCapExceededError(SupertropicalError):
-    """Raised when a matrix is larger than the size cap of a determinant-based
-    operation, whose subset fold grows as 2^n."""
+    """Raised when a determinant-based operation gets a matrix of order above
+    tropmat.DEFAULT_DET_CAP (16): its subset fold has 2^n states.  The cap is
+    fixed, checked once before any fold, not set per call."""
 
 
 class StrictlySingularError(SupertropicalError):

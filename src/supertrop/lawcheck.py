@@ -486,8 +486,10 @@ class CheckReport:
     counterexamples: list[dict]
     elapsed_ms: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The serialized report; elapsed_ms stays out, so it is byte
+        deterministic."""
+        return {
             "check_id": self.check_id,
             "seed": self.seed,
             "config": self.config.to_dict(),
@@ -496,12 +498,9 @@ class CheckReport:
             "failures": self.failures,
             "counterexamples": self.counterexamples,
         }
-        if include_timing:
-            d["elapsed_ms"] = self.elapsed_ms
-        return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
@@ -509,29 +508,31 @@ def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
 
     Trial t draws its inputs from a sub-seed of (cfg.seed, t); the first
     matrix honours the checker's constraint, a second one (where used) is
-    unconstrained.  The report is a deterministic function of
-    (check_id, cfg, trials).
+    unconstrained.  Only a trial that fails or flags a counterexample
+    serializes its inputs as a witness.  The report is a deterministic
+    function of (check_id, cfg, trials).
     """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     defn = CHECKS[check_id]
+    cfg_a = dataclasses.replace(cfg, constraint=defn.constraint)
+    cfg_b = dataclasses.replace(cfg, constraint=Constraint.NONE)
     t0 = time.perf_counter()
     passes = 0
     failures: list[dict] = []
     counterexamples: list[dict] = []
     for t in range(trials):
         rng = random.Random(_sub_seed(cfg.seed, t))
-        a = _gen_with_rng(rng, dataclasses.replace(cfg, constraint=defn.constraint))
-        inputs = {"A": matrix_to_dict(a)}
-        args = [a]
+        args = [_gen_with_rng(rng, cfg_a)]
         if defn.two_matrices:
-            b = _gen_with_rng(rng, dataclasses.replace(cfg, constraint=Constraint.NONE))
-            inputs["B"] = matrix_to_dict(b)
-            args.append(b)
+            args.append(_gen_with_rng(rng, cfg_b))
         res = defn.fn(*args)
         if res.ok:
             passes += 1
-        else:
+            if res.counterexample is None:
+                continue
+        inputs = {name: matrix_to_dict(m) for name, m in zip("AB", args)}
+        if not res.ok:
             failures.append({"trial": t, "inputs": inputs, "details": res.details})
         if res.counterexample is not None:
             counterexamples.append({"trial": t, "inputs": inputs, "details": res.counterexample})

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DimensionMismatchError, SizeCapExceededError
+from .errors import DimensionMismatchError
 from .maxpoly import Polynomial, RootSet, roots
 from .semiring import (
     GHOST_KIND,
@@ -14,7 +14,6 @@ from .semiring import (
     ghost_surpasses,
 )
 from .tropmat import (
-    DEFAULT_DET_CAP,
     Matrix,
     char_poly_coefficients,
     identity,
@@ -26,20 +25,17 @@ from .tropmat import (
 )
 
 
-def char_poly(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Polynomial:
+def char_poly(a: Matrix) -> Polynomial:
     """Characteristic maxpolynomial of a square matrix: det(xI + A), taken
     as a formal permanent.
 
     The coefficient of x^k (k < n) is the supertropical sum of the
     determinants of all (n-k) x (n-k) principal submatrices; the leading
     coefficient is the unit.  All coefficients come from one subset fold
-    (tropmat.char_poly_coefficients); summing the principal minors one by
+    (tropmat.char_poly_coefficients), which like every kernel refuses an
+    order above tropmat.DEFAULT_DET_CAP; summing the principal minors one by
     one serves as the independent test oracle.
     """
-    require_square(a)
-    n = a.rows
-    if n > cap:
-        raise SizeCapExceededError(f"char_poly capped at n <= {cap}, got n = {n}")
     return Polynomial(char_poly_coefficients(a))
 
 
@@ -51,11 +47,11 @@ def trace(a: Matrix) -> Element:
     return acc
 
 
-def eigenvalues(a: Matrix, cap: int = DEFAULT_DET_CAP) -> RootSet:
+def eigenvalues(a: Matrix) -> RootSet:
     """Roots of the characteristic polynomial.  Corner values are tangible;
     -inf shows up as (part of) a non-corner interval, in particular as the
     degenerate point interval when the constant coefficient is -inf."""
-    return roots(char_poly(a, cap))
+    return roots(char_poly(a))
 
 
 def check_eigenpair(a: Matrix, v: Sequence[Element], alpha: Element) -> bool:
@@ -91,10 +87,10 @@ def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:
     return acc
 
 
-def conjugate(a: Matrix, b: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
+def conjugate(a: Matrix, b: Matrix) -> Matrix:
     """The conjugation pseudo_inverse(A) * B * A (defined whenever det(A)
     is not -inf)."""
     require_square(a)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("conjugation needs matrices of equal order")
-    return mat_mul(mat_mul(pseudo_inverse(a, cap), b), a)
+    return mat_mul(mat_mul(pseudo_inverse(a), b), a)

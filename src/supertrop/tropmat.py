@@ -196,8 +196,15 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # a missing key.
 
 
-def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
-    """The kernel rows of a and the scale of their magnitudes."""
+def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple]], int]:
+    """The kernel rows of a square matrix and the scale of their magnitudes.
+
+    This is the one size guard of the kernels: every fold has 2^n states,
+    so a matrix of order n > cap is refused here, before any fold.
+    """
+    require_square(a)
+    if a.rows > cap:
+        raise SizeCapExceededError(f"subset-fold kernels capped at n <= {cap}, got n = {a.rows}")
     scale = 1
     for e in a.entries:
         if e.kind != NEG_INF_KIND:
@@ -213,14 +220,6 @@ def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
                             e.kind == GHOST_KIND))
         rows.append(row)
     return rows, scale
-
-
-def _capped_kernel_rows(a: Matrix, cap: int) -> tuple[list[list[tuple]], int]:
-    """_kernel_rows of a square matrix of order at most cap."""
-    require_square(a)
-    if a.rows > cap:
-        raise SizeCapExceededError(f"determinant capped at n <= {cap}, got n = {a.rows}")
-    return _kernel_rows(a)
 
 
 def _element(state: list | None, scale: int) -> Element:
@@ -268,12 +267,12 @@ def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     """Tropical permanent, by the subset fold over the 2^n column sets
     (n <= cap)."""
     n = a.rows
-    rows, scale = _capped_kernel_rows(a, cap)
+    rows, scale = _kernel_rows(a, cap)
     return _element(_fold(rows).get((1 << n) - 1), scale)
 
 
-def classify(a: Matrix, cap: int = DEFAULT_DET_CAP) -> SingularityClass:
-    d = determinant(a, cap)
+def classify(a: Matrix) -> SingularityClass:
+    d = determinant(a)
     if d.kind == TANGIBLE_KIND:
         return SingularityClass.NON_SINGULAR
     if d.kind == GHOST_KIND:
@@ -314,17 +313,14 @@ def _minors(rows: list[list[tuple]]) -> tuple[dict, list]:
     return fwd, acc
 
 
-def adjugate(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
+def adjugate(a: Matrix) -> Matrix:
     """Entry (i, j) is the determinant of the minor deleting row j, column i.
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
     adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
     the rows and one backward fold, joined.
     """
-    require_square(a)
     n = a.rows
-    if n - 1 > cap:
-        raise SizeCapExceededError(f"adjugate minors capped at n <= {cap}")
     rows, scale = _kernel_rows(a)
     _, minors = _minors(rows)
     return Matrix(n, n, [_element(st, scale) for st in minors])
@@ -338,7 +334,6 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     coefficient of x^k is the supertropical sum of the determinants of the
     (n-k) x (n-k) principal submatrices, ghosts included.
     """
-    require_square(a)
     n = a.rows
     rows, scale = _kernel_rows(a)
     for r, row in enumerate(rows):
@@ -348,7 +343,7 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     return [_element(last.get(k << n | full), scale) for k in range(n + 1)]
 
 
-def pseudo_inverse(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
+def pseudo_inverse(a: Matrix) -> Matrix:
     """The adjoint rescaled by the determinant: (1/det) adj(A) when det is
     tangible, and the ghost of that scaling when det is ghost.  Undefined
     for strictly singular matrices.
@@ -358,7 +353,7 @@ def pseudo_inverse(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
     (magnitude minus det's, ghost if either is ghost).
     """
     n = a.rows
-    rows, scale = _capped_kernel_rows(a, cap)
+    rows, scale = _kernel_rows(a)
     fwd, minors = _minors(rows)
     det = fwd.get((1 << n) - 1)
     if det is None:
@@ -368,16 +363,16 @@ def pseudo_inverse(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Matrix:
                          for st in minors])
 
 
-def pseudo_inverse_iter(a: Matrix, k: int, cap: int = DEFAULT_DET_CAP) -> Matrix:
+def pseudo_inverse_iter(a: Matrix, k: int) -> Matrix:
     if k < 1:
         raise ValueError("pseudo_inverse_iter expects k >= 1")
     out = a
     for _ in range(k):
-        out = pseudo_inverse(out, cap)
+        out = pseudo_inverse(out)
     return out
 
 
-def pseudo_identity_class(m: Matrix, cap: int = DEFAULT_DET_CAP) -> PseudoIdentityClass:
+def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     """Classify against the two pseudo-identity patterns: tangible-0 diagonal
     (plus non-singularity) or ghost-0 diagonal (plus singularity), ghost or
     -inf off the diagonal, and multiplicative idempotence."""
@@ -396,7 +391,7 @@ def pseudo_identity_class(m: Matrix, cap: int = DEFAULT_DET_CAP) -> PseudoIdenti
                 return PseudoIdentityClass.NEITHER
     if mat_mul(m, m) != m:
         return PseudoIdentityClass.NEITHER
-    cls = classify(m, cap)
+    cls = classify(m)
     if want is PseudoIdentityClass.PSEUDO_IDENTITY and cls is SingularityClass.NON_SINGULAR:
         return want
     if want is PseudoIdentityClass.GHOST_PSEUDO_IDENTITY and cls is SingularityClass.SINGULAR:
@@ -404,12 +399,12 @@ def pseudo_identity_class(m: Matrix, cap: int = DEFAULT_DET_CAP) -> PseudoIdenti
     return PseudoIdentityClass.NEITHER
 
 
-def is_definite(a: Matrix, cap: int = DEFAULT_DET_CAP) -> bool:
+def is_definite(a: Matrix) -> bool:
     """Tangible 0 on the whole diagonal and determinant exactly tangible 0."""
     require_square(a)
     if any(a.at(i, i) != ONE for i in range(a.rows)):
         return False
-    return determinant(a, cap) == ONE
+    return determinant(a) == ONE
 
 
 def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ...]:
@@ -436,8 +431,7 @@ def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ..
 Side = Literal["left", "right"]
 
 
-def definite_form(a: Matrix, side: Side = "left",
-                  cap: int = DEFAULT_DET_CAP) -> tuple[Matrix, Matrix]:
+def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     """Factor a non-singular matrix through a definite one.
 
     Returns (conductor, definite) with A = conductor * definite for
@@ -450,7 +444,7 @@ def definite_form(a: Matrix, side: Side = "left",
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = a.rows
-    rows, scale = _capped_kernel_rows(a, cap)
+    rows, scale = _kernel_rows(a)
     table = _fold(rows, keep_all=True)
     det = _element(table.get((1 << n) - 1), scale)
     if det.kind != TANGIBLE_KIND:
@@ -483,9 +477,9 @@ def definite_form(a: Matrix, side: Side = "left",
     product = mat_mul(conductor, definite) if side == "left" else mat_mul(definite, conductor)
     if product != a:
         raise VerificationError("definite factorization failed to reassemble the input")
-    if not is_definite(definite, cap):
+    if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
-    if determinant(conductor, cap) != det:
+    if determinant(conductor) != det:
         raise VerificationError("conductor does not carry det(A)")
     return conductor, definite
 
@@ -531,27 +525,7 @@ def is_invertible(a: Matrix) -> bool:
     return all(c == 1 for c in col_seen)
 
 
-def _star_step(p: list, grid: list, n: int) -> list:
-    """One max-plus product p * grid of flat n x n grids of scaled int
-    magnitudes (None is -inf)."""
-    nxt: list = [None] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            best = None
-            for t in range(n):
-                x = p[i * n + t]
-                y = grid[t * n + j]
-                if x is None or y is None:
-                    continue
-                v = x + y
-                if best is None or v > best:
-                    best = v
-            nxt[i * n + j] = best
-    return nxt
-
-
-def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
-                verify_stabilization: bool = False) -> Matrix:
+def kleene_star(a: Matrix) -> Matrix:
     """Tropical closure I + A + A^2 + ... of a definite matrix.
 
     The closure is computed by Floyd-Warshall on the magnitudes, scaled to
@@ -562,18 +536,15 @@ def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
     I + A + ... + A^(n-1), where the power sum stabilizes.  The star is the
     tropical-side object: it is returned with tangible entries, and is
     magnitude-equivalent to both pseudo_inverse(A) and mat_pow(A, n-1).
-    With verify_stabilization the power sum is also iterated to its
-    fixpoint, independently of the closure, and checked against it.
     """
-    if not is_definite(a, cap):
+    if not is_definite(a):
         raise NotDefiniteError("kleene star requires a definite matrix")
     n = a.rows
     rows, scale = _kernel_rows(a)
-    grid: list = [None] * (n * n)  # None encodes -inf
+    d: list = [None] * (n * n)  # None encodes -inf
     for i, row in enumerate(rows):
         for bit, _, w, _ in row:
-            grid[i * n + bit.bit_length() - 1] = w
-    d = list(grid)
+            d[i * n + bit.bit_length() - 1] = w
     for k in range(n):
         dk = d[k * n:(k + 1) * n]
         for i in range(n):
@@ -587,20 +558,6 @@ def kleene_star(a: Matrix, cap: int = DEFAULT_DET_CAP,
                 cur = d[i * n + j]
                 if cur is None or v > cur:
                     d[i * n + j] = v
-    if verify_stabilization:
-        fix = [0 if i % (n + 1) == 0 else None for i in range(n * n)]
-        p = list(fix)
-        for _ in range(4 * n + 4):
-            p = _star_step(p, grid, n)
-            grown = [x if (y is None or (x is not None and x >= y)) else y
-                     for x, y in zip(fix, p)]
-            if grown == fix:
-                break
-            fix = grown
-        else:
-            raise VerificationError("star failed to stabilize")
-        if fix != d:
-            raise VerificationError("truncated star disagrees with the fixpoint")
     return Matrix(n, n, [NEG_INF if v is None else _element((v, False), scale) for v in d])
 
 

@@ -92,8 +92,11 @@ def test_compute_exit_codes(capsys, strictly_singular, tmp_path):
     big = tmp_path / "big.json"
     from supertrop import identity
 
-    big.write_text(matrix_to_json(identity(4)))
-    assert main(["compute", "det", str(big), "--det-cap", "3"]) == 2
+    big.write_text(matrix_to_json(identity(17)))
+    assert main(["compute", "det", str(big)]) == 2
+    assert "capped at n <= 16" in capsys.readouterr().err
+    # the size cap is fixed: there is no flag to move it
+    assert main(["compute", "det", str(big), "--det-cap", "17"]) == 1
 
 
 def test_demo_exit_codes(capsys):

@@ -12,14 +12,20 @@ from pathlib import Path
 import pytest
 
 from supertrop import (
+    DEFAULT_DET_CAP,
     NEG_INF,
     Matrix,
+    SizeCapExceededError,
     StrictlySingularError,
     adjugate,
     char_poly,
+    classify,
+    conjugate,
     definite_form,
     determinant,
+    eigenvalues,
     hat_matrix,
+    identity,
     invert,
     is_definite,
     kleene_star,
@@ -132,7 +138,6 @@ def test_kleene_star_matches_power_sum_oracle(n):
     for d in ds:
         want = hat_matrix(naive_star(d))
         assert kleene_star(d) == want
-        assert kleene_star(d, verify_stabilization=True) == want
 
 
 @pytest.mark.parametrize("n", sorted(COUNTS))
@@ -153,14 +158,12 @@ def test_definite_form_splits_a_permuted_definite_matrix(n):
 
 def test_kernels_fold_their_input_once(monkeypatch):
     """pseudo_inverse runs one forward and one backward fold, definite_form
-    one fold of A plus one per check on its factors, and kleene_star the
-    power products only to verify stabilization."""
-    folds, steps = [], []
-    fold, star_step = tropmat._fold, tropmat._star_step
+    one fold of A plus one per check on its factors, and kleene_star only
+    the fold of its definiteness check."""
+    folds = []
+    fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold",
                         lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
-    monkeypatch.setattr(tropmat, "_star_step",
-                        lambda p, grid, n: steps.append(1) or star_step(p, grid, n))
     a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
     d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
     for call, want in [(lambda: pseudo_inverse(a), 2),
@@ -169,9 +172,6 @@ def test_kernels_fold_their_input_once(monkeypatch):
         folds.clear()
         call()
         assert len(folds) == want
-    assert not steps
-    kleene_star(d, verify_stabilization=True)
-    assert steps
 
 
 # Magnitudes inside the kernels are ints scaled by the common denominator.
@@ -184,8 +184,7 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     d = mat("0 -1/2 -inf; -1/3 0 -2/3g; -5/6 -inf 0")
     assert is_definite(d)
     calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
-             (tropmat.char_poly_coefficients, a), (tropmat.kleene_star, d),
-             (lambda x: tropmat.kleene_star(x, verify_stabilization=True), d)]
+             (tropmat.char_poly_coefficients, a), (tropmat.kleene_star, d)]
     want = [f(x) for f, x in calls]
 
     def no_arithmetic(*args):
@@ -205,6 +204,21 @@ def test_order_twelve_laplace_and_constant_coefficient(seed, numerators):
     product = mat_mul(a, adjugate(a))
     assert [product.at(i, i) for i in range(12)] == [d] * 12
     assert char_poly(a).coeff(0) == d
+
+
+def test_one_size_guard_comes_before_any_fold(monkeypatch):
+    """Every kernel entry point refuses an order above DEFAULT_DET_CAP
+    before it folds anything."""
+    def no_fold(rows, keep_all=False):
+        raise AssertionError("folded a matrix above the size cap")
+
+    monkeypatch.setattr(tropmat, "_fold", no_fold)
+    big = identity(DEFAULT_DET_CAP + 1)
+    for call in (determinant, classify, is_definite, adjugate, pseudo_inverse,
+                 tropmat.char_poly_coefficients, char_poly, eigenvalues, definite_form,
+                 kleene_star, lambda m: conjugate(m, m)):
+        with pytest.raises(SizeCapExceededError):
+            call(big)
 
 
 # Each self-check is forced to fail by a monkeypatch; run under -O, where an
@@ -234,17 +248,6 @@ def forced(patch, call):
 
 
 det = tropmat.determinant
-star_step = tropmat._star_step
-steps = []
-
-
-def jumping_step(p, grid, n):
-    """The true product for the truncation, then one jump past it, then
-    nothing more: a fixpoint that the truncation missed."""
-    steps.append(p)
-    if len(steps) < n:
-        return star_step(p, grid, n)
-    return [100 if len(steps) == n else None] * (n * n)
 
 
 def full_set_only(rows, keep_all=False):
@@ -256,14 +259,10 @@ a = mat("1 0; 3 4")
 print(forced({"_fold": full_set_only}, lambda: tropmat.definite_form(a)))
 print(forced({"mat_mul": lambda x, y: neg_inf_matrix(x.rows, y.cols)},
              lambda: tropmat.definite_form(a)))
-print(forced({"is_definite": lambda m, cap: False},
+print(forced({"is_definite": lambda m: False},
              lambda: tropmat.definite_form(a)))
-print(forced({"determinant": lambda m, cap: tangible(99) if is_invertible(m) else det(m, cap)},
+print(forced({"determinant": lambda m: tangible(99) if is_invertible(m) else det(m)},
              lambda: tropmat.definite_form(a)))
-print(forced({"is_definite": lambda m, cap: True},
-             lambda: tropmat.kleene_star(mat("0 1; 1 0"), verify_stabilization=True)))
-print(forced({"_star_step": jumping_step},
-             lambda: tropmat.kleene_star(mat("0 -1; -2 0"), verify_stabilization=True)))
 '''
 
 
@@ -279,6 +278,4 @@ def test_self_checks_raise_typed_errors_under_optimize():
         "definite factorization failed to reassemble the input",
         "definite factor is not definite",
         "conductor does not carry det(A)",
-        "star failed to stabilize",
-        "truncated star disagrees with the fixpoint",
     ]

@@ -1,5 +1,6 @@
 """Generators, checkers, reports: determinism, constraints, replay."""
 
+import dataclasses
 import json
 import random
 
@@ -18,8 +19,10 @@ from supertrop import (
 from supertrop.lawcheck import (
     CHECK_IDS,
     CHECKS,
+    CheckDef,
     Constraint,
     GenConfig,
+    TrialResult,
     chk_adj_rules,
     chk_reversal_conjecture,
     chk_det_product,
@@ -32,6 +35,8 @@ from supertrop.lawcheck import (
     replay,
     run_check,
     run_suite,
+    _gen_with_rng,
+    _sub_seed,
 )
 
 from conftest import mat
@@ -207,9 +212,40 @@ def test_run_check_deterministic_reports():
     r2 = run_check("similarity", cfg, 25)
     assert r1.to_dict() == r2.to_dict()
     assert r1.to_json() == r2.to_json()
-    # timing is excluded from the serialized form unless asked for
+    # timing is excluded from the serialized form
     assert "elapsed_ms" not in r1.to_dict()
-    assert "elapsed_ms" in r1.to_dict(include_timing=True)
+
+
+def test_run_check_records_replayable_witnesses(monkeypatch):
+    """A trial that fails or flags a counterexample records the matrices
+    drawn at its sub-seed, and replay reproduces its verdict; a clean pass
+    records nothing."""
+    def odd_corner(a, b):
+        ok = a.at(0, 0).is_neg_inf or a.at(0, 0).value % 2 == 0
+        counter = {"b00": "-inf"} if b.at(0, 0).is_neg_inf else None
+        return TrialResult(ok, {} if ok else {"a00": str(a.at(0, 0))}, counter)
+
+    monkeypatch.setitem(CHECKS, "det_product", CheckDef(Constraint.NON_SINGULAR, True, odd_corner))
+    cfg = GenConfig(n=3, seed=21)
+    trials = 40
+    r = run_check("det_product", cfg, trials)
+    failed = {w["trial"]: w for w in r.failures}
+    flagged = {w["trial"]: w for w in r.counterexamples}
+    assert failed and flagged and len(failed) + len(flagged) < trials
+    assert r.passes == trials - len(failed)
+    for t in range(trials):
+        rng = random.Random(_sub_seed(cfg.seed, t))
+        a = _gen_with_rng(rng, dataclasses.replace(cfg, constraint=Constraint.NON_SINGULAR))
+        b = _gen_with_rng(rng, cfg)
+        inputs = {"A": matrix_to_dict(a), "B": matrix_to_dict(b)}
+        want = odd_corner(a, b)
+        assert failed.get(t) == (
+            None if want.ok else {"trial": t, "inputs": inputs, "details": want.details})
+        assert flagged.get(t) == (
+            None if want.counterexample is None
+            else {"trial": t, "inputs": inputs, "details": want.counterexample})
+        if t in failed or t in flagged:
+            assert replay("det_product", inputs) == want
 
 
 def test_run_check_unknown_id():

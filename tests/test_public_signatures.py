@@ -1,0 +1,42 @@
+"""The kernels have one fixed size cap and no per-call verification
+switches: no public function takes `cap` except `determinant`, and none
+takes `verify_stabilization`."""
+
+import importlib
+import inspect
+import pkgutil
+
+import supertrop
+
+
+def parameters(module) -> dict[str, set[str]]:
+    """'module.function' -> parameter names, for every public function
+    defined in module."""
+    name = module.__name__.rsplit(".", 1)[-1]
+    return {f"{name}.{fn_name}": set(inspect.signature(fn).parameters)
+            for fn_name, fn in vars(module).items()
+            if inspect.isfunction(fn) and not fn_name.startswith("_")
+            and fn.__module__ == module.__name__}
+
+
+def public_parameters() -> dict[str, set[str]]:
+    found = {}
+    for info in pkgutil.iter_modules(supertrop.__path__):
+        if not info.name.startswith("_"):
+            found.update(parameters(importlib.import_module(f"supertrop.{info.name}")))
+    return found
+
+
+def test_guard_sees_every_public_function():
+    found = public_parameters()
+    assert found["tropmat.determinant"] == {"a", "cap"}
+    assert found["tropmat.kleene_star"] == {"a"}
+    assert found["cli.main"] == {"argv"}
+    assert not any(name.split(".")[1].startswith("_") for name in found)
+
+
+def test_cap_only_on_determinant_and_no_verify_switch():
+    found = public_parameters()
+    assert [name for name, params in found.items() if "cap" in params] == \
+        ["tropmat.determinant"]
+    assert [name for name, params in found.items() if "verify_stabilization" in params] == []

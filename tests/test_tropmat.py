@@ -97,10 +97,9 @@ def test_determinant_cases():
 
 
 def test_determinant_size_cap():
-    a = identity(4)
     with pytest.raises(SizeCapExceededError):
-        determinant(a, cap=3)
-    assert determinant(a, cap=4) == ONE
+        determinant(identity(17))
+    assert determinant(identity(16)) == ONE
 
 
 def test_determinant_matches_permanent_oracle():
@@ -319,10 +318,10 @@ def test_mat_pow():
 
 def test_kleene_star_cases():
     d = mat("0 -1; -2 0")
-    assert kleene_star(d, verify_stabilization=True) == d
+    assert kleene_star(d) == d
     assert kleene_star(identity(3)) == identity(3)
     a = mat("0 -5 -5; -5 0 -5; -5 -5 0")
-    assert kleene_star(a, verify_stabilization=True) == a
+    assert kleene_star(a) == a
     with pytest.raises(NotDefiniteError):
         kleene_star(mat("0 0; 1 2"))
 
@@ -335,7 +334,7 @@ def test_integral_results_are_stored_as_int():
     star = kleene_star(h)
     assert star.at(0, 2) == tangible(-1)
     values = [mul(half, half).value, mul(half, el("3/2g")).value, power(half, 4).value]
-    for m in (mat_mul(h, h), star, kleene_star(h, verify_stabilization=True)):
+    for m in (mat_mul(h, h), star):
         values += [e.value for e in m.entries if not e.is_neg_inf]
     integral = [v for v in values if v.denominator == 1]
     assert len(integral) > 3
@@ -346,7 +345,7 @@ def test_star_agrees_with_pseudo_inverse_and_powers():
     for t in range(40):
         n = 2 + t % 3
         a = gen_matrix(GenConfig(n=n, constraint=Constraint.DEFINITE, seed=11000 + t))
-        s = kleene_star(a, verify_stabilization=True)
+        s = kleene_star(a)
         assert mat_nu_equiv(s, pseudo_inverse(a))
         assert mat_nu_equiv(s, mat_pow(a, n - 1))
 
