@@ -80,7 +80,22 @@ class Constraint(enum.Enum):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Sampling configuration for random matrices."""
+    """Sampling configuration for random matrices.
+
+    Each drawn entry is -inf with probability neginf_prob, else a numerator
+    from numerator_range over denominator, ghost with probability
+    ghost_prob.  A DEFINITE draw is the definite factor D of A = P D
+    (tropmat.definite_form), where A has a tangible-0 diagonal, drawn
+    entries off it, and a tangible determinant.  Every definite matrix can
+    be drawn, as its own factor with P = I; with neginf_prob = 1 the draw
+    is the identity.  D's entries are differences of two entries of A, so
+    numerator_range does not bound them: with lo = min(range low, 0) and
+    hi = max(range high, 0), for A's 0 diagonal, they lie within
+    [lo - hi, hi - lo] / denominator.  Where almost no draw has a tangible
+    determinant, DEFINITE raises ConstraintUnsatisfiableError just as
+    NON_SINGULAR does: for example with numerator_range = (0, 0) from
+    n = 4 on, or ghost_prob = 1 from n = 5 on.
+    """
 
     n: int
     numerator_range: tuple[int, int] = (-10, 10)
@@ -137,31 +152,9 @@ def _draw_entry(rng: random.Random, cfg: GenConfig) -> Element:
     return tangible(v)
 
 
-def _draw_negative_entry(rng: random.Random, cfg: GenConfig) -> Element:
-    """An entry conditioned on carrying a negative magnitude (or -inf).
-
-    With all off-diagonal magnitudes negative, every non-identity cycle of
-    a matrix with a tangible-0 diagonal is strictly dominated, so the
-    matrix is definite outright.
-    """
-    for _ in range(MAX_GEN_ATTEMPTS):
-        e = _draw_entry(rng, cfg)
-        if e.is_neg_inf or e.value < 0:
-            return e
-    raise ConstraintUnsatisfiableError(
-        "the numerator range admits no negative off-diagonal entries"
-    )
-
-
-# Unconditioned definite sampling dies out quickly with n (every cycle has
-# to be dominated without ties), so after this many rejections the
-# off-diagonal draw switches to negative-conditioned sampling.
-_DEFINITE_FREE_ATTEMPTS = 100
-
-
 def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Matrix:
     n = cfg.n
-    for attempt in range(MAX_GEN_ATTEMPTS):
+    for _ in range(MAX_GEN_ATTEMPTS):
         if cfg.constraint is Constraint.INVERTIBLE:
             perm = list(range(n))
             rng.shuffle(perm)
@@ -182,15 +175,16 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Matrix:
                         entries.append(_draw_entry(rng, cfg))
             return Matrix(n, n, entries)
         if cfg.constraint is Constraint.DEFINITE:
-            draw = _draw_entry if attempt < _DEFINITE_FREE_ATTEMPTS else _draw_negative_entry
+            # The definite factor of a non-singular draw with a tangible-0
+            # diagonal (A = P D); with no finite entry off it, A = I = D.
             entries = [
-                ONE if i == j else draw(rng, cfg)
+                ONE if i == j else _draw_entry(rng, cfg)
                 for i in range(n)
                 for j in range(n)
             ]
             a = Matrix(n, n, entries)
-            if is_definite(a):
-                return a
+            if classify(a) is SingularityClass.NON_SINGULAR:
+                return definite_form(a)[1]
             continue
         a = Matrix(n, n, (_draw_entry(rng, cfg) for _ in range(n * n)))
         if cfg.constraint is Constraint.NONE:
@@ -414,11 +408,11 @@ def chk_reversal_conjecture(a: Matrix) -> TrialResult:
     whole range when n <= 4 or A is triangular.  A violation anywhere else
     is reported as a counterexample finding, not a failure.
     """
-    d = determinant(a)
+    f_a = char_poly(a)
+    d = f_a.coeff(0)  # det(A), without a fold of its own
     if not d.is_tangible:
         raise NotNonSingularError("conjecture check needs a non-singular matrix")
     n = a.rows
-    f_a = char_poly(a)
     f_inv = char_poly(pseudo_inverse(a))
     upper = all(a.at(i, j).is_neg_inf for i in range(n) for j in range(i))
     lower = all(a.at(i, j).is_neg_inf for i in range(n) for j in range(i + 1, n))

@@ -28,7 +28,6 @@ from .semiring import (
     format_scalar,
     ghost_surpasses,
     mul,
-    nu_equiv,
     parse_scalar,
 )
 
@@ -329,11 +328,6 @@ def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
     essential(f) is the same map as f.
     """
     return essential(f) == essential(g)
-
-
-def poly_nu_equiv(f: Polynomial, g: Polynomial) -> bool:
-    n = max(len(f.coeffs), len(g.coeffs))
-    return all(nu_equiv(f.coeff(i), g.coeff(i)) for i in range(n))
 
 
 # -- text form ---------------------------------------------------------------

@@ -51,7 +51,6 @@ from .semiring import (
     mul,
     nu_equiv,
     parse_scalar,
-    to_ghost,
     to_tangible,
 )
 
@@ -582,10 +581,6 @@ def hat_matrix(a: Matrix) -> Matrix:
     return a.map(to_tangible)
 
 
-def nu_matrix(a: Matrix) -> Matrix:
-    return a.map(to_ghost)
-
-
 # -- JSON file format ---------------------------------------------------------
 #
 # {"rows": n, "cols": m, "entries": [["3", "-1/2g", ...], ...]}  (row-major,
@@ -640,8 +635,3 @@ def matrix_from_json(text: str) -> Matrix:
 def load_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
         return matrix_from_json(fh.read())
-
-
-def save_matrix(a: Matrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_json(a))

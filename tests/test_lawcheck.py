@@ -59,9 +59,28 @@ def test_gen_is_deterministic():
 ])
 def test_gen_constraints(constraint, predicate):
     for t in range(25):
-        for n in (1, 2, 3, 5):
+        for n in (1, 2, 3, 5, 7):
             a = gen_matrix(GenConfig(n=n, constraint=constraint, seed=100 * t + n))
             assert predicate(a)
+
+
+def test_gen_definite_reaches_positive_entries():
+    """A definite draw is not confined to the matrices dominated outright,
+    whose off-diagonal entries are all negative."""
+    positive = 0
+    for seed in range(50):
+        d = gen_matrix(GenConfig(n=6, constraint=Constraint.DEFINITE, seed=seed))
+        positive += any(
+            not d.at(i, j).is_neg_inf and d.at(i, j).value > 0
+            for i in range(6) for j in range(6) if i != j
+        )
+    assert positive >= 25
+
+
+def test_gen_definite_with_every_entry_neg_inf_is_identity():
+    for n in range(1, 7):
+        cfg = GenConfig(n=n, neginf_prob=1, constraint=Constraint.DEFINITE, seed=n)
+        assert gen_matrix(cfg) == identity(n)
 
 
 def test_gen_triangular_is_upper_and_nonsingular():
