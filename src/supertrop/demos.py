@@ -17,6 +17,7 @@ from .spectral import char_poly, conjugate, trace
 from .tropmat import (
     Matrix,
     determinant,
+    format_matrix,
     mat_ghost_surpasses,
     mat_mul,
     mat_nu_equiv,
@@ -43,10 +44,6 @@ def _mat(text: str) -> Matrix:
     )
 
 
-def _show(a: Matrix) -> str:
-    return "; ".join(" ".join(format_scalar(e) for e in a.row(i)) for i in range(a.rows))
-
-
 def _bool(b: bool) -> str:
     return "true" if b else "false"
 
@@ -58,7 +55,7 @@ def demo_2_30() -> list[DemoLine]:
     f_a = char_poly(a)
     f_a2 = char_poly(a2)
     return [
-        DemoLine("A^2", _show(a2), "1 2; 3 4"),
+        DemoLine("A^2", format_matrix(a2), "1 2; 3 4"),
         DemoLine("char poly of A", format_poly(f_a), "2, 2, 0"),
         DemoLine("char poly of A^2", format_poly(f_a2), "5g, 4, 0"),
         DemoLine("roots of A", str(roots(f_a)), "corner: (0, 1), (2, 1); noncorner: none"),
@@ -82,10 +79,10 @@ def demo_3_6() -> list[DemoLine]:
     return [
         DemoLine("2x2 double pseudo-inverse returns the matrix",
                  _bool(pseudo_inverse_iter(two, 2) == two), "true"),
-        DemoLine("A^inv", _show(n1), "-1 -1 -1; 0 -1 -1; 0 0 -1"),
-        DemoLine("A^inv(2)", _show(n2), "0 0 -1g; 0g 0 0; 1 0g 0"),
-        DemoLine("A^inv(3)", _show(n3), "-1g -1 -1; 0 -1g -1; 0 0 -1g"),
-        DemoLine("A^inv(4)", _show(n4), "0 0 -1g; 0g 0 0; 1 0g 0"),
+        DemoLine("A^inv", format_matrix(n1), "-1 -1 -1; 0 -1 -1; 0 0 -1"),
+        DemoLine("A^inv(2)", format_matrix(n2), "0 0 -1g; 0g 0 0; 1 0g 0"),
+        DemoLine("A^inv(3)", format_matrix(n3), "-1g -1 -1; 0 -1g -1; 0 0 -1g"),
+        DemoLine("A^inv(4)", format_matrix(n4), "0 0 -1g; 0g 0 0; 1 0g 0"),
         DemoLine("A^inv(3) matches A^inv in magnitude", _bool(mat_nu_equiv(n3, n1)), "true"),
         DemoLine("A^inv(4) equals A^inv(2)", _bool(n4 == n2), "true"),
     ]
@@ -109,13 +106,13 @@ def demo_5_3() -> list[DemoLine]:
     b2_target = _mat("1 3; 1 2")
     c2 = conjugate(a2, b2)
     return [
-        DemoLine("conjugate (part 1)", _show(c1), "3 1; 5 3"),
+        DemoLine("conjugate (part 1)", format_matrix(c1), "3 1; 5 3"),
         DemoLine("char poly of conjugate", format_poly(f_c1), "6g, 3g, 0"),
         DemoLine("char poly of B", format_poly(f_b1), "5, 1g, 0"),
         DemoLine("conjugate poly surpasses B poly",
                  _bool(poly_ghost_surpasses(f_c1, f_b1)), "true"),
         DemoLine("trace of conjugate", format_scalar(trace(c1)), "3g"),
-        DemoLine("conjugate (part 2)", _show(c2), "2g 3g; 1 2g"),
+        DemoLine("conjugate (part 2)", format_matrix(c2), "2g 3g; 1 2g"),
         DemoLine("conjugate surpasses target",
                  _bool(mat_ghost_surpasses(c2, b2_target)), "true"),
         DemoLine("det of B (part 2)", format_scalar(determinant(b2)), "2"),
@@ -141,7 +138,7 @@ def demo_6_1() -> list[DemoLine]:
     reversed_f_a = list(reversed(f_a.coeffs))
     return [
         DemoLine("det", format_scalar(d), "6"),
-        DemoLine("A^inv", _show(n1), "-1 -5 -inf; -2 -4 -inf; -inf -inf -1"),
+        DemoLine("A^inv", format_matrix(n1), "-1 -5 -inf; -2 -4 -inf; -inf -inf -1"),
         DemoLine("char poly of A", format_poly(f_a), "6, 5g, 4, 0"),
         DemoLine("char poly of A^inv", format_poly(f_n), "-6, -2, -1g, 0"),
         DemoLine("det * char poly of A^inv",

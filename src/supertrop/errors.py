@@ -14,9 +14,10 @@ class DimensionMismatchError(SupertropicalError):
 
 
 class SizeCapExceededError(SupertropicalError):
-    """Raised when a determinant-based operation gets a matrix of order above
-    tropmat.DEFAULT_DET_CAP (16): its subset fold has 2^n states.  The cap is
-    fixed, checked once before any fold, not set per call."""
+    """Raised when a matrix kernel gets a matrix of order above
+    tropmat.DEFAULT_DET_CAP (16): the subset fold has 2^n states.  The cap is
+    fixed and not set per call; every kernel checks it once before any work,
+    the Floyd-Warshall closure of is_definite and kleene_star included."""
 
 
 class StrictlySingularError(SupertropicalError):

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ConstraintUnsatisfiableError, NotDefiniteError, NotNonSingularError
+from .errors import ConstraintUnsatisfiableError, NotNonSingularError
 from .maxpoly import (
-    RootSet,
     format_poly,
     inflate,
     poly_ghost_surpasses,
@@ -31,6 +30,7 @@ from .maxpoly import (
     poly_value_equal,
     poly_value_surpasses,
     roots,
+    roots_outside,
 )
 from .semiring import (
     NEG_INF,
@@ -53,6 +53,7 @@ from .tropmat import (
     classify,
     definite_form,
     determinant,
+    format_matrix,
     is_definite,
     is_ghost_matrix,
     kleene_star,
@@ -212,10 +213,6 @@ class TrialResult:
     counterexample: dict | None = None
 
 
-def _fmt_mat(a: Matrix) -> str:
-    return "; ".join(" ".join(format_scalar(e) for e in a.row(i)) for i in range(a.rows))
-
-
 def chk_det_product(a: Matrix, b: Matrix) -> TrialResult:
     """det(AB) ghost-surpasses det(A) det(B)."""
     lhs = determinant(mat_mul(a, b))
@@ -248,7 +245,7 @@ def chk_adj_product(a: Matrix, b: Matrix) -> TrialResult:
     rhs = mat_mul(adjugate(b), adjugate(a))
     if mat_ghost_surpasses(lhs, rhs):
         return TrialResult(True)
-    return TrialResult(False, {"adj_ab": _fmt_mat(lhs), "adj_b_adj_a": _fmt_mat(rhs)})
+    return TrialResult(False, {"adj_ab": format_matrix(lhs), "adj_b_adj_a": format_matrix(rhs)})
 
 
 def chk_nabla_period(a: Matrix, kmax: int = 4) -> TrialResult:
@@ -263,11 +260,12 @@ def chk_nabla_period(a: Matrix, kmax: int = 4) -> TrialResult:
     bad = {}
     for k in range(1, kmax - 1):
         if not mat_nu_equiv(its[k], its[k + 2]):
-            bad[f"iterate_{k}_vs_{k + 2}"] = f"{_fmt_mat(its[k])} | {_fmt_mat(its[k + 2])}"
+            bad[f"iterate_{k}_vs_{k + 2}"] = \
+                f"{format_matrix(its[k])} | {format_matrix(its[k + 2])}"
     conductor, _ = definite_form(a, "left")
     sandwich = mat_mul(mat_mul(conductor, its[1]), conductor)
     if not mat_nu_equiv(its[2], sandwich):
-        bad["conductor_sandwich"] = f"{_fmt_mat(its[2])} | {_fmt_mat(sandwich)}"
+        bad["conductor_sandwich"] = f"{format_matrix(its[2])} | {format_matrix(sandwich)}"
     return TrialResult(not bad, bad)
 
 
@@ -275,55 +273,30 @@ def chk_definite_stabilization(a: Matrix) -> TrialResult:
     """For definite A: the pseudo-inverse equals the adjoint and is definite;
     pseudo-inverse, its square, the Kleene star, A^(n-1) and both
     pseudo-identities all share one magnitude; and powers stabilize from
-    exponent n-1 on."""
-    if not is_definite(a):
-        raise NotDefiniteError("stabilization check needs a definite matrix")
+    exponent n-1 on.  kleene_star raises NotDefiniteError for any other A."""
+    star = kleene_star(a)
     n = a.rows
     pinv = pseudo_inverse(a)
     bad = {}
     if pinv != adjugate(a) or not is_definite(pinv):
-        bad["pseudo_inverse_vs_adjoint"] = _fmt_mat(pinv)
+        bad["pseudo_inverse_vs_adjoint"] = format_matrix(pinv)
     chain = {
         "double_pseudo_inverse": pseudo_inverse(pinv),
-        "kleene_star": kleene_star(a),
+        "kleene_star": star,
         "power_n_minus_1": mat_pow(a, n - 1),
         "right_pseudo_identity": mat_mul(a, pinv),
         "left_pseudo_identity": mat_mul(pinv, a),
     }
     for name, m in chain.items():
         if not mat_nu_equiv(pinv, m):
-            bad[name] = f"{_fmt_mat(pinv)} | {_fmt_mat(m)}"
+            bad[name] = f"{format_matrix(pinv)} | {format_matrix(m)}"
     p = chain["power_n_minus_1"]
     for k in range(n - 1, n + 2):
         nxt = mat_mul(p, a)
         if not mat_nu_equiv(p, nxt):
-            bad[f"power_{k}_vs_{k + 1}"] = f"{_fmt_mat(p)} | {_fmt_mat(nxt)}"
+            bad[f"power_{k}_vs_{k + 1}"] = f"{format_matrix(p)} | {format_matrix(nxt)}"
         p = nxt
     return TrialResult(not bad, bad)
-
-
-def _rootset_samples(rs: RootSet) -> list[Element]:
-    """Representative points of a root set: corner values, interval
-    endpoints, interior points, and -inf where an interval reaches it."""
-    pts: list[Element] = [v for v, _ in rs.corner]
-    for iv in rs.noncorner:
-        if iv.lo.is_neg_inf:
-            pts.append(NEG_INF)
-            if iv.hi is not None and iv.hi.is_neg_inf:
-                continue
-            ref = iv.hi.value if iv.hi is not None else 0
-            pts.append(tangible(ref - 3))
-        else:
-            pts.append(iv.lo)
-        if iv.hi is not None:
-            pts.append(iv.hi)
-            if not iv.lo.is_neg_inf:
-                q = Fraction(iv.lo.value + iv.hi.value, 2)
-                pts.append(tangible(q))
-        else:
-            ref = iv.lo.value if not iv.lo.is_neg_inf else 0
-            pts.append(tangible(ref + 3))
-    return pts
 
 
 def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
@@ -346,12 +319,11 @@ def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
         bad["det"] = f"{determinant(bp)} | {determinant(b)}"
     if not ghost_surpasses(trace(bp), trace(b)):
         bad["trace"] = f"{trace(bp)} | {trace(b)}"
-    rp = roots(fp)
-    missing = [x for x in _rootset_samples(roots(fb)) if not rp.contains(x)]
+    missing = roots_outside(fb, fp)
     if missing:
         bad["eigenvalue_containment"] = ", ".join(format_scalar(x) for x in missing)
     if not is_ghost_matrix(eval_at_matrix(fp, b)):
-        bad["conjugate_poly_at_b"] = _fmt_mat(eval_at_matrix(fp, b))
+        bad["conjugate_poly_at_b"] = format_matrix(eval_at_matrix(fp, b))
     return TrialResult(not bad, bad)
 
 
@@ -395,7 +367,7 @@ def chk_hamilton_cayley(a: Matrix) -> TrialResult:
     val = eval_at_matrix(char_poly(a), a)
     if is_ghost_matrix(val):
         return TrialResult(True)
-    return TrialResult(False, {"char_poly_at_a": _fmt_mat(val)})
+    return TrialResult(False, {"char_poly_at_a": format_matrix(val)})
 
 
 _OPEN_RANGE_NOTE = "open for n >= 5 at 1 <= k <= n-3"

@@ -214,9 +214,6 @@ class RootSet:
     corner: tuple[tuple[Element, int], ...]
     noncorner: tuple[Interval, ...]
 
-    def corner_values(self) -> tuple[Element, ...]:
-        return tuple(v for v, _ in self.corner)
-
     def contains(self, x: Element) -> bool:
         """Membership by magnitude (ghost inputs are projected)."""
         if x.kind != NEG_INF_KIND and any(
@@ -328,6 +325,18 @@ def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
     essential(f) is the same map as f.
     """
     return essential(f) == essential(g)
+
+
+def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
+    """Points that are roots of g but not of f, one per place they occur.
+
+    A root is a point where the value is not tangible.  On each cell of the
+    comparison grid both f and g are one monomial of fixed kind, so whether
+    a point is a root of either is constant there: sampling -inf and the
+    grid decides containment of the root sets exactly.
+    """
+    return [x for x in [NEG_INF, *_comparison_grid(f, g)]
+            if poly_eval(g, x).kind != TANGIBLE_KIND and poly_eval(f, x).kind == TANGIBLE_KIND]
 
 
 # -- text form ---------------------------------------------------------------

@@ -59,12 +59,6 @@ class Element:
     def is_ghost(self) -> bool:
         return self.kind == GHOST_KIND
 
-    @property
-    def magnitude(self) -> Rational | None:
-        """The underlying rational (None for -inf); two elements compare
-        tropically through their magnitudes."""
-        return self.value
-
     # -- operator sugar -----------------------------------------------------
 
     def __add__(self, other: "Element") -> "Element":

@@ -10,8 +10,9 @@ nothing.  The same fold gives the adjoint and the pseudo-inverse (one
 forward and one backward fold joined; the pseudo-inverse reads det from the
 forward fold), the dominant track of a definite form (read back from the
 fold that gave its determinant) and the characteristic coefficients (the
-fold of xI + A).  The Kleene star of a definite matrix is its max-plus
-closure, by Floyd-Warshall.  All of these work on magnitudes scaled to ints
+fold of xI + A).  Definiteness is decided without the fold, by the cycle
+test of a Floyd-Warshall max-plus closure (n^3 instead of 2^n), and that
+closure is the Kleene star.  All of these work on magnitudes scaled to ints
 by the matrix's common denominator, so ties are exact integer ties and no
 Fraction is added or compared inside a kernel.  There is no floating point
 and no assignment-problem shortcut, because such shortcuts do not report
@@ -128,10 +129,12 @@ class Matrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_scalar(e) for e in self.row(i)) for i in range(self.rows)
-        )
-        return f"Matrix({self.rows}x{self.cols}: {body})"
+        return f"Matrix({self.rows}x{self.cols}: {format_matrix(self)})"
+
+
+def format_matrix(a: Matrix) -> str:
+    """Rows joined by '; ', entries in the scalar grammar joined by spaces."""
+    return "; ".join(" ".join(format_scalar(e) for e in a.row(i)) for i in range(a.rows))
 
 
 def identity(n: int) -> Matrix:
@@ -398,12 +401,48 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     return PseudoIdentityClass.NEITHER
 
 
-def is_definite(a: Matrix) -> bool:
-    """Tangible 0 on the whole diagonal and determinant exactly tangible 0."""
+def _closure(a: Matrix) -> tuple[list, int] | None:
+    """The max-plus closure of A's off-diagonal entries as scaled ints (None
+    for -inf), with their scale; None if A is not definite.
+
+    With a tangible-0 diagonal, A is definite iff every cycle of length >= 2
+    is strictly negative: a zero-weight cycle ties the identity track and
+    ghosts det, a positive one beats it, and ghosts on negative cycles lose.
+    After Floyd-Warshall, d[i][i] is the heaviest cycle through i.
+    """
     require_square(a)
-    if any(a.at(i, i) != ONE for i in range(a.rows)):
-        return False
-    return determinant(a) == ONE
+    n = a.rows
+    if any(a.at(i, i) != ONE for i in range(n)):
+        return None
+    rows, scale = _kernel_rows(a)
+    d: list = [None] * (n * n)
+    for i, row in enumerate(rows):
+        for bit, _, w, _ in row:
+            j = bit.bit_length() - 1
+            if j != i:
+                d[i * n + j] = w
+    for k in range(n):
+        dk = d[k * n:(k + 1) * n]
+        for i in range(n):
+            dik = d[i * n + k]
+            if dik is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is None:
+                    continue
+                v = dik + dkj
+                cur = d[i * n + j]
+                if cur is None or v > cur:
+                    d[i * n + j] = v
+    if any(d[i * n + i] is not None and d[i * n + i] >= 0 for i in range(n)):
+        return None
+    return d, scale
+
+
+def is_definite(a: Matrix) -> bool:
+    """Tangible 0 on the whole diagonal and determinant exactly tangible 0,
+    decided by the cycle test of the closure (no determinant fold)."""
+    return _closure(a) is not None
 
 
 def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ...]:
@@ -527,36 +566,20 @@ def is_invertible(a: Matrix) -> bool:
 def kleene_star(a: Matrix) -> Matrix:
     """Tropical closure I + A + A^2 + ... of a definite matrix.
 
-    The closure is computed by Floyd-Warshall on the magnitudes, scaled to
-    ints by the common denominator: n^3 relaxations d[i][j] = max(d[i][j],
-    d[i][k] + d[k][j]), starting from A.  Every non-identity cycle of a
-    definite matrix is strictly negative (a zero-weight one would tie the
-    identity track and ghost det), so the closure is exactly
-    I + A + ... + A^(n-1), where the power sum stabilizes.  The star is the
-    tropical-side object: it is returned with tangible entries, and is
-    magnitude-equivalent to both pseudo_inverse(A) and mat_pow(A, n-1).
+    This is the closure that decides definiteness, with 0 written back on
+    its diagonal: every non-identity cycle of a definite matrix is strictly
+    negative, so the closure is exactly I + A + ... + A^(n-1), where the
+    power sum stabilizes.  The star is the tropical-side object: it is
+    returned with tangible entries, and is magnitude-equivalent to both
+    pseudo_inverse(A) and mat_pow(A, n-1).
     """
-    if not is_definite(a):
+    closure = _closure(a)
+    if closure is None:
         raise NotDefiniteError("kleene star requires a definite matrix")
+    d, scale = closure
     n = a.rows
-    rows, scale = _kernel_rows(a)
-    d: list = [None] * (n * n)  # None encodes -inf
-    for i, row in enumerate(rows):
-        for bit, _, w, _ in row:
-            d[i * n + bit.bit_length() - 1] = w
-    for k in range(n):
-        dk = d[k * n:(k + 1) * n]
-        for i in range(n):
-            dik = d[i * n + k]
-            if dik is None:
-                continue
-            for j, dkj in enumerate(dk):
-                if dkj is None:
-                    continue
-                v = dik + dkj
-                cur = d[i * n + j]
-                if cur is None or v > cur:
-                    d[i * n + j] = v
+    for i in range(n):
+        d[i * n + i] = 0
     return Matrix(n, n, [NEG_INF if v is None else _element((v, False), scale) for v in d])
 
 

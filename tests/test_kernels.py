@@ -14,6 +14,7 @@ import pytest
 from supertrop import (
     DEFAULT_DET_CAP,
     NEG_INF,
+    ONE,
     Matrix,
     SizeCapExceededError,
     StrictlySingularError,
@@ -37,7 +38,7 @@ from supertrop import (
     to_tangible,
     tropmat,
 )
-from supertrop.lawcheck import GenConfig, gen_matrix
+from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
 from conftest import mat, naive_adj, naive_char_poly, naive_det, naive_star
 
@@ -140,6 +141,62 @@ def test_kleene_star_matches_power_sum_oracle(n):
         assert kleene_star(d) == want
 
 
+def definiteness_cases(n, count):
+    """Numerators in [-3, 1] over 1 or 2, a quarter -inf and 15% ghosts off
+    the diagonal; the diagonal is tangible 0 except for 5% ghost-0 entries.
+    Cycles of weight exactly 0 are common, and they decide definiteness."""
+    rng = random.Random(n)
+    out = []
+    for _ in range(count):
+        entries = []
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    entries.append(to_ghost(ONE) if rng.random() < 0.05 else ONE)
+                elif rng.random() < 0.25:
+                    entries.append(NEG_INF)
+                else:
+                    v = tangible(Fraction(rng.randint(-3, 1), rng.randint(1, 2)))
+                    entries.append(to_ghost(v) if rng.random() < 0.15 else v)
+        out.append(Matrix(n, n, entries))
+    return out
+
+
+def with_zero_cycle(d):
+    """A definite d with its first finite-star off-diagonal entry (i, j)
+    raised so that the heaviest cycle through it weighs exactly 0: a tie
+    with the identity track, so not definite."""
+    star = naive_star(d)
+    n = d.rows
+    for i, j in permutations(range(n), 2):
+        back = star.at(j, i)
+        if not back.is_neg_inf:
+            rows = d.to_rows()
+            rows[i][j] = tangible(-back.value)
+            return Matrix.from_rows(rows)
+    return None
+
+
+@pytest.mark.parametrize("n", sorted(COUNTS))
+def test_is_definite_matches_determinant_oracle_on_ties(n):
+    """The cycle test of the closure against the definition: a tangible-0
+    diagonal and a permanent of exactly tangible 0.  Random draws thin out
+    to non-definite ones as n grows, so definite draws and their zero-cycle
+    variants are checked too."""
+    definite = [gen_matrix(GenConfig(n=n, numerator_range=(-3, 1), denominator=1 + t % 2,
+                                     neginf_prob=Fraction(1, 4), ghost_prob=Fraction(3, 20),
+                                     constraint=Constraint.DEFINITE, seed=500 * n + t))
+                for t in range(COUNTS[n])]
+    tied = [m for m in map(with_zero_cycle, definite) if m is not None]
+    verdicts = []
+    for a in definiteness_cases(n, 4 * COUNTS[n]) + definite + tied:
+        want = all(a.at(i, i) == ONE for i in range(n)) and naive_det(a) == ONE
+        assert is_definite(a) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= COUNTS[n]
+    assert verdicts.count(False) >= COUNTS[n] or n == 1
+
+
 @pytest.mark.parametrize("n", sorted(COUNTS))
 def test_definite_form_splits_a_permuted_definite_matrix(n):
     """definite_form(P * D) is (P, D) for a generalized permutation P and a
@@ -158,8 +215,8 @@ def test_definite_form_splits_a_permuted_definite_matrix(n):
 
 def test_kernels_fold_their_input_once(monkeypatch):
     """pseudo_inverse runs one forward and one backward fold, definite_form
-    one fold of A plus one per check on its factors, and kleene_star only
-    the fold of its definiteness check."""
+    one fold of A plus one for the determinant of its conductor, and
+    kleene_star none: definiteness is the closure's own cycle test."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold",
@@ -167,8 +224,8 @@ def test_kernels_fold_their_input_once(monkeypatch):
     a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
     d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
     for call, want in [(lambda: pseudo_inverse(a), 2),
-                       (lambda: definite_form(a), 3),
-                       (lambda: kleene_star(d), 1)]:
+                       (lambda: definite_form(a), 2),
+                       (lambda: kleene_star(d), 0)]:
         folds.clear()
         call()
         assert len(folds) == want
@@ -184,7 +241,8 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     d = mat("0 -1/2 -inf; -1/3 0 -2/3g; -5/6 -inf 0")
     assert is_definite(d)
     calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
-             (tropmat.char_poly_coefficients, a), (tropmat.kleene_star, d)]
+             (tropmat.char_poly_coefficients, a), (tropmat.is_definite, d),
+             (tropmat.kleene_star, d)]
     want = [f(x) for f, x in calls]
 
     def no_arithmetic(*args):

@@ -8,6 +8,7 @@ import pytest
 
 from supertrop import (
     ConstraintUnsatisfiableError,
+    NotDefiniteError,
     NotNonSingularError,
     SingularityClass,
     classify,
@@ -160,6 +161,9 @@ def test_chk_nabla_period_examples():
 def test_chk_definite_stabilization_examples():
     assert chk_definite_stabilization(identity(4)).ok
     assert chk_definite_stabilization(mat("0 -1; -2 0")).ok
+    for not_definite in ("0 0; 0 0", "0g -1; -2 0", "0 -1; 1 0"):
+        with pytest.raises(NotDefiniteError):
+            chk_definite_stabilization(mat(not_definite))
 
 
 def test_chk_similarity_example():

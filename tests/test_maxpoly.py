@@ -28,11 +28,12 @@ from supertrop import (
     poly_value_equal,
     poly_value_surpasses,
     roots,
+    roots_outside,
     tangible,
 )
 from supertrop.maxpoly import _comparison_grid
 
-from conftest import el, naive_value_equal, naive_value_surpasses, poly
+from conftest import _all_pairs_grid, el, naive_value_equal, naive_value_surpasses, poly
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=4)
 coeffs = st.one_of(st.just(NEG_INF), rationals.map(tangible), rationals.map(ghost))
@@ -328,6 +329,37 @@ def test_value_comparisons_match_the_all_pairs_oracle():
     assert mismatches == []
     # the mix decides both ways, so agreement is not vacuous
     assert outcomes == {"surpasses": {True, False}, "equal": {True, False}}
+
+
+def test_roots_outside_past_the_end_of_the_other_interval():
+    """g's root interval [-1/3, +inf) leaves f's [-inf, 7/2] at 7/2; -inf,
+    -1/3 and 8/3 are roots of both, 9/2 of g alone."""
+    f, g = poly("2g, -3/2"), poly("-inf, 1, 0, -3/2, 2g")
+    assert str(roots(f)) == "corner: none; noncorner: [-inf, 7/2]"
+    assert all(roots(f).contains(el(x)) for x in ("-inf", "-1/3", "8/3"))
+    assert roots_outside(g, f) == [el("9/2")]
+
+
+def _is_root(f, x):
+    return not poly_eval(f, x).is_tangible
+
+
+def test_roots_outside_matches_a_dense_rational_oracle():
+    """Root-set containment against a dense sample: the all-pairs grid of f
+    and g (-inf, every pairwise crossover of their monomials, the midpoints
+    between them and a margin) and 40 evenly spaced rationals two past the
+    outermost crossovers of each."""
+    outcomes = set()
+    for f, g in _tie_heavy_pairs(800, seed=2017):
+        pts = _all_pairs_grid(f, g) + [tangible(x) for h in (f, g)
+                                       for x in _grid_spanning_breakpoints(h, 40)]
+        for a, b in ((f, g), (g, f)):
+            got = roots_outside(a, b)
+            assert all(_is_root(a, x) and not _is_root(b, x) for x in got)
+            want = any(_is_root(a, x) and not _is_root(b, x) for x in pts)
+            assert bool(got) == want, (str(a), str(b))
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_comparison_grid_is_linear_in_degree():

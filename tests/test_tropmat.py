@@ -24,6 +24,7 @@ from supertrop import (
     determinant,
     diag,
     diag_multiplier_matrix,
+    format_matrix,
     gaussian_matrix,
     ghost,
     ghost_surpasses,
@@ -314,6 +315,12 @@ def test_mat_pow():
     assert mat_pow(a, 0) == identity(2)
     d = mat("0 -1; -2 0")
     assert mat_nu_equiv(mat_pow(d, 3), mat_pow(d, 1))
+
+
+def test_format_matrix_is_the_repr_body():
+    a = mat("0 -1/2g; -inf 3")
+    assert format_matrix(a) == "0 -1/2g; -inf 3"
+    assert repr(a) == "Matrix(2x2: 0 -1/2g; -inf 3)"
 
 
 def test_kleene_star_cases():
