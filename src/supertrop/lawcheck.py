@@ -19,7 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConstraintUnsatisfiableError, NotNonSingularError
 from .maxpoly import (
@@ -248,17 +248,20 @@ def chk_adj_product(a: Matrix, b: Matrix) -> TrialResult:
     return TrialResult(False, {"adj_ab": format_matrix(lhs), "adj_b_adj_a": format_matrix(rhs)})
 
 
-def chk_nabla_period(a: Matrix, kmax: int = 4) -> TrialResult:
+_NABLA_ITERATES = 4
+
+
+def chk_nabla_period(a: Matrix) -> TrialResult:
     """Iterated pseudo-inverses have period two in magnitude from the first
-    application on, and the second iterate is P A^inv P for the left
-    conductor P."""
+    application on (checked over the first four iterates), and the second
+    iterate is P A^inv P for the left conductor P."""
     if classify(a) is not SingularityClass.NON_SINGULAR:
         raise NotNonSingularError("period check needs a non-singular matrix")
     its = [a]
-    for _ in range(kmax):
+    for _ in range(_NABLA_ITERATES):
         its.append(pseudo_inverse(its[-1]))
     bad = {}
-    for k in range(1, kmax - 1):
+    for k in range(1, _NABLA_ITERATES - 1):
         if not mat_nu_equiv(its[k], its[k + 2]):
             bad[f"iterate_{k}_vs_{k + 2}"] = \
                 f"{format_matrix(its[k])} | {format_matrix(its[k + 2])}"
@@ -507,14 +510,9 @@ def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
                        counterexamples, elapsed)
 
 
-def run_suite(cfg: GenConfig, trials: int,
-              suite: str | Sequence[str] = "all") -> list[CheckReport]:
-    if suite == "all":
-        ids: Sequence[str] = CHECK_IDS
-    elif isinstance(suite, str):
-        ids = [suite]
-    else:
-        ids = list(suite)
+def run_suite(cfg: GenConfig, trials: int, suite: str = "all") -> list[CheckReport]:
+    """Run every check, in CHECK_IDS order ("all"), or the one named."""
+    ids = CHECK_IDS if suite == "all" else (suite,)
     return [run_check(cid, cfg, trials) for cid in ids]
 
 

@@ -1,13 +1,15 @@
 """Univariate supertropical polynomials.
 
 A polynomial is a dense coefficient list indexed by exponent.  Evaluation
-takes the dominant monomial supertropically, so ties and ghost coefficients
-ghostify the value.  Roots are the points whose value ghost-surpasses -inf;
-they come in two flavours: corner roots at the crossover of two tangible
-essential monomials, and non-corner intervals where a ghost essential
-monomial dominates.  Two polynomials are compared as maps by sampling at and
-between the breakpoints of their essential forms and of their sum; the same
-breakpoints give the roots.
+sums its monomials supertropically, so ties and ghost coefficients ghostify
+the value.  The map of a polynomial is its essential form, and every
+decision about the map reads that form.  Roots are the points whose value
+ghost-surpasses -inf; they come in two flavours: corner roots at the
+crossover of two tangible essential monomials, and non-corner intervals
+where ghost essential monomials dominate.  Two polynomials are equal as
+maps when their essential forms are equal; the other comparisons evaluate
+the two essential forms at -inf and at and between the breakpoints of those
+forms and of their sum, the same breakpoints that give the roots.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .semiring import (
     ghost_surpasses,
     mul,
     parse_scalar,
+    power,
 )
 
 
@@ -87,13 +90,10 @@ class Polynomial:
 
 
 def poly_eval(f: Polynomial, x: Element) -> Element:
-    """Supertropical sum of coeff(i) * x^i."""
-    acc = f.coeffs[0]
-    xp = ONE
-    for c in f.coeffs[1:]:
-        xp = mul(xp, x)
-        if c.kind != NEG_INF_KIND:
-            acc = add(acc, mul(c, xp))
+    """Supertropical sum of coeff(i) * x^i over the monomials of f."""
+    acc = NEG_INF
+    for i, c in f.monomials():
+        acc = add(acc, mul(c, power(x, i)))
     return acc
 
 
@@ -231,45 +231,41 @@ class RootSet:
 def roots(f: Polynomial) -> RootSet:
     """Corner and non-corner roots of f.
 
-    Working on the essential form, the crossover between consecutive
-    essential monomials a_i x^i and a_j x^j (i < j) sits at the (j-i)-th
-    root of a_i / a_j.  A crossover of two tangible monomials is a corner
-    root of multiplicity j - i.  A ghost essential monomial dominates a
-    closed interval on which every point is a root; a crossover against a
-    ghost monomial is swallowed by that interval rather than listed as a
-    corner.  If the constant coefficient is absent the single point -inf
-    is a root as well.
+    One walk over the essential monomials, exponent ascending, reads both
+    kinds off.  The crossover between consecutive essential monomials
+    a_i x^i and a_j x^j (i < j) sits at the (j-i)-th root of a_i / a_j.  A
+    crossover of two tangible monomials is a corner root of multiplicity
+    j - i.  A run of ghost essential monomials dominates one closed
+    interval on which every point is a root: it opens at the crossover left
+    of the run (at -inf if the run starts the walk) and closes at the
+    crossover with the next tangible monomial (unbounded if none follows),
+    so a crossover against a ghost monomial is swallowed by that interval
+    rather than listed as a corner.  If the constant coefficient is absent
+    the single point -inf is a root as well.
     """
     if f.is_neg_inf:
         raise DegeneratePolynomialError("every point is a root of the -inf polynomial")
     mons = essential(f).monomials()
-    cross = _breakpoints(mons)
-
+    cross = [NEG_INF, *(Element(TANGIBLE_KIND, x) for x in _breakpoints(mons))]
     corner: list[tuple[Element, int]] = []
     noncorner: list[Interval] = []
-    for t, ((i, a), (j, b)) in enumerate(zip(mons, mons[1:])):
-        if a.kind == TANGIBLE_KIND and b.kind == TANGIBLE_KIND:
-            corner.append((Element(TANGIBLE_KIND, cross[t]), j - i))
-    for t, (i, a) in enumerate(mons):
-        if a.kind != GHOST_KIND:
-            continue
-        lo = NEG_INF if t == 0 else Element(TANGIBLE_KIND, cross[t - 1])
-        hi = None if t == len(mons) - 1 else Element(TANGIBLE_KIND, cross[t])
-        noncorner.append(Interval(lo, hi))
-    # Merge intervals sharing an endpoint (consecutive ghost monomials).
-    merged: list[Interval] = []
-    for iv in noncorner:
-        if merged and merged[-1].hi is not None and iv.lo.kind != NEG_INF_KIND \
-                and merged[-1].hi.value == iv.lo.value:
-            merged[-1] = Interval(merged[-1].lo, iv.hi)
-        else:
-            merged.append(iv)
     # -inf is a root whenever the constant term is absent; if the lowest
     # essential monomial is a ghost its interval already starts at -inf.
-    lowest_exp, lowest_coeff = mons[0]
-    if lowest_exp > 0 and lowest_coeff.kind == TANGIBLE_KIND:
-        merged.insert(0, Interval(NEG_INF, NEG_INF))
-    return RootSet(tuple(corner), tuple(merged))
+    if mons[0][0] > 0 and mons[0][1].kind == TANGIBLE_KIND:
+        noncorner.append(Interval(NEG_INF, NEG_INF))
+    lo = None  # left end of the open run of ghost monomials
+    for t, (i, a) in enumerate(mons):
+        if a.kind == GHOST_KIND:
+            if lo is None:
+                lo = cross[t]
+        elif lo is not None:
+            noncorner.append(Interval(lo, cross[t]))
+            lo = None
+        elif t:
+            corner.append((cross[t], i - mons[t - 1][0]))
+    if lo is not None:
+        noncorner.append(Interval(lo, None))
+    return RootSet(tuple(corner), tuple(noncorner))
 
 
 def poly_ghost_surpasses(f: Polynomial, g: Polynomial) -> bool:
@@ -307,14 +303,14 @@ def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
 def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     """True iff eval(f, x) ghost-surpasses eval(g, x) at every point.
 
-    Decided exactly by sampling the comparison grid together with -inf;
-    this is the functional counterpart of poly_ghost_surpasses and is
-    strictly weaker than it.
+    f and g are replaced by their essential forms (the same maps), which
+    are then evaluated at -inf and on the comparison grid: that decides the
+    comparison exactly.  This is the functional counterpart of
+    poly_ghost_surpasses and is strictly weaker than it.
     """
-    if not ghost_surpasses(poly_eval(f, NEG_INF), poly_eval(g, NEG_INF)):
-        return False
+    f, g = essential(f), essential(g)
     return all(ghost_surpasses(poly_eval(f, x), poly_eval(g, x))
-               for x in _comparison_grid(f, g))
+               for x in [NEG_INF, *_comparison_grid(f, g)])
 
 
 def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
@@ -330,11 +326,13 @@ def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
 def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     """Points that are roots of g but not of f, one per place they occur.
 
-    A root is a point where the value is not tangible.  On each cell of the
-    comparison grid both f and g are one monomial of fixed kind, so whether
-    a point is a root of either is constant there: sampling -inf and the
-    grid decides containment of the root sets exactly.
+    A root is a point where the value is not tangible.  g and f are
+    replaced by their essential forms (the same maps).  On each cell of the
+    comparison grid each is one monomial of fixed kind, so whether a point
+    is a root of either is constant there: evaluating them at -inf and on
+    the grid decides containment of the root sets exactly.
     """
+    g, f = essential(g), essential(f)
     return [x for x in [NEG_INF, *_comparison_grid(f, g)]
             if poly_eval(g, x).kind != TANGIBLE_KIND and poly_eval(f, x).kind == TANGIBLE_KIND]
 

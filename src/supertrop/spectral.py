@@ -79,9 +79,9 @@ def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:
     require_square(a)
     n = a.rows
     acc = scalar_mul(f.coeffs[0], identity(n))
-    p = identity(n)
+    p = None
     for c in f.coeffs[1:]:
-        p = mat_mul(p, a)
+        p = a if p is None else mat_mul(p, a)
         if not c.is_neg_inf:
             acc = mat_add(acc, scalar_mul(c, p))
     return acc

@@ -48,7 +48,6 @@ from .semiring import (
     add,
     format_scalar,
     ghost_surpasses,
-    invert,
     mul,
     nu_equiv,
     parse_scalar,
@@ -183,8 +182,10 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     require_square(a)
     if k < 0:
         raise ValueError("mat_pow expects k >= 0")
-    acc = identity(a.rows)
-    for _ in range(k):
+    if k == 0:
+        return identity(a.rows)
+    acc = a
+    for _ in range(k - 1):
         acc = mat_mul(acc, a)
     return acc
 
@@ -445,14 +446,16 @@ def is_definite(a: Matrix) -> bool:
     return _closure(a) is not None
 
 
-def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ...]:
-    """The unique permutation track attaining a tangible determinant, read
-    back from the keep_all fold table of rows, the same fold that gave the
-    determinant: with a tangible determinant, exactly one column of each
-    row extends the track optimally."""
+def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[list, list]:
+    """The unique permutation track attaining a tangible determinant and
+    the scaled magnitudes of its entries, read back from the keep_all fold
+    table of rows, the same fold that gave the determinant: with a tangible
+    determinant, exactly one column of each row extends the track
+    optimally."""
     n = len(rows)
     mask = (1 << n) - 1
     perm = [0] * n
+    weights = [0] * n
     for r in reversed(range(n)):
         best = table.get(mask)
         for bit, _, w, _ in rows[r]:
@@ -462,8 +465,9 @@ def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[int, ..
         else:
             raise VerificationError("no permutation track attains the determinant")
         perm[r] = bit.bit_length() - 1
+        weights[r] = w
         mask ^= bit
-    return tuple(perm)
+    return perm, weights
 
 
 Side = Literal["left", "right"]
@@ -487,30 +491,25 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     det = _element(table.get((1 << n) - 1), scale)
     if det.kind != TANGIBLE_KIND:
         raise NotNonSingularError("definite form needs a tangible determinant")
-    pi = _dominant_permutation(rows, table)
-    del rows, table  # release the 2^n table before the checks below fold again
-    track = [a.at(i, pi[i]) for i in range(n)]
-    conductor_entries = [[NEG_INF] * n for _ in range(n)]
-    for i in range(n):
-        conductor_entries[i][pi[i]] = track[i]
-    conductor = Matrix.from_rows(conductor_entries)
-
-    definite_rows = [[NEG_INF] * n for _ in range(n)]
-    if side == "left":
-        # Row pi[i] of the definite factor is row i of A divided by its
-        # dominant entry.
-        for i in range(n):
-            inv = invert(track[i])
-            for j in range(n):
-                definite_rows[pi[i]][j] = mul(inv, a.at(i, j))
-    else:
-        # Column i of the definite factor is column pi[i] of A divided by
-        # the dominant entry of row i.
-        for i in range(n):
-            inv = invert(track[i])
-            for r in range(n):
-                definite_rows[r][i] = mul(a.at(r, pi[i]), inv)
-    definite = Matrix.from_rows(definite_rows)
+    pi, track = _dominant_permutation(rows, table)
+    conductor = Matrix(n, n, [a.at(i, j) if j == pi[i] else NEG_INF
+                              for i in range(n) for j in range(n)])
+    # Left: row pi[i] of the definite factor is row i of A less its track
+    # entry.  Right: column i is column pi[i] of A less the track entry of
+    # row i.  Either way entry (r, c) of A moves to one place, less the
+    # track entry of one row.
+    row_of = [0] * n
+    for i, c in enumerate(pi):
+        row_of[c] = i
+    entries = [NEG_INF] * (n * n)
+    for r, row in enumerate(rows):
+        for bit, _, w, g in row:
+            c = bit.bit_length() - 1
+            i = r if side == "left" else row_of[c]
+            at = pi[r] * n + c if side == "left" else r * n + i
+            entries[at] = _element((w - track[i], g), scale)
+    definite = Matrix(n, n, entries)
+    del rows, table  # release the fold before the checks below fold again
 
     product = mat_mul(conductor, definite) if side == "left" else mat_mul(definite, conductor)
     if product != a:

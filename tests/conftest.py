@@ -15,7 +15,6 @@ from supertrop import (
     mat_mul,
     mul,
     parse_scalar,
-    poly_eval,
     tangible,
 )
 
@@ -98,12 +97,24 @@ def _all_pairs_grid(f: Polynomial, g: Polynomial) -> list:
     return [NEG_INF] + [tangible(x) for x in grid]
 
 
+def naive_eval(f: Polynomial, x):
+    """Evaluation oracle: walk the dense coefficient list with a running
+    power of x, skipping the -inf coefficients."""
+    acc = f.coeffs[0]
+    xp = ONE
+    for c in f.coeffs[1:]:
+        xp = mul(xp, x)
+        if not c.is_neg_inf:
+            acc = add(acc, mul(c, xp))
+    return acc
+
+
 def naive_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     """Pointwise ghost surpassing oracle, sampled on the all-pairs grid."""
-    return all(ghost_surpasses(poly_eval(f, x), poly_eval(g, x))
+    return all(ghost_surpasses(naive_eval(f, x), naive_eval(g, x))
                for x in _all_pairs_grid(f, g))
 
 
 def naive_value_equal(f: Polynomial, g: Polynomial) -> bool:
     """Pointwise equality oracle, sampled on the all-pairs grid."""
-    return all(poly_eval(f, x) == poly_eval(g, x) for x in _all_pairs_grid(f, g))
+    return all(naive_eval(f, x) == naive_eval(g, x) for x in _all_pairs_grid(f, g))

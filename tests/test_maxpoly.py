@@ -31,9 +31,17 @@ from supertrop import (
     roots_outside,
     tangible,
 )
+from supertrop import maxpoly
 from supertrop.maxpoly import _comparison_grid
 
-from conftest import _all_pairs_grid, el, naive_value_equal, naive_value_surpasses, poly
+from conftest import (
+    _all_pairs_grid,
+    el,
+    naive_eval,
+    naive_value_equal,
+    naive_value_surpasses,
+    poly,
+)
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=4)
 coeffs = st.one_of(st.just(NEG_INF), rationals.map(tangible), rationals.map(ghost))
@@ -331,6 +339,38 @@ def test_value_comparisons_match_the_all_pairs_oracle():
     assert outcomes == {"surpasses": {True, False}, "equal": {True, False}}
 
 
+def test_eval_matches_the_dense_walk():
+    """poly_eval over the monomials against the dense-walk oracle, at -inf,
+    tangible and ghost points, on tie-heavy, inflated and -inf polynomials."""
+    rng = random.Random(2019)
+    for f, g in _tie_heavy_pairs(1200, seed=2019):
+        pts = [NEG_INF, *_all_pairs_grid(f, g)[1:6]]
+        pts += [ghost(x.value) for x in pts[1:3]]
+        pts.append(ghost(Fraction(rng.randint(-9, 9), rng.randint(1, 3))))
+        for h in (f, g, inflate(f, 2), Polynomial([NEG_INF])):
+            for x in pts:
+                assert poly_eval(h, x) == naive_eval(h, x), (str(h), str(x))
+
+
+def test_map_comparisons_evaluate_only_essential_forms(monkeypatch):
+    """poly_value_surpasses and roots_outside read the maps off the essential
+    forms: every polynomial they evaluate is its own essential form."""
+    seen = []
+    evaluate = maxpoly.poly_eval
+
+    def recorded(f, x):
+        seen.append(f)
+        return evaluate(f, x)
+
+    monkeypatch.setattr(maxpoly, "poly_eval", recorded)
+    for f, g in _tie_heavy_pairs(400, seed=2023):
+        for a, b in ((f, g), (g, f)):
+            poly_value_surpasses(a, b)
+            roots_outside(a, b)
+    assert seen
+    assert [str(f) for f in seen if essential(f) != f] == []
+
+
 def test_roots_outside_past_the_end_of_the_other_interval():
     """g's root interval [-1/3, +inf) leaves f's [-inf, 7/2] at 7/2; -inf,
     -1/3 and 8/3 are roots of both, 9/2 of g alone."""
@@ -341,7 +381,7 @@ def test_roots_outside_past_the_end_of_the_other_interval():
 
 
 def _is_root(f, x):
-    return not poly_eval(f, x).is_tangible
+    return not naive_eval(f, x).is_tangible
 
 
 def test_roots_outside_matches_a_dense_rational_oracle():

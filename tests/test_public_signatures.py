@@ -1,6 +1,6 @@
-"""The kernels have one fixed size cap and no per-call verification
-switches: no public function takes `cap` except `determinant`, and none
-takes `verify_stabilization`."""
+"""The kernels have one fixed size cap and no per-call knobs: no public
+function takes `cap` except `determinant`, and none takes
+`verify_stabilization` or `kmax`."""
 
 import importlib
 import inspect
@@ -39,4 +39,5 @@ def test_cap_only_on_determinant_and_no_verify_switch():
     found = public_parameters()
     assert [name for name, params in found.items() if "cap" in params] == \
         ["tropmat.determinant"]
-    assert [name for name, params in found.items() if "verify_stabilization" in params] == []
+    assert [name for name, params in found.items()
+            if params & {"verify_stabilization", "kmax"}] == []

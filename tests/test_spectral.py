@@ -124,6 +124,33 @@ def test_eval_at_matrix_cases():
     assert eval_at_matrix(poly("-inf, 0"), a) == a
 
 
+def test_powers_start_from_the_matrix(monkeypatch):
+    """No product with the identity: mat_pow(A, k) makes k - 1 products and
+    A substituted into its characteristic polynomial makes n - 1."""
+    from supertrop import spectral, tropmat
+
+    products = []
+    mat_mul = tropmat.mat_mul
+
+    def counted(x, y):
+        products.append(1)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(tropmat, "mat_mul", counted)
+    monkeypatch.setattr(spectral, "mat_mul", counted)
+    for n in range(1, 6):
+        a = gen_matrix(GenConfig(n=n, seed=70 + n))
+        want = identity(n)
+        for k in range(5):
+            products.clear()
+            assert mat_pow(a, k) == want
+            assert len(products) == max(k - 1, 0)
+            want = mat_mul(want, a)
+        products.clear()
+        eval_at_matrix(char_poly(a), a)
+        assert len(products) == n - 1
+
+
 def test_hamilton_cayley_sampled():
     for t in range(60):
         n = 2 + t % 4
