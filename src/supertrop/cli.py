@@ -40,6 +40,7 @@ from .tropmat import (
     kleene_star,
     load_matrix,
     matrix_to_dict,
+    matrix_to_json,
     pseudo_inverse,
 )
 
@@ -97,6 +98,8 @@ def _config_from_args(args, constraint: Constraint = Constraint.NONE) -> GenConf
         ghost = Fraction(args.ghost_prob)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad probability: {exc}") from None
+    if args.trials < 0:
+        raise ParseError("--trials must be >= 0")
     try:
         return GenConfig(
             n=args.n,
@@ -122,22 +125,16 @@ def _emit_report(args, payload: dict) -> None:
 
 def _cmd_compute(args) -> int:
     a = load_matrix(args.input)
+    matrix_ops = {"adj": adjugate, "nabla": pseudo_inverse, "star": kleene_star}
     if args.what == "det":
         print(format_scalar(determinant(a)))
-    elif args.what == "adj":
-        print(json.dumps(matrix_to_dict(adjugate(a)), indent=2))
-    elif args.what == "nabla":
-        print(json.dumps(matrix_to_dict(pseudo_inverse(a)), indent=2))
-    elif args.what == "star":
-        print(json.dumps(matrix_to_dict(kleene_star(a)), indent=2))
+    elif args.what in matrix_ops:
+        sys.stdout.write(matrix_to_json(matrix_ops[args.what](a)))
     elif args.what == "charpoly":
         print(format_poly(char_poly(a)))
     elif args.what == "eigen":
-        rs = eigenvalues(a)
-        corner = ", ".join(f"({format_scalar(v)}, {m})" for v, m in rs.corner) or "none"
-        noncorner = ", ".join(str(iv) for iv in rs.noncorner) or "none"
-        print(f"corner: {corner}")
-        print(f"noncorner: {noncorner}")
+        # No corner or interval text contains ';', so this splits the two lists.
+        print(str(eigenvalues(a)).replace("; ", "\n"))
     elif args.what == "definite-form":
         conductor, definite = definite_form(a, args.side)
         print(json.dumps(

@@ -45,7 +45,7 @@ from .semiring import (
     power,
     tangible,
 )
-from .spectral import char_poly, conjugate, eval_at_matrix, trace
+from .spectral import char_poly, conjugate, eval_at_matrix
 from .tropmat import (
     Matrix,
     SingularityClass,
@@ -254,9 +254,9 @@ _NABLA_ITERATES = 4
 def chk_nabla_period(a: Matrix) -> TrialResult:
     """Iterated pseudo-inverses have period two in magnitude from the first
     application on (checked over the first four iterates), and the second
-    iterate is P A^inv P for the left conductor P."""
-    if classify(a) is not SingularityClass.NON_SINGULAR:
-        raise NotNonSingularError("period check needs a non-singular matrix")
+    iterate is P A^inv P for the left conductor P.  definite_form raises
+    NotNonSingularError for a matrix that is not non-singular."""
+    conductor, _ = definite_form(a, "left")
     its = [a]
     for _ in range(_NABLA_ITERATES):
         its.append(pseudo_inverse(its[-1]))
@@ -265,7 +265,6 @@ def chk_nabla_period(a: Matrix) -> TrialResult:
         if not mat_nu_equiv(its[k], its[k + 2]):
             bad[f"iterate_{k}_vs_{k + 2}"] = \
                 f"{format_matrix(its[k])} | {format_matrix(its[k + 2])}"
-    conductor, _ = definite_form(a, "left")
     sandwich = mat_mul(mat_mul(conductor, its[1]), conductor)
     if not mat_nu_equiv(its[2], sandwich):
         bad["conductor_sandwich"] = f"{format_matrix(its[2])} | {format_matrix(sandwich)}"
@@ -305,7 +304,8 @@ def chk_definite_stabilization(a: Matrix) -> TrialResult:
 def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
     """The characteristic polynomial of the conjugate A^inv B A
     ghost-surpasses that of B coefficient-wise, with equality when the
-    former is ghost-free; determinant and trace surpass as well; every
+    former is ghost-free; determinant and trace surpass as well, read off
+    the two polynomials as their coefficients of x^0 and x^(n-1); every
     eigenvalue of B remains one of the conjugate; and B satisfies the
     conjugate's polynomial in the ghost sense."""
     if classify(a) is not SingularityClass.NON_SINGULAR:
@@ -318,10 +318,9 @@ def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
         bad["charpoly"] = f"{format_poly(fp)} | {format_poly(fb)}"
     if not fp.has_ghost_coeff() and fp != fb:
         bad["tangible_equality"] = f"{format_poly(fp)} | {format_poly(fb)}"
-    if not ghost_surpasses(determinant(bp), determinant(b)):
-        bad["det"] = f"{determinant(bp)} | {determinant(b)}"
-    if not ghost_surpasses(trace(bp), trace(b)):
-        bad["trace"] = f"{trace(bp)} | {trace(b)}"
+    for key, k in (("det", 0), ("trace", b.rows - 1)):
+        if not ghost_surpasses(fp.coeff(k), fb.coeff(k)):
+            bad[key] = f"{fp.coeff(k)} | {fb.coeff(k)}"
     missing = roots_outside(fb, fp)
     if missing:
         bad["eigenvalue_containment"] = ", ".join(format_scalar(x) for x in missing)

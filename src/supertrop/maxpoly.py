@@ -277,16 +277,17 @@ def poly_ghost_surpasses(f: Polynomial, g: Polynomial) -> bool:
 def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
     """Tangible points that decide any pointwise comparison of f and g.
 
-    The points are the breakpoints of essential(f), essential(g) and
-    essential(f + g), a midpoint inside each cell between them and a margin
-    on both unbounded sides.  Inside a cell f and g are each one monomial of
-    fixed kind, and their magnitudes cannot cross there: a crossing with
-    different slopes is a kink of max(nu f, nu g) = nu(f + g), hence one of
-    its breakpoints.  So the comparison is constant on every cell.
+    f and g must be essential forms; only the essential form of f + g is
+    taken here.  The points are the breakpoints of f, g and essential(f + g),
+    a midpoint inside each cell between them and a margin on both unbounded
+    sides.  Inside a cell f and g are each one monomial of fixed kind, and
+    their magnitudes cannot cross there: a crossing with different slopes is
+    a kink of max(nu f, nu g) = nu(f + g), hence one of its breakpoints.  So
+    the comparison is constant on every cell.
     """
     xs = set()
-    for h in (f, g, poly_add(f, g)):
-        xs.update(_breakpoints(essential(h).monomials()))
+    for h in (f, g, essential(poly_add(f, g))):
+        xs.update(_breakpoints(h.monomials()))
     if not xs:
         return [Element(TANGIBLE_KIND, 0)]
     pts = sorted(xs)

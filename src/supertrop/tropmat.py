@@ -627,7 +627,7 @@ def matrix_from_dict(d: object) -> Matrix:
     if missing:
         raise ParseError(f"missing keys in matrix JSON: {sorted(missing)}")
     rows, cols, entries = d["rows"], d["cols"], d["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise ParseError("rows/cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ParseError(f"entries must be a list of {rows} rows")

@@ -131,6 +131,9 @@ def test_check_whole_suite_stdout(capsys):
 def test_check_flag_validation(capsys):
     assert main(["check", "--suite", "wat", "--n", "2"]) == 1
     assert main(["check", "--n", "2", "--neginf-prob", "7/3"]) == 1
+    assert main(["check", "--suite", "det_product", "--n", "2", "--trials", "-3"]) == 1
+    assert main(["explore", "--n", "2", "--trials", "-3"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_explore_cli(tmp_path, capsys):

@@ -17,6 +17,7 @@ from supertrop import (
     is_invertible,
     matrix_to_dict,
 )
+from supertrop import tropmat
 from supertrop.lawcheck import (
     CHECK_IDS,
     CHECKS,
@@ -156,6 +157,25 @@ def test_chk_nabla_period_examples():
     assert chk_nabla_period(identity(3)).ok
     with pytest.raises(NotNonSingularError):
         chk_nabla_period(mat("0 0; 0 0"))
+
+
+def test_law_checks_fold_each_quantity_once(monkeypatch):
+    """The similarity check folds for its classify guard, the conjugate's
+    pseudo-inverse (2) and the two characteristic polynomials, reading det
+    and trace off the latter.  The period check's guard is its definite_form
+    call (A and the conductor's determinant), then 2 for each of the four
+    pseudo-inverses."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold",
+                        lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
+    a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
+    b = mat("0 2g -inf; -1 1 3; 2 -inf -2")
+    for call, want in [(lambda: chk_similarity(a, b), 5),
+                       (lambda: chk_nabla_period(a), 10)]:
+        folds.clear()
+        assert call().ok
+        assert len(folds) == want
 
 
 def test_chk_definite_stabilization_examples():

@@ -371,6 +371,19 @@ def test_map_comparisons_evaluate_only_essential_forms(monkeypatch):
     assert [str(f) for f in seen if essential(f) != f] == []
 
 
+def test_map_comparisons_take_three_essential_forms(monkeypatch):
+    """One for each operand and one for their sum: the comparison grid
+    takes the operands' essential forms as given."""
+    calls = []
+    take = maxpoly.essential
+    monkeypatch.setattr(maxpoly, "essential", lambda f: calls.append(1) or take(f))
+    for f, g in _tie_heavy_pairs(50, seed=11):
+        for compare in (poly_value_surpasses, roots_outside):
+            calls.clear()
+            compare(f, g)
+            assert len(calls) == 3, (compare.__name__, str(f), str(g))
+
+
 def test_roots_outside_past_the_end_of_the_other_interval():
     """g's root interval [-1/3, +inf) leaves f's [-inf, 7/2] at 7/2; -inf,
     -1/3 and 8/3 are roots of both, 9/2 of g alone."""
@@ -411,7 +424,7 @@ def test_comparison_grid_is_linear_in_degree():
     shifted = Polynomial(tangible(-i * i + i % 3) for i in range(16))
     for f, g in [(squares, shifted), *_tie_heavy_pairs(400, seed=7)]:
         bound = 2 * (f.degree + g.degree + max(f.degree, g.degree)) + 1
-        assert len(_comparison_grid(f, g)) <= bound, (str(f), str(g))
+        assert len(_comparison_grid(essential(f), essential(g))) <= bound, (str(f), str(g))
 
 
 # -- text form ---------------------------------------------------------------------------

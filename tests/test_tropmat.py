@@ -393,6 +393,7 @@ def test_matrix_json_round_trip():
         {"rows": 1, "cols": 1, "entries": [["nope"]]},
         {"rows": 0, "cols": 1, "entries": []},
         {"rows": 1, "cols": 1, "entries": [[0]]},
+        {"rows": True, "cols": True, "entries": [["1"]]},
         [1, 2],
     ],
 )
