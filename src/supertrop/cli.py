@@ -25,7 +25,6 @@ from .demos import DEMOS, run_demo
 from .errors import ParseError, SupertropicalError
 from .lawcheck import (
     CHECK_IDS,
-    Constraint,
     GenConfig,
     explore_conjecture,
     run_suite,
@@ -92,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, constraint: Constraint = Constraint.NONE) -> GenConfig:
+def _config_from_args(args) -> GenConfig:
     try:
         neginf = Fraction(args.neginf_prob)
         ghost = Fraction(args.ghost_prob)
@@ -107,7 +106,6 @@ def _config_from_args(args, constraint: Constraint = Constraint.NONE) -> GenConf
             denominator=args.denominator,
             neginf_prob=neginf,
             ghost_prob=ghost,
-            constraint=constraint,
             seed=args.seed,
         )
     except ValueError as exc:
@@ -184,7 +182,7 @@ def _cmd_explore(args) -> int:
     if args.n < 2:
         print("explore needs --n >= 2", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config_from_args(args, Constraint.NON_SINGULAR)
+    cfg = _config_from_args(args)
     report = explore_conjecture(cfg, args.trials)
     _emit_report(args, report.to_dict())
     print(f"counterexamples: {len(report.counterexamples)} "

@@ -12,7 +12,6 @@ mixed from (seed, t), so reports are reproducible and trials independent.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import random
@@ -26,7 +25,7 @@ from .maxpoly import (
     format_poly,
     inflate,
     poly_ghost_surpasses,
-    poly_pow,
+    poly_mul,
     poly_value_equal,
     poly_value_surpasses,
     roots,
@@ -43,6 +42,7 @@ from .semiring import (
     kth_root,
     mul,
     power,
+    rational,
     tangible,
 )
 from .spectral import char_poly, conjugate, eval_at_matrix
@@ -72,6 +72,21 @@ _MASK = (1 << 64) - 1
 
 
 class Constraint(enum.Enum):
+    """What gen_matrix guarantees of a draw; each law check names its own.
+
+    A DEFINITE draw is the definite factor D of A = P D
+    (tropmat.definite_form), where A has a tangible-0 diagonal, entries off
+    it drawn as GenConfig says, and a tangible determinant.  Every definite
+    matrix can be drawn, as its own factor with P = I; with neginf_prob = 1
+    the draw is the identity.  D's entries are differences of two entries
+    of A, so numerator_range does not bound them: with lo = min(range low,
+    0) and hi = max(range high, 0), for A's 0 diagonal, they lie within
+    [lo - hi, hi - lo] / denominator.  Where almost no draw has a tangible
+    determinant, DEFINITE raises ConstraintUnsatisfiableError just as
+    NON_SINGULAR does: for example with numerator_range = (0, 0) from
+    n = 4 on, or ghost_prob = 1 from n = 5 on.
+    """
+
     NONE = "none"
     NON_SINGULAR = "non_singular"
     DEFINITE = "definite"
@@ -85,17 +100,8 @@ class GenConfig:
 
     Each drawn entry is -inf with probability neginf_prob, else a numerator
     from numerator_range over denominator, ghost with probability
-    ghost_prob.  A DEFINITE draw is the definite factor D of A = P D
-    (tropmat.definite_form), where A has a tangible-0 diagonal, drawn
-    entries off it, and a tangible determinant.  Every definite matrix can
-    be drawn, as its own factor with P = I; with neginf_prob = 1 the draw
-    is the identity.  D's entries are differences of two entries of A, so
-    numerator_range does not bound them: with lo = min(range low, 0) and
-    hi = max(range high, 0), for A's 0 diagonal, they lie within
-    [lo - hi, hi - lo] / denominator.  Where almost no draw has a tangible
-    determinant, DEFINITE raises ConstraintUnsatisfiableError just as
-    NON_SINGULAR does: for example with numerator_range = (0, 0) from
-    n = 4 on, or ghost_prob = 1 from n = 5 on.
+    ghost_prob.  The constraint a draw honours is gen_matrix's argument,
+    not part of the config.
     """
 
     n: int
@@ -103,7 +109,6 @@ class GenConfig:
     denominator: int = 1
     neginf_prob: Fraction = Fraction(1, 5)
     ghost_prob: Fraction = Fraction(1, 10)
-    constraint: Constraint = Constraint.NONE
     seed: int = 0
 
     def __post_init__(self):
@@ -127,7 +132,6 @@ class GenConfig:
             "denominator": self.denominator,
             "neginf_prob": str(self.neginf_prob),
             "ghost_prob": str(self.ghost_prob),
-            "constraint": self.constraint.value,
             "seed": self.seed,
         }
 
@@ -137,11 +141,7 @@ def _sub_seed(seed: int, trial: int) -> int:
 
 
 def _draw_value(rng: random.Random, cfg: GenConfig) -> Rational:
-    num = rng.randint(*cfg.numerator_range)
-    if cfg.denominator == 1:
-        return num
-    q = Fraction(num, cfg.denominator)
-    return q.numerator if q.denominator == 1 else q
+    return rational(rng.randint(*cfg.numerator_range), cfg.denominator)
 
 
 def _draw_entry(rng: random.Random, cfg: GenConfig) -> Element:
@@ -153,17 +153,17 @@ def _draw_entry(rng: random.Random, cfg: GenConfig) -> Element:
     return tangible(v)
 
 
-def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Matrix:
+def _gen_with_rng(rng: random.Random, cfg: GenConfig, constraint: Constraint) -> Matrix:
     n = cfg.n
     for _ in range(MAX_GEN_ATTEMPTS):
-        if cfg.constraint is Constraint.INVERTIBLE:
+        if constraint is Constraint.INVERTIBLE:
             perm = list(range(n))
             rng.shuffle(perm)
             entries = [NEG_INF] * (n * n)
             for i in range(n):
                 entries[i * n + perm[i]] = tangible(_draw_value(rng, cfg))
             return Matrix(n, n, entries)
-        if cfg.constraint is Constraint.TRIANGULAR:
+        if constraint is Constraint.TRIANGULAR:
             # Upper triangular with a tangible diagonal, hence non-singular.
             entries = []
             for i in range(n):
@@ -175,7 +175,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Matrix:
                     else:
                         entries.append(_draw_entry(rng, cfg))
             return Matrix(n, n, entries)
-        if cfg.constraint is Constraint.DEFINITE:
+        if constraint is Constraint.DEFINITE:
             # The definite factor of a non-singular draw with a tangible-0
             # diagonal (A = P D); with no finite entry off it, A = I = D.
             entries = [
@@ -188,19 +188,19 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig) -> Matrix:
                 return definite_form(a)[1]
             continue
         a = Matrix(n, n, (_draw_entry(rng, cfg) for _ in range(n * n)))
-        if cfg.constraint is Constraint.NONE:
+        if constraint is Constraint.NONE:
             return a
-        if cfg.constraint is Constraint.NON_SINGULAR \
+        if constraint is Constraint.NON_SINGULAR \
                 and classify(a) is SingularityClass.NON_SINGULAR:
             return a
     raise ConstraintUnsatisfiableError(
-        f"could not satisfy {cfg.constraint.value} in {MAX_GEN_ATTEMPTS} attempts"
+        f"could not satisfy {constraint.value} in {MAX_GEN_ATTEMPTS} attempts"
     )
 
 
-def gen_matrix(cfg: GenConfig) -> Matrix:
-    """Deterministic function of cfg (including its seed)."""
-    return _gen_with_rng(random.Random(cfg.seed), cfg)
+def gen_matrix(cfg: GenConfig, constraint: Constraint = Constraint.NONE) -> Matrix:
+    """Deterministic function of cfg (including its seed) and constraint."""
+    return _gen_with_rng(random.Random(cfg.seed), cfg, constraint)
 
 
 # -- checkers ------------------------------------------------------------------
@@ -228,14 +228,14 @@ def chk_adj_rules(a: Matrix) -> TrialResult:
     d = determinant(a)
     adj = adjugate(a)
     bad = {}
-    lhs1 = determinant(mat_mul(a, adj))
-    if lhs1 != power(d, n):
+    lhs1, rhs1 = determinant(mat_mul(a, adj)), power(d, n)
+    if lhs1 != rhs1:
         bad["det_a_adj"] = format_scalar(lhs1)
-        bad["det_pow_n"] = format_scalar(power(d, n))
-    lhs2 = determinant(adj)
-    if lhs2 != power(d, n - 1):
+        bad["det_pow_n"] = format_scalar(rhs1)
+    lhs2, rhs2 = determinant(adj), power(d, n - 1)
+    if lhs2 != rhs2:
         bad["det_adj"] = format_scalar(lhs2)
-        bad["det_pow_n_minus_1"] = format_scalar(power(d, n - 1))
+        bad["det_pow_n_minus_1"] = format_scalar(rhs2)
     return TrialResult(not bad, bad)
 
 
@@ -324,13 +324,18 @@ def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
     missing = roots_outside(fb, fp)
     if missing:
         bad["eigenvalue_containment"] = ", ".join(format_scalar(x) for x in missing)
-    if not is_ghost_matrix(eval_at_matrix(fp, b)):
-        bad["conjugate_poly_at_b"] = format_matrix(eval_at_matrix(fp, b))
+    at_b = eval_at_matrix(fp, b)
+    if not is_ghost_matrix(at_b):
+        bad["conjugate_poly_at_b"] = format_matrix(at_b)
     return TrialResult(not bad, bad)
 
 
-def chk_charpoly_power(a: Matrix, m: int) -> TrialResult:
-    """Relations between the characteristic polynomials of A and A^m.
+_CHARPOLY_POWER_MAX = 3
+
+
+def chk_charpoly_power(a: Matrix) -> TrialResult:
+    """Relations between the characteristic polynomials of A and A^m, for
+    m = 2 and 3.
 
     The inflated polynomial of A^m surpasses the m-th power of A's as a
     function (pointwise ghost surpassing, decided exactly on the
@@ -338,29 +343,29 @@ def chk_charpoly_power(a: Matrix, m: int) -> TrialResult:
     is ghost-free the two define the same map, that is, they have equal
     essential forms.  Corner roots transfer both ways: corner roots of A power
     up into roots of A^m, and every corner root of A^m is the m-th power
-    of a corner root of A.
+    of a corner root of A.  A^m and f_A^m are running products over m.
     """
-    if m < 2:
-        raise ValueError("power check expects m >= 2")
     f_a = char_poly(a)
-    f_am = char_poly(mat_pow(a, m))
-    lhs = inflate(f_am, m)
-    rhs = poly_pow(f_a, m)
-    bad = {}
-    if not poly_value_surpasses(lhs, rhs):
-        bad[f"value_surpassing_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
-    if not f_am.has_ghost_coeff():
-        if not poly_value_equal(lhs, rhs):
-            bad[f"tangible_equality_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
     roots_a = roots(f_a)
-    roots_am = roots(f_am)
-    up = [v for v, _ in roots_a.corner if not roots_am.contains(power(v, m))]
-    if up:
-        bad[f"root_power_containment_m{m}"] = ", ".join(format_scalar(v) for v in up)
     corner_values_a = {v.value for v, _ in roots_a.corner}
-    down = [v for v, _ in roots_am.corner if kth_root(v, m).value not in corner_values_a]
-    if down:
-        bad[f"root_power_onto_m{m}"] = ", ".join(format_scalar(v) for v in down)
+    a_m, rhs = a, f_a
+    bad = {}
+    for m in range(2, _CHARPOLY_POWER_MAX + 1):
+        a_m, rhs = mat_mul(a_m, a), poly_mul(rhs, f_a)
+        f_am = char_poly(a_m)
+        lhs = inflate(f_am, m)
+        if not poly_value_surpasses(lhs, rhs):
+            bad[f"value_surpassing_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
+        if not f_am.has_ghost_coeff():
+            if not poly_value_equal(lhs, rhs):
+                bad[f"tangible_equality_m{m}"] = f"{format_poly(lhs)} | {format_poly(rhs)}"
+        roots_am = roots(f_am)
+        up = [v for v, _ in roots_a.corner if not roots_am.contains(power(v, m))]
+        if up:
+            bad[f"root_power_containment_m{m}"] = ", ".join(format_scalar(v) for v in up)
+        down = [v for v, _ in roots_am.corner if kth_root(v, m).value not in corner_values_a]
+        if down:
+            bad[f"root_power_onto_m{m}"] = ", ".join(format_scalar(v) for v in down)
     return TrialResult(not bad, bad)
 
 
@@ -410,14 +415,6 @@ def chk_reversal_conjecture(a: Matrix) -> TrialResult:
     return TrialResult(not asserted_bad, asserted_bad, counter)
 
 
-def _charpoly_power_suite(a: Matrix) -> TrialResult:
-    bad = {}
-    for m in (2, 3):
-        r = chk_charpoly_power(a, m)
-        bad.update(r.details)
-    return TrialResult(not bad, bad)
-
-
 # -- runner --------------------------------------------------------------------
 
 
@@ -435,7 +432,7 @@ CHECKS: dict[str, CheckDef] = {
     "nabla_period": CheckDef(Constraint.NON_SINGULAR, False, chk_nabla_period),
     "definite_stabilization": CheckDef(Constraint.DEFINITE, False, chk_definite_stabilization),
     "similarity": CheckDef(Constraint.NON_SINGULAR, True, chk_similarity),
-    "charpoly_power": CheckDef(Constraint.NONE, False, _charpoly_power_suite),
+    "charpoly_power": CheckDef(Constraint.NONE, False, chk_charpoly_power),
     "hamilton_cayley": CheckDef(Constraint.NONE, False, chk_hamilton_cayley),
     "reversal_conjecture": CheckDef(Constraint.NON_SINGULAR, False, chk_reversal_conjecture),
 }
@@ -483,17 +480,15 @@ def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     defn = CHECKS[check_id]
-    cfg_a = dataclasses.replace(cfg, constraint=defn.constraint)
-    cfg_b = dataclasses.replace(cfg, constraint=Constraint.NONE)
     t0 = time.perf_counter()
     passes = 0
     failures: list[dict] = []
     counterexamples: list[dict] = []
     for t in range(trials):
         rng = random.Random(_sub_seed(cfg.seed, t))
-        args = [_gen_with_rng(rng, cfg_a)]
+        args = [_gen_with_rng(rng, cfg, defn.constraint)]
         if defn.two_matrices:
-            args.append(_gen_with_rng(rng, cfg_b))
+            args.append(_gen_with_rng(rng, cfg, Constraint.NONE))
         res = defn.fn(*args)
         if res.ok:
             passes += 1
@@ -516,9 +511,8 @@ def run_suite(cfg: GenConfig, trials: int, suite: str = "all") -> list[CheckRepo
 
 
 def explore_conjecture(cfg: GenConfig, trials: int) -> CheckReport:
-    """Search for counterexamples to the pseudo-inverse reversal conjecture."""
-    if cfg.constraint is not Constraint.NON_SINGULAR:
-        raise ValueError("explorer requires cfg.constraint = NON_SINGULAR")
+    """Search for counterexamples to the pseudo-inverse reversal conjecture,
+    on matrices drawn non-singular as the check requires."""
     return run_check("reversal_conjecture", cfg, trials)
 
 

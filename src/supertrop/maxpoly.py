@@ -32,6 +32,7 @@ from .semiring import (
     mul,
     parse_scalar,
     power,
+    rational,
 )
 
 
@@ -119,8 +120,10 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
 def poly_pow(f: Polynomial, m: int) -> Polynomial:
     if m < 0:
         raise ValueError("poly_pow expects m >= 0")
-    acc = Polynomial([ONE])
-    for _ in range(m):
+    if m == 0:
+        return Polynomial([ONE])
+    acc = f
+    for _ in range(m - 1):
         acc = poly_mul(acc, f)
     return acc
 
@@ -176,11 +179,7 @@ def _breakpoints(mons: list[tuple[int, Element]]) -> list[Fraction | int]:
     mons are the monomials of an essential form, exponent ascending, so the
     crossovers come out strictly ascending.
     """
-    out: list[Fraction | int] = []
-    for (i, a), (j, b) in zip(mons, mons[1:]):
-        q = Fraction(a.value - b.value, j - i)
-        out.append(q.numerator if q.denominator == 1 else q)
-    return out
+    return [rational(a.value - b.value, j - i) for (i, a), (j, b) in zip(mons, mons[1:])]
 
 
 @dataclass(frozen=True)
@@ -295,8 +294,7 @@ def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
     for k, x in enumerate(pts):
         grid.append(x)
         if k + 1 < len(pts):
-            mid = Fraction(x + pts[k + 1], 2)
-            grid.append(mid.numerator if mid.denominator == 1 else mid)
+            grid.append(rational(x + pts[k + 1], 2))
     grid.append(pts[-1] + 1)
     return [Element(TANGIBLE_KIND, x) for x in grid]
 

@@ -33,6 +33,14 @@ def _canon(q: Fraction) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
+def rational(num: Rational, den: int) -> Rational:
+    """num / den in canonical form: an int when the quotient is integral,
+    a Fraction otherwise."""
+    if type(num) is int:
+        return num // den if num % den == 0 else Fraction(num, den)
+    return _canon(Fraction(num, den))
+
+
 class Element:
     """One supertropical scalar: -inf, a tangible rational, or a ghost rational."""
 
@@ -185,7 +193,7 @@ def kth_root(a: Element, k: int) -> Element:
         raise ValueError("kth_root expects k >= 1")
     if a.kind == NEG_INF_KIND:
         return NEG_INF
-    return Element(a.kind, _canon(Fraction(a.value) / k))
+    return Element(a.kind, rational(a.value, k))
 
 
 # -- text form ---------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import json
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -51,6 +50,7 @@ from .semiring import (
     mul,
     nu_equiv,
     parse_scalar,
+    rational,
     to_tangible,
 )
 
@@ -231,7 +231,7 @@ def _element(state: list | None, scale: int) -> Element:
         return NEG_INF
     m, g = state
     if scale != 1:
-        m = m // scale if m % scale == 0 else Fraction(m, scale)
+        m = rational(m, scale)
     return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
 
 

@@ -114,7 +114,7 @@ def test_criterion_3_oracles():
 
 
 def _nonsingular(cfg_seed: int, n: int):
-    return gen_matrix(GenConfig(n=n, constraint=Constraint.NON_SINGULAR, seed=cfg_seed))
+    return gen_matrix(GenConfig(n=n, seed=cfg_seed), Constraint.NON_SINGULAR)
 
 
 def test_criterion_4_conjecture():
@@ -127,26 +127,26 @@ def test_criterion_4_conjecture():
                 bad.append(f"asserted coefficients n={n} trial {t}: {r.details}")
     # (b) every coefficient for n in {2, 3}
     for n in (2, 3):
-        cfg = GenConfig(n=n, constraint=Constraint.NON_SINGULAR, seed=71_000 + n)
+        cfg = GenConfig(n=n, seed=71_000 + n)
         r = explore_conjecture(cfg, 500)
         if r.passes != 500 or r.counterexamples:
             bad.append(f"n={n}: passes {r.passes}, cx {len(r.counterexamples)}")
     # (b) triangular matrices up to n = 6: exact reversal is asserted
     for n in (2, 3, 4, 5, 6):
         for t in range(250):
-            a = gen_matrix(GenConfig(n=n, constraint=Constraint.TRIANGULAR,
-                                     seed=82_000 + 1000 * n + t))
+            a = gen_matrix(GenConfig(n=n, seed=82_000 + 1000 * n + t),
+                           Constraint.TRIANGULAR)
             r = chk_reversal_conjecture(a)
             if not r.ok or r.counterexample is not None:
                 bad.append(f"triangular n={n} trial {t}: {r.details}")
     # (b) 10^5 random 4x4 instances
-    cfg = GenConfig(n=4, constraint=Constraint.NON_SINGULAR, seed=93_000)
+    cfg = GenConfig(n=4, seed=93_000)
     r = explore_conjecture(cfg, 100_000)
     if r.passes != 100_000 or r.counterexamples:
         bad.append(f"4x4 sweep: passes {r.passes}, cx {len(r.counterexamples)}")
     # (c) the n = 5 explorer completes with a well-formed report; its
     # mathematical outcome is not gated
-    cfg = GenConfig(n=5, constraint=Constraint.NON_SINGULAR, seed=94_000)
+    cfg = GenConfig(n=5, seed=94_000)
     r5 = explore_conjecture(cfg, 2000)
     d = json.loads(r5.to_json())
     if set(d) != {"check_id", "seed", "config", "trials", "passes",

@@ -185,7 +185,7 @@ def test_is_definite_matches_determinant_oracle_on_ties(n):
     variants are checked too."""
     definite = [gen_matrix(GenConfig(n=n, numerator_range=(-3, 1), denominator=1 + t % 2,
                                      neginf_prob=Fraction(1, 4), ghost_prob=Fraction(3, 20),
-                                     constraint=Constraint.DEFINITE, seed=500 * n + t))
+                                     seed=500 * n + t), Constraint.DEFINITE)
                 for t in range(COUNTS[n])]
     tied = [m for m in map(with_zero_cycle, definite) if m is not None]
     verdicts = []

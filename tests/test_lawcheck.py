@@ -1,6 +1,5 @@
 """Generators, checkers, reports: determinism, constraints, replay."""
 
-import dataclasses
 import json
 import random
 
@@ -17,7 +16,7 @@ from supertrop import (
     is_invertible,
     matrix_to_dict,
 )
-from supertrop import tropmat
+from supertrop import lawcheck, tropmat
 from supertrop.lawcheck import (
     CHECK_IDS,
     CHECKS,
@@ -62,7 +61,7 @@ def test_gen_is_deterministic():
 def test_gen_constraints(constraint, predicate):
     for t in range(25):
         for n in (1, 2, 3, 5, 7):
-            a = gen_matrix(GenConfig(n=n, constraint=constraint, seed=100 * t + n))
+            a = gen_matrix(GenConfig(n=n, seed=100 * t + n), constraint)
             assert predicate(a)
 
 
@@ -71,7 +70,7 @@ def test_gen_definite_reaches_positive_entries():
     whose off-diagonal entries are all negative."""
     positive = 0
     for seed in range(50):
-        d = gen_matrix(GenConfig(n=6, constraint=Constraint.DEFINITE, seed=seed))
+        d = gen_matrix(GenConfig(n=6, seed=seed), Constraint.DEFINITE)
         positive += any(
             not d.at(i, j).is_neg_inf and d.at(i, j).value > 0
             for i in range(6) for j in range(6) if i != j
@@ -81,13 +80,13 @@ def test_gen_definite_reaches_positive_entries():
 
 def test_gen_definite_with_every_entry_neg_inf_is_identity():
     for n in range(1, 7):
-        cfg = GenConfig(n=n, neginf_prob=1, constraint=Constraint.DEFINITE, seed=n)
-        assert gen_matrix(cfg) == identity(n)
+        cfg = GenConfig(n=n, neginf_prob=1, seed=n)
+        assert gen_matrix(cfg, Constraint.DEFINITE) == identity(n)
 
 
 def test_gen_triangular_is_upper_and_nonsingular():
     for t in range(25):
-        a = gen_matrix(GenConfig(n=4, constraint=Constraint.TRIANGULAR, seed=t))
+        a = gen_matrix(GenConfig(n=4, seed=t), Constraint.TRIANGULAR)
         assert classify(a) is SingularityClass.NON_SINGULAR
         for i in range(4):
             assert a.at(i, i).is_tangible
@@ -97,9 +96,9 @@ def test_gen_triangular_is_upper_and_nonsingular():
 
 def test_gen_unsatisfiable_constraint():
     # every entry forced to -inf: no matrix is non-singular
-    cfg = GenConfig(n=2, neginf_prob=1, constraint=Constraint.NON_SINGULAR, seed=0)
+    cfg = GenConfig(n=2, neginf_prob=1, seed=0)
     with pytest.raises(ConstraintUnsatisfiableError):
-        gen_matrix(cfg)
+        gen_matrix(cfg, Constraint.NON_SINGULAR)
 
 
 def test_gen_config_validation():
@@ -124,7 +123,7 @@ def test_gen_draws_no_floats(constraint, monkeypatch):
 
     monkeypatch.setattr(random.Random, "random", no_float)
     for seed in range(5):
-        gen_matrix(GenConfig(n=3, constraint=constraint, seed=seed))
+        gen_matrix(GenConfig(n=3, seed=seed), constraint)
 
 
 def test_gen_fractional_entries():
@@ -200,16 +199,15 @@ def test_chk_charpoly_power_examples():
     from supertrop import diag, tangible
     from supertrop.lawcheck import chk_charpoly_power
 
-    for m in (2, 3):
-        assert chk_charpoly_power(mat("0 0; 1 2"), m).ok
-        assert chk_charpoly_power(diag([tangible(1), tangible(4)]), m).ok
+    assert chk_charpoly_power(mat("0 0; 1 2")).ok
+    assert chk_charpoly_power(diag([tangible(1), tangible(4)])).ok
 
 
 def test_chk_charpoly_power_decides_tangible_equality(monkeypatch):
     """diag(1, 2, 4) has distinct subset sums, so char_poly(A^m) is ghost-free
-    and the check compares the two sides for equality of value."""
+    and the check compares the two sides for equality of value, at m = 2
+    and then at m = 3."""
     from supertrop import char_poly, diag, mat_pow, tangible
-    from supertrop import lawcheck
 
     a = diag([tangible(1), tangible(2), tangible(4)])
     compared = []
@@ -218,13 +216,34 @@ def test_chk_charpoly_power_decides_tangible_equality(monkeypatch):
                         lambda f, g: compared.append(f) or value_equal(f, g))
     for m in (2, 3):
         assert not char_poly(mat_pow(a, m)).has_ghost_coeff()
-        assert lawcheck.chk_charpoly_power(a, m).ok
+    assert lawcheck.chk_charpoly_power(a).ok
     assert len(compared) == 2
     monkeypatch.setattr(lawcheck, "poly_value_equal", lambda f, g: False)
-    for m in (2, 3):
-        r = lawcheck.chk_charpoly_power(a, m)
-        assert not r.ok
-        assert list(r.details) == [f"tangible_equality_m{m}"]
+    r = lawcheck.chk_charpoly_power(a)
+    assert not r.ok
+    assert list(r.details) == ["tangible_equality_m2", "tangible_equality_m3"]
+    monkeypatch.setattr(lawcheck, "poly_value_surpasses", lambda f, g: False)
+    assert list(lawcheck.chk_charpoly_power(a).details) == [
+        "value_surpassing_m2", "tangible_equality_m2",
+        "value_surpassing_m3", "tangible_equality_m3"]
+
+
+def test_chk_charpoly_power_takes_running_products(monkeypatch):
+    """A trial folds A, A^2 and A^3 once each for their characteristic
+    polynomials, and A^3 is A^2 times A: 2 matrix products, 3 folds."""
+    calls = []
+    mat_mul, fold = tropmat.mat_mul, tropmat._fold
+
+    def counting_mat_mul(x, y):
+        calls.append("mat_mul")
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(tropmat, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(lawcheck, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(tropmat, "_fold",
+                        lambda rows, keep_all=False: calls.append("fold") or fold(rows, keep_all))
+    assert CHECKS["charpoly_power"].fn(mat("1 0 -1; 3 4 -inf; 0 -2 2")).ok
+    assert sorted(calls) == ["fold"] * 3 + ["mat_mul"] * 2
 
 
 def test_chk_conjecture_on_pinned_instances():
@@ -278,8 +297,8 @@ def test_run_check_records_replayable_witnesses(monkeypatch):
     assert r.passes == trials - len(failed)
     for t in range(trials):
         rng = random.Random(_sub_seed(cfg.seed, t))
-        a = _gen_with_rng(rng, dataclasses.replace(cfg, constraint=Constraint.NON_SINGULAR))
-        b = _gen_with_rng(rng, cfg)
+        a = _gen_with_rng(rng, cfg, Constraint.NON_SINGULAR)
+        b = _gen_with_rng(rng, cfg, Constraint.NONE)
         inputs = {"A": matrix_to_dict(a), "B": matrix_to_dict(b)}
         want = odd_corner(a, b)
         assert failed.get(t) == (
@@ -315,22 +334,17 @@ def test_report_json_schema():
 # -- explorer and replay -----------------------------------------------------------------
 
 
-def test_explore_requires_nonsingular_constraint():
-    with pytest.raises(ValueError):
-        explore_conjecture(GenConfig(n=4, seed=1), 5)
-
-
 def test_explore_small_orders_find_nothing():
-    cfg = GenConfig(n=2, constraint=Constraint.NON_SINGULAR, seed=1)
+    cfg = GenConfig(n=2, seed=1)
     r = explore_conjecture(cfg, 150)
     assert r.passes == 150 and r.counterexamples == []
-    cfg = GenConfig(n=3, constraint=Constraint.NON_SINGULAR, seed=2)
+    cfg = GenConfig(n=3, seed=2)
     r = explore_conjecture(cfg, 150)
     assert r.passes == 150 and r.counterexamples == []
 
 
 def test_explore_n5_report_well_formed():
-    cfg = GenConfig(n=5, constraint=Constraint.NON_SINGULAR, seed=3)
+    cfg = GenConfig(n=5, seed=3)
     r = explore_conjecture(cfg, 60)
     d = json.loads(r.to_json())
     assert d["trials"] == 60
@@ -344,8 +358,7 @@ def test_replay_reproduces_verdicts():
         r = run_check(cid, cfg, 10)
         assert r.passes == 10
         # replay an arbitrary instance through the serialized form
-        a = gen_matrix(GenConfig(n=3, seed=99,
-                                 constraint=defn.constraint))
+        a = gen_matrix(GenConfig(n=3, seed=99), defn.constraint)
         inputs = {"A": matrix_to_dict(a)}
         if defn.two_matrices:
             inputs["B"] = matrix_to_dict(gen_matrix(GenConfig(n=3, seed=98)))

@@ -101,6 +101,17 @@ def test_poly_mul_assoc_comm(f, g, h):
     assert poly_mul(poly_mul(f, g), h) == poly_mul(f, poly_mul(g, h))
 
 
+@given(polys, st.integers(min_value=0, max_value=4))
+def test_poly_pow_is_the_repeated_product(f, m):
+    """m - 1 products starting from f; the unit only for m = 0."""
+    want = Polynomial([tangible(0)])
+    for _ in range(m):
+        want = poly_mul(want, f)
+    assert poly_pow(f, m) == want
+    assert poly_pow(Polynomial([NEG_INF]), m) == (
+        Polynomial([NEG_INF]) if m else Polynomial([tangible(0)]))
+
+
 def test_normalization_trims_leading_neg_inf():
     f = Polynomial([tangible(1), NEG_INF, NEG_INF])
     assert f.degree == 0

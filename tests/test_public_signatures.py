@@ -1,12 +1,15 @@
 """The kernels have one fixed size cap and no per-call knobs: no public
 function takes `cap` except `determinant`, and none takes
-`verify_stabilization` or `kmax`."""
+`verify_stabilization` or `kmax`.  Each law check owns its draw constraint
+and its exponents, so neither is a setting."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 
 import supertrop
+from supertrop.lawcheck import GenConfig
 
 
 def parameters(module) -> dict[str, set[str]]:
@@ -41,3 +44,10 @@ def test_cap_only_on_determinant_and_no_verify_switch():
         ["tropmat.determinant"]
     assert [name for name, params in found.items()
             if params & {"verify_stabilization", "kmax"}] == []
+
+
+def test_law_checks_own_their_constraint_and_exponents():
+    found = public_parameters()
+    assert found["lawcheck.chk_charpoly_power"] == {"a"}
+    assert found["lawcheck.gen_matrix"] == {"cfg", "constraint"}
+    assert "constraint" not in {f.name for f in dataclasses.fields(GenConfig)}

@@ -26,6 +26,7 @@ from supertrop import (
     to_ghost,
     to_tangible,
 )
+from supertrop.semiring import rational
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 elements = st.one_of(
@@ -189,6 +190,17 @@ def test_kth_root():
     assert half == tangible(Fraction(-3, 2))
     assert kth_root(NEG_INF, 5) == NEG_INF
     assert kth_root(ghost(4), 2) == ghost(2)
+
+
+@given(rationals, st.integers(min_value=1, max_value=6))
+def test_rational_is_the_canonical_quotient(q, den):
+    """An int exactly when the quotient is integral, for int and Fraction
+    numerators alike."""
+    for num in (q, q.numerator, q * den):
+        got = rational(num, den)
+        assert got == Fraction(num) / den
+        assert type(got) is (int if (Fraction(num) / den).denominator == 1 else Fraction)
+    assert type(rational(Fraction(3, 2) + Fraction(1, 2), 2)) is int
 
 
 @given(rationals, st.integers(min_value=1, max_value=6))

@@ -173,7 +173,7 @@ def test_conjugate_cases():
 def test_similarity_laws_sampled():
     for t in range(50):
         n = 2 + t % 3
-        a = gen_matrix(GenConfig(n=n, constraint=Constraint.NON_SINGULAR, seed=1200 + t))
+        a = gen_matrix(GenConfig(n=n, seed=1200 + t), Constraint.NON_SINGULAR)
         b = gen_matrix(GenConfig(n=n, seed=1700 + t))
         bp = conjugate(a, b)
         fp, fb = char_poly(bp), char_poly(b)
@@ -192,7 +192,7 @@ def test_similar_charpolys_coincide_for_definite_reduction():
 
     for t in range(40):
         n = 2 + t % 3
-        a = gen_matrix(GenConfig(n=n, constraint=Constraint.NON_SINGULAR, seed=2500 + t))
+        a = gen_matrix(GenConfig(n=n, seed=2500 + t), Constraint.NON_SINGULAR)
         b = gen_matrix(GenConfig(n=n, seed=3500 + t))
         _, a_bar = definite_form(a, "right")
         assert char_poly(conjugate(a, b)) == char_poly(conjugate(a_bar, b))

@@ -55,11 +55,8 @@ from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 from conftest import el, mat, naive_det
 
 
-def _random_cfgs(count, sizes=(2, 3, 4), constraint=Constraint.NONE, seed=0):
-    out = []
-    for t in range(count):
-        out.append(GenConfig(n=sizes[t % len(sizes)], constraint=constraint, seed=seed + t))
-    return out
+def _random_cfgs(count, sizes=(2, 3, 4), seed=0):
+    return [GenConfig(n=sizes[t % len(sizes)], seed=seed + t) for t in range(count)]
 
 
 # -- products and sums -----------------------------------------------------------
@@ -160,7 +157,7 @@ def test_pseudo_inverse_iterates():
 def test_two_by_two_double_pseudo_inverse_is_identity_map():
     rng = random.Random(7)
     for t in range(60):
-        a = gen_matrix(GenConfig(n=2, constraint=Constraint.NON_SINGULAR, seed=900 + t))
+        a = gen_matrix(GenConfig(n=2, seed=900 + t), Constraint.NON_SINGULAR)
         assert pseudo_inverse_iter(a, 2) == a
 
 
@@ -206,7 +203,7 @@ def test_det_product_rule_sampled():
 
 def test_det_multiplicative_for_invertible_factor():
     for t in range(40):
-        p = gen_matrix(GenConfig(n=3, constraint=Constraint.INVERTIBLE, seed=4000 + t))
+        p = gen_matrix(GenConfig(n=3, seed=4000 + t), Constraint.INVERTIBLE)
         a = gen_matrix(GenConfig(n=3, seed=5000 + t))
         assert determinant(mat_mul(p, a)) == mul(determinant(p), determinant(a))
         assert determinant(mat_mul(a, p)) == mul(determinant(a), determinant(p))
@@ -251,7 +248,7 @@ def test_definite_form_left():
 
 def test_definite_form_both_sides_reassemble():
     for t in range(50):
-        a = gen_matrix(GenConfig(n=3, constraint=Constraint.NON_SINGULAR, seed=9000 + t))
+        a = gen_matrix(GenConfig(n=3, seed=9000 + t), Constraint.NON_SINGULAR)
         p, left_bar = definite_form(a, "left")
         assert mat_mul(p, left_bar) == a
         assert is_definite(left_bar)
@@ -271,7 +268,7 @@ def test_walk_products_of_definite_matrices_never_exceed_unit():
     rng = random.Random(31)
     for t in range(40):
         n = rng.choice([2, 3, 4])
-        a = gen_matrix(GenConfig(n=n, constraint=Constraint.DEFINITE, seed=10000 + t))
+        a = gen_matrix(GenConfig(n=n, seed=10000 + t), Constraint.DEFINITE)
         for _ in range(8):
             walk = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
             prod = ONE
@@ -351,7 +348,7 @@ def test_integral_results_are_stored_as_int():
 def test_star_agrees_with_pseudo_inverse_and_powers():
     for t in range(40):
         n = 2 + t % 3
-        a = gen_matrix(GenConfig(n=n, constraint=Constraint.DEFINITE, seed=11000 + t))
+        a = gen_matrix(GenConfig(n=n, seed=11000 + t), Constraint.DEFINITE)
         s = kleene_star(a)
         assert mat_nu_equiv(s, pseudo_inverse(a))
         assert mat_nu_equiv(s, mat_pow(a, n - 1))
