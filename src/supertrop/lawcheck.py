@@ -29,7 +29,6 @@ from .maxpoly import (
     poly_value_equal,
     poly_value_surpasses,
     roots,
-    roots_outside,
 )
 from .semiring import (
     NEG_INF,
@@ -302,32 +301,30 @@ def chk_definite_stabilization(a: Matrix) -> TrialResult:
 
 
 def chk_similarity(a: Matrix, b: Matrix) -> TrialResult:
-    """The characteristic polynomial of the conjugate A^inv B A
-    ghost-surpasses that of B coefficient-wise, with equality when the
-    former is ghost-free; determinant and trace surpass as well, read off
-    the two polynomials as their coefficients of x^0 and x^(n-1); every
-    eigenvalue of B remains one of the conjugate; and B satisfies the
-    conjugate's polynomial in the ghost sense."""
+    """The characteristic polynomial fp of the conjugate A^inv B A
+    ghost-surpasses the characteristic polynomial fb of B, coefficient-wise.
+
+    That is fp = fb + h for a polynomial h whose coefficients are all ghost
+    or -inf.  The corollaries of the similarity result follow from it, so
+    the test suite checks them as properties and the report does not:
+    - det and trace surpass: they are coefficients 0 and n-1 of the same
+      comparison;
+    - a ghost-free fp equals fb: a tangible coefficient surpasses another
+      only by equalling it;
+    - every eigenvalue of B stays one of the conjugate: fp(x) = fb(x) + h(x)
+      with h(x) ghost or -inf, so wherever fb(x) is not tangible, neither
+      is fp(x), and roots_outside(fb, fp) is empty;
+    - B satisfies fp in the ghost sense: fp(B) = fb(B) + h(B), where h(B) is
+      ghost and fb(B) is ghost by Hamilton-Cayley, which the
+      hamilton_cayley check asserts.
+    """
     if classify(a) is not SingularityClass.NON_SINGULAR:
         raise NotNonSingularError("similarity check needs a non-singular conjugator")
-    bp = conjugate(a, b)
-    fp = char_poly(bp)
+    fp = char_poly(conjugate(a, b))
     fb = char_poly(b)
-    bad = {}
-    if not poly_ghost_surpasses(fp, fb):
-        bad["charpoly"] = f"{format_poly(fp)} | {format_poly(fb)}"
-    if not fp.has_ghost_coeff() and fp != fb:
-        bad["tangible_equality"] = f"{format_poly(fp)} | {format_poly(fb)}"
-    for key, k in (("det", 0), ("trace", b.rows - 1)):
-        if not ghost_surpasses(fp.coeff(k), fb.coeff(k)):
-            bad[key] = f"{fp.coeff(k)} | {fb.coeff(k)}"
-    missing = roots_outside(fb, fp)
-    if missing:
-        bad["eigenvalue_containment"] = ", ".join(format_scalar(x) for x in missing)
-    at_b = eval_at_matrix(fp, b)
-    if not is_ghost_matrix(at_b):
-        bad["conjugate_poly_at_b"] = format_matrix(at_b)
-    return TrialResult(not bad, bad)
+    if poly_ghost_surpasses(fp, fb):
+        return TrialResult(True)
+    return TrialResult(False, {"charpoly": f"{format_poly(fp)} | {format_poly(fb)}"})
 
 
 _CHARPOLY_POWER_MAX = 3

@@ -216,6 +216,8 @@ def parse_scalar(text: str) -> Element:
         value = _canon(Fraction(m.group(1)))
     except ZeroDivisionError:
         raise ParseError(f"bad scalar {text!r}: zero denominator") from None
+    except ValueError as exc:  # more digits than int conversion allows
+        raise ParseError(f"bad scalar: {exc}") from None
     kind = GHOST_KIND if m.group(2) else TANGIBLE_KIND
     return Element(kind, value)
 

@@ -649,11 +649,17 @@ def matrix_to_json(a: Matrix) -> str:
 def matrix_from_json(text: str) -> Matrix:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer past the digit limit;
+        # RecursionError: nesting deeper than the decoder's stack
         raise ParseError(f"invalid JSON: {exc}") from None
     return matrix_from_dict(d)
 
 
 def load_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"matrix file is not UTF-8: {exc}") from None
+    return matrix_from_json(text)

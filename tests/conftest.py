@@ -9,6 +9,7 @@ from supertrop import (
     ONE,
     Polynomial,
     add,
+    ghost,
     ghost_surpasses,
     identity,
     mat_add,
@@ -33,6 +34,16 @@ def mat(s: str) -> Matrix:
 def poly(s: str) -> Polynomial:
     """Coefficients from exponent 0 upward, comma separated."""
     return Polynomial(parse_scalar(p) for p in s.split(","))
+
+
+def ghost_poly(rng, degree: int, num: int, den: int) -> Polynomial:
+    """Each coefficient -inf or a ghost numerator in [-num, num] over den,
+    with even odds: a polynomial that, added to another, is ghost-surpassed
+    by the sum coefficient-wise."""
+    return Polynomial(
+        NEG_INF if rng.randrange(2) else ghost(Fraction(rng.randint(-num, num), den))
+        for _ in range(degree + 1)
+    )
 
 
 def naive_det(a: Matrix, rows=None, cols=None):

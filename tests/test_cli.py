@@ -87,8 +87,13 @@ def test_compute_exit_codes(capsys, strictly_singular, tmp_path):
     assert "domain error" in capsys.readouterr().err
     assert main(["compute", "det", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"rows\": 1}")
-    assert main(["compute", "det", str(bad)]) == 1
+    for data in (b'{"rows": 1}',
+                 b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}',
+                 b"[" * 100000 + b"]" * 100000,
+                 b'{"rows": 1, "cols": 1, "entries": [["' + b"1" * 5000 + b'"]]}'):
+        bad.write_bytes(data)
+        assert main(["compute", "det", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
     big = tmp_path / "big.json"
     from supertrop import identity
 

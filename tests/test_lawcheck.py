@@ -16,7 +16,7 @@ from supertrop import (
     is_invertible,
     matrix_to_dict,
 )
-from supertrop import lawcheck, tropmat
+from supertrop import lawcheck, maxpoly, spectral, tropmat
 from supertrop.lawcheck import (
     CHECK_IDS,
     CHECKS,
@@ -158,12 +158,24 @@ def test_chk_nabla_period_examples():
         chk_nabla_period(mat("0 0; 0 0"))
 
 
+def _count_calls(monkeypatch, name):
+    """Count calls to the library function `name` through every module that
+    binds it."""
+    calls = []
+    for module in (tropmat, maxpoly, spectral, lawcheck):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name,
+                                lambda *args, _f=getattr(module, name): calls.append(1) or _f(*args))
+    return calls
+
+
 def test_law_checks_fold_each_quantity_once(monkeypatch):
     """The similarity check folds for its classify guard, the conjugate's
-    pseudo-inverse (2) and the two characteristic polynomials, reading det
-    and trace off the latter.  The period check's guard is its definite_form
-    call (A and the conductor's determinant), then 2 for each of the four
-    pseudo-inverses."""
+    pseudo-inverse (2) and the two characteristic polynomials, multiplies
+    only to form the conjugate, and leaves the corollaries of its law to the
+    tier-1 tests: no root containment and no substitution of B.  The period
+    check's guard is its definite_form call (A and the conductor's
+    determinant), then 2 for each of the four pseudo-inverses."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold",
@@ -175,6 +187,18 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
         folds.clear()
         assert call().ok
         assert len(folds) == want
+    products = _count_calls(monkeypatch, "mat_mul")
+    corollaries = (_count_calls(monkeypatch, "roots_outside")
+                   + _count_calls(monkeypatch, "eval_at_matrix"))
+    assert chk_similarity(a, b).ok
+    assert len(products) == 2
+    assert corollaries == []
+    # with every comparison in lawcheck answering no, the one key is the law's
+    for name in ("poly_ghost_surpasses", "ghost_surpasses", "is_ghost_matrix"):
+        monkeypatch.setattr(lawcheck, name, lambda *args: False)
+    res = chk_similarity(a, b)
+    assert not res.ok
+    assert list(res.details) == ["charpoly"]
 
 
 def test_chk_definite_stabilization_examples():

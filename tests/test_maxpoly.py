@@ -37,6 +37,7 @@ from supertrop.maxpoly import _comparison_grid
 from conftest import (
     _all_pairs_grid,
     el,
+    ghost_poly,
     naive_eval,
     naive_value_equal,
     naive_value_surpasses,
@@ -424,6 +425,25 @@ def test_roots_outside_matches_a_dense_rational_oracle():
             assert bool(got) == want, (str(a), str(b))
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_adding_a_ghost_polynomial_keeps_the_roots():
+    """f = g + h with every coefficient of h ghost or -inf: f ghost-surpasses
+    g, every root of g is a root of f (f(x) = g(x) + h(x), and h(x) is not
+    tangible), and a ghost-free f equals g.  The similarity check asserts
+    only the first; this test checks the other two."""
+    rng = random.Random(2031)
+    ghost_free = 0
+    for _ in range(600):
+        den = rng.choice((1, 2))
+        g = _tie_heavy_poly(rng, rng.randint(1, 6), 3, den)
+        f = poly_add(g, ghost_poly(rng, rng.randint(1, 6), 3, den))
+        assert poly_ghost_surpasses(f, g)
+        assert roots_outside(g, f) == [], (str(g), str(f))
+        if not f.has_ghost_coeff():
+            ghost_free += 1
+            assert f == g
+    assert ghost_free >= 10
 
 
 def test_comparison_grid_is_linear_in_degree():

@@ -26,6 +26,7 @@ from supertrop import (
     kth_root,
     mat_add,
     mat_pow,
+    poly_add,
     poly_eval,
     poly_ghost_surpasses,
     poly_pow,
@@ -33,13 +34,14 @@ from supertrop import (
     poly_value_surpasses,
     power,
     roots,
+    roots_outside,
     scalar_mul,
     tangible,
     trace,
 )
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
-from conftest import el, mat, poly
+from conftest import el, ghost_poly, mat, poly
 
 
 # -- characteristic polynomial ------------------------------------------------------
@@ -158,6 +160,19 @@ def test_hamilton_cayley_sampled():
         assert is_ghost_matrix(eval_at_matrix(char_poly(a), a))
 
 
+def test_ghost_polynomial_added_to_char_poly_is_ghost_at_the_matrix():
+    """(f_B + h)(B) = f_B(B) + h(B) is ghost for every h whose coefficients
+    are ghost or -inf: f_B(B) by Hamilton-Cayley, h(B) term by term.  With
+    f_B + h the characteristic polynomial of a conjugate of B, this is why
+    the similarity check need not evaluate it at B."""
+    rng = random.Random(1300)
+    for t in range(60):
+        n, den = 2 + t % 4, 1 + t % 2
+        b = gen_matrix(GenConfig(n=n, numerator_range=(-3, 3), denominator=den, seed=900 + t))
+        h = ghost_poly(rng, rng.randint(0, n), 3, den)
+        assert is_ghost_matrix(eval_at_matrix(poly_add(char_poly(b), h), b))
+
+
 # -- similarity ---------------------------------------------------------------------------
 
 
@@ -182,6 +197,7 @@ def test_similarity_laws_sampled():
         assert ghost_surpasses(trace(bp), trace(b))
         if not fp.has_ghost_coeff():
             assert fp == fb
+        assert roots_outside(fb, fp) == []
         assert is_ghost_matrix(eval_at_matrix(fp, b))
 
 

@@ -33,6 +33,7 @@ from supertrop import (
     is_ghost_matrix,
     is_invertible,
     kleene_star,
+    load_matrix,
     mat_add,
     mat_ghost_surpasses,
     mat_mul,
@@ -399,6 +400,14 @@ def test_matrix_json_strictness(bad):
         matrix_from_dict(bad)
 
 
-def test_matrix_json_text_errors():
-    with pytest.raises(ParseError):
-        matrix_from_json("{not json")
+def test_matrix_json_text_errors(tmp_path):
+    """Each bad text is a ParseError, not the decoder's own exception."""
+    deep = "[" * 100000 + "]" * 100000
+    long_int = '{"rows": ' + "1" * 5000 + "}"
+    for text in ("{not json", deep, long_int):
+        with pytest.raises(ParseError):
+            matrix_from_json(text)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xff"]]}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_matrix(str(latin1))
