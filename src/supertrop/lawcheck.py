@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConstraintUnsatisfiableError, NotNonSingularError
+from .errors import ConstraintUnsatisfiableError, NotNonSingularError, SizeCapExceededError
 from .maxpoly import (
     format_poly,
     inflate,
@@ -46,6 +46,7 @@ from .semiring import (
 )
 from .spectral import char_poly, conjugate, eval_at_matrix
 from .tropmat import (
+    DEFAULT_DET_CAP,
     Matrix,
     SingularityClass,
     adjugate,
@@ -472,10 +473,14 @@ def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
     matrix honours the checker's constraint, a second one (where used) is
     unconstrained.  Only a trial that fails or flags a counterexample
     serializes its inputs as a witness.  The report is a deterministic
-    function of (check_id, cfg, trials).
+    function of (check_id, cfg, trials).  Every check folds its matrices,
+    so an order above the kernels' size cap is refused before any draw.
     """
     if check_id not in CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    if cfg.n > DEFAULT_DET_CAP:
+        raise SizeCapExceededError(
+            f"subset-fold kernels capped at n <= {DEFAULT_DET_CAP}, got n = {cfg.n}")
     defn = CHECKS[check_id]
     t0 = time.perf_counter()
     passes = 0

@@ -9,13 +9,16 @@ crossover of two tangible essential monomials, and non-corner intervals
 where ghost essential monomials dominate.  Two polynomials are equal as
 maps when their essential forms are equal; the other comparisons evaluate
 the two essential forms at -inf and at and between the breakpoints of those
-forms and of their sum, the same breakpoints that give the roots.
+forms and of their sum, the same breakpoints that give the roots.  That
+evaluation runs on ints: coefficients and points scaled by their common
+denominator, so ties are exact and no Fraction is added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import DegeneratePolynomialError, ParseError
@@ -299,17 +302,52 @@ def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
     return [Element(TANGIBLE_KIND, x) for x in grid]
 
 
+def _grid_values(f: Polynomial, g: Polynomial) -> tuple[list, list, list]:
+    """-inf and the comparison grid of the essential forms f and g, with
+    the values of f and of g at each of those points.
+
+    The magnitudes of the values are ints on one scale, the common
+    denominator of the coefficients and the points, and no Fraction is
+    added.  Scaling every magnitude by one positive int keeps kinds, ties
+    and order, so ghost_surpasses decides on these values exactly what it
+    decides on the true ones.  At -inf only the constant term is finite.
+    """
+    points = [NEG_INF, *_comparison_grid(f, g)]
+    fm, gm = f.monomials(), g.monomials()
+    scale = 1
+    for v in [c.value for _, c in fm + gm] + [x.value for x in points[1:]]:
+        if scale % v.denominator:
+            scale = lcm(scale, v.denominator)
+    xs = [x.value.numerator * (scale // x.value.denominator) for x in points[1:]]
+
+    def values(mons: list[tuple[int, Element]]) -> list[Element]:
+        terms = [(i, c.value.numerator * (scale // c.value.denominator), c.kind)
+                 for i, c in mons]
+        out = [Element(terms[0][2], terms[0][1]) if terms and terms[0][0] == 0 else NEG_INF]
+        for x in xs:
+            best, kind = None, NEG_INF_KIND
+            for i, c, k in terms:
+                v = c + i * x
+                if best is None or v > best:
+                    best, kind = v, k
+                elif v == best:
+                    kind = GHOST_KIND
+            out.append(NEG_INF if best is None else Element(kind, best))
+        return out
+
+    return points, values(fm), values(gm)
+
+
 def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     """True iff eval(f, x) ghost-surpasses eval(g, x) at every point.
 
     f and g are replaced by their essential forms (the same maps), which
-    are then evaluated at -inf and on the comparison grid: that decides the
-    comparison exactly.  This is the functional counterpart of
-    poly_ghost_surpasses and is strictly weaker than it.
+    are then evaluated at -inf and on the comparison grid, on scaled ints:
+    that decides the comparison exactly.  This is the functional
+    counterpart of poly_ghost_surpasses and is strictly weaker than it.
     """
-    f, g = essential(f), essential(g)
-    return all(ghost_surpasses(poly_eval(f, x), poly_eval(g, x))
-               for x in [NEG_INF, *_comparison_grid(f, g)])
+    _, fv, gv = _grid_values(essential(f), essential(g))
+    return all(ghost_surpasses(a, b) for a, b in zip(fv, gv))
 
 
 def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
@@ -329,11 +367,11 @@ def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     replaced by their essential forms (the same maps).  On each cell of the
     comparison grid each is one monomial of fixed kind, so whether a point
     is a root of either is constant there: evaluating them at -inf and on
-    the grid decides containment of the root sets exactly.
+    the grid, on scaled ints, decides containment of the root sets exactly.
     """
-    g, f = essential(g), essential(f)
-    return [x for x in [NEG_INF, *_comparison_grid(f, g)]
-            if poly_eval(g, x).kind != TANGIBLE_KIND and poly_eval(f, x).kind == TANGIBLE_KIND]
+    points, fv, gv = _grid_values(essential(f), essential(g))
+    return [x for x, fx, gx in zip(points, fv, gv)
+            if gx.kind != TANGIBLE_KIND and fx.kind == TANGIBLE_KIND]
 
 
 # -- text form ---------------------------------------------------------------

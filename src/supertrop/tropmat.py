@@ -12,17 +12,19 @@ forward fold), the dominant track of a definite form (read back from the
 fold that gave its determinant) and the characteristic coefficients (the
 fold of xI + A).  Definiteness is decided without the fold, by the cycle
 test of a Floyd-Warshall max-plus closure (n^3 instead of 2^n), and that
-closure is the Kleene star.  All of these work on magnitudes scaled to ints
-by the matrix's common denominator, so ties are exact integer ties and no
-Fraction is added or compared inside a kernel.  There is no floating point
-and no assignment-problem shortcut, because such shortcuts do not report
-tied optima.
+closure is the Kleene star.  All of these, and the matrix product, work on
+magnitudes scaled to ints by the common denominator of the matrices they
+read, so ties are exact integer ties and no Fraction is added or compared
+inside a kernel or a product; each result entry becomes an Element once, at
+the end.  There is no floating point and no assignment-problem shortcut,
+because such shortcuts do not report tied optima.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -160,17 +162,60 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, (add(x, y) for x, y in zip(a.entries, b.entries)))
 
 
+# -- scaled rows --------------------------------------------------------------
+#
+# Products and kernels read a matrix as rows of its finite entries,
+# (column, magnitude, ghost).  Magnitudes are ints, scaled by the common
+# denominator of every matrix read together, so ties are exact integer ties
+# and no Fraction is added.  A state is [magnitude, ghost]; -inf is None or
+# a missing key.
+
+
+def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
+    """The rows of each matrix as lists of (column, magnitude, ghost) over
+    its finite entries, and the one scale of all their magnitudes."""
+    scale = 1
+    for a in mats:
+        for e in a.entries:
+            if type(e.value) is Fraction and scale % e.value.denominator:
+                scale = lcm(scale, e.value.denominator)
+    out = []
+    for a in mats:
+        rows = []
+        for i in range(a.rows):
+            row = []
+            for j, e in enumerate(a.row(i)):
+                if e.kind != NEG_INF_KIND:
+                    v = e.value
+                    m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                    row.append((j, m, e.kind == GHOST_KIND))
+            rows.append(row)
+        out.append(rows)
+    return out, scale
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product AB: entry (i, j) is the supertropical sum of a_ik b_kj.
+
+    Row i of A is accumulated over its finite entries only, each times the
+    finite entries of the matching row of B, on the scaled ints of both
+    factors: the larger magnitude wins and a tie gives a ghost.
+    """
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    (arows, brows), scale = _scaled_rows(a, b)
     out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = NEG_INF
-            for k in range(a.cols):
-                acc = add(acc, mul(arow[k], b.at(k, j)))
-            out.append(acc)
+    for arow in arows:
+        acc: list = [None] * b.cols
+        for k, m, g in arow:
+            for j, w, wg in brows[k]:
+                v = m + w
+                cur = acc[j]
+                if cur is None or v > cur[0]:
+                    acc[j] = [v, g or wg]
+                elif v == cur[0]:
+                    cur[1] = True
+        out += [_element(st, scale) for st in acc]
     return Matrix(a.rows, b.cols, out)
 
 
@@ -193,10 +238,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # -- the permanent kernel -----------------------------------------------------
 #
 # A kernel row lists the finite entries of one matrix row as
-# (column bit, key step, magnitude, ghost).  Magnitudes are ints, scaled by
-# the common denominator of the matrix, so ties are exact integer ties and no
-# Fraction is added inside the fold.  A state is [magnitude, ghost]; -inf is
-# a missing key.
+# (column bit, key step, magnitude, ghost), read off the scaled rows.
 
 
 def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple]], int]:
@@ -208,21 +250,8 @@ def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple
     require_square(a)
     if a.rows > cap:
         raise SizeCapExceededError(f"subset-fold kernels capped at n <= {cap}, got n = {a.rows}")
-    scale = 1
-    for e in a.entries:
-        if e.kind != NEG_INF_KIND:
-            scale = lcm(scale, e.value.denominator)
-    rows = []
-    for i in range(a.rows):
-        row = []
-        for j, e in enumerate(a.row(i)):
-            if e.kind != NEG_INF_KIND:
-                v = e.value
-                bit = 1 << j
-                row.append((bit, bit, v.numerator * (scale // v.denominator),
-                            e.kind == GHOST_KIND))
-        rows.append(row)
-    return rows, scale
+    (rows,), scale = _scaled_rows(a)
+    return [[(1 << j, 1 << j, m, g) for j, m, g in row] for row in rows], scale
 
 
 def _element(state: list | None, scale: int) -> Element:

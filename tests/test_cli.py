@@ -1,12 +1,13 @@
 """Command surface: outputs, exit codes, round-trips, report determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from supertrop import matrix_from_dict, matrix_to_json
+from supertrop import lawcheck, matrix_from_dict, matrix_to_json
 from supertrop.cli import main
 
 from conftest import mat
@@ -139,6 +140,38 @@ def test_check_flag_validation(capsys):
     assert main(["check", "--suite", "det_product", "--n", "2", "--trials", "-3"]) == 1
     assert main(["explore", "--n", "2", "--trials", "-3"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_check_above_the_size_cap_exits_2_before_drawing(capsys, monkeypatch):
+    def no_draw(rng, cfg, constraint):
+        raise AssertionError("drew a matrix above the size cap")
+
+    monkeypatch.setattr(lawcheck, "_gen_with_rng", no_draw)
+    assert main(["check", "--suite", "det_product", "--n", "17", "--trials", "1"]) == 2
+    assert main(["explore", "--n", "17", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("capped at n <= 16, got n = 17") == 2
+
+
+# sha256 of the stdout of `check` with these flags: reports stay byte
+# identical across changes that keep every result the same.
+PINNED_REPORTS = [
+    (["--suite", "all", "--n", "5", "--trials", "60", "--seed", "42"],
+     "2bb833de3833ec0f373de63bad3693d502d99f2f9d3bba6ecd2e9fbb7e9432e1"),
+    (["--suite", "all", "--n", "4", "--trials", "40", "--seed", "3",
+      "--range", "-2", "2", "--denominator", "2"],
+     "02d048ee36fde9502c8bba712c389f7f9320a8dce16d3cc7afe7586ec4c449e0"),
+    (["--suite", "similarity", "--n", "6", "--trials", "300", "--seed", "11",
+      "--range", "-2", "2", "--denominator", "2"],
+     "0aea68e2d1781e48df7f8b7facf12577ce44bf370a50fb1c8aa715a8d3f7ed1a"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", PINNED_REPORTS)
+def test_check_reports_match_their_pinned_digests(capsys, flags, digest):
+    assert main(["check", *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_explore_cli(tmp_path, capsys):

@@ -25,6 +25,7 @@ from supertrop import (
     definite_form,
     determinant,
     eigenvalues,
+    ghost,
     hat_matrix,
     identity,
     invert,
@@ -40,7 +41,7 @@ from supertrop import (
 )
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
-from conftest import mat, naive_adj, naive_char_poly, naive_det, naive_star
+from conftest import mat, naive_adj, naive_char_poly, naive_det, naive_mat_mul, naive_star
 
 # Matrices per order; the oracles enumerate n! tracks per minor.
 COUNTS = {1: 40, 2: 60, 3: 60, 4: 60, 5: 40, 6: 25, 7: 10}
@@ -130,6 +131,55 @@ def test_pseudo_inverse_matches_oracle_scaling():
             c = to_ghost(c) if d.is_ghost else c
             assert pseudo_inverse(a) == naive_adj(a).map(lambda e: mul(c, e))
     assert len(kinds) == 3
+
+
+def product_factor(rng, rows, cols):
+    """Numerators in [-2, 2] over 1, 2 or 3, drawn entry by entry so one
+    matrix mixes its denominators; a fifth -inf, a tenth ghosts, and in a
+    third of the draws a whole row, in another third a whole column of -inf."""
+    entries = []
+    for _ in range(rows * cols):
+        if rng.randrange(5) == 0:
+            entries.append(NEG_INF)
+            continue
+        v = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        entries.append(ghost(v) if rng.randrange(10) == 0 else tangible(v))
+    blank = rng.randrange(3)
+    if blank == 1:
+        i = rng.randrange(rows)
+        entries[i * cols:(i + 1) * cols] = [NEG_INF] * cols
+    elif blank == 2:
+        j = rng.randrange(cols)
+        entries[j::cols] = [NEG_INF] * rows
+    return Matrix(rows, cols, entries)
+
+
+def product_shapes(rng):
+    """(rows, inner, cols): squares of order 1..10, each also times an n x 1
+    column, and rectangular shapes up to 6 a side."""
+    for n in range(1, 11):
+        for _ in range(12):
+            yield n, n, n
+            yield n, n, 1
+    for _ in range(150):
+        yield rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+
+
+def test_mat_mul_matches_oracle_on_ties():
+    """Each entry of the product against the scalar fold: same kind, same
+    value and the same value type (int when integral, else Fraction)."""
+    rng = random.Random(2042)
+    kinds = set()
+    for p, q, r in product_shapes(rng):
+        a, b = product_factor(rng, p, q), product_factor(rng, q, r)
+        got, want = mat_mul(a, b), naive_mat_mul(a, b)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert [(e.kind, e.value, type(e.value)) for e in got.entries] == \
+            [(e.kind, e.value, type(e.value)) for e in want.entries], (a, b)
+        kinds.update((e.is_ghost, type(e.value)) for e in got.entries)
+    # -inf, tangibles and ghosts occur, the latter with both value types
+    assert kinds == {(False, type(None)), (False, int), (False, Fraction),
+                     (True, int), (True, Fraction)}
 
 
 @pytest.mark.parametrize("n", sorted(COUNTS))
@@ -242,11 +292,12 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert is_definite(d)
     calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
              (tropmat.char_poly_coefficients, a), (tropmat.is_definite, d),
-             (tropmat.kleene_star, d)]
+             (tropmat.kleene_star, d), (lambda m: tropmat.mat_mul(m, d), a),
+             (lambda m: tropmat.mat_pow(m, 3), a)]
     want = [f(x) for f, x in calls]
 
     def no_arithmetic(*args):
-        raise AssertionError("Fraction arithmetic inside a kernel")
+        raise AssertionError("Fraction arithmetic inside a kernel or product")
 
     for name in FRACTION_OPS:
         monkeypatch.setattr(Fraction, name, no_arithmetic)

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from supertrop import (
+    DEFAULT_DET_CAP,
     ConstraintUnsatisfiableError,
     NotDefiniteError,
     NotNonSingularError,
     SingularityClass,
+    SizeCapExceededError,
     classify,
     identity,
     is_definite,
@@ -337,6 +339,18 @@ def test_run_check_records_replayable_witnesses(monkeypatch):
 def test_run_check_unknown_id():
     with pytest.raises(KeyError):
         run_check("nope", GenConfig(n=2, seed=0), 1)
+
+
+def test_run_check_refuses_an_order_above_the_cap_before_any_draw(monkeypatch):
+    """Every check folds, so an order above DEFAULT_DET_CAP is refused
+    before a matrix is drawn or multiplied."""
+    def no_draw(rng, cfg, constraint):
+        raise AssertionError("drew a matrix above the size cap")
+
+    monkeypatch.setattr(lawcheck, "_gen_with_rng", no_draw)
+    for check_id in CHECK_IDS:
+        with pytest.raises(SizeCapExceededError):
+            run_check(check_id, GenConfig(n=DEFAULT_DET_CAP + 1, seed=0), 1)
 
 
 def test_run_suite_order_and_shape():

@@ -366,15 +366,16 @@ def test_eval_matches_the_dense_walk():
 
 def test_map_comparisons_evaluate_only_essential_forms(monkeypatch):
     """poly_value_surpasses and roots_outside read the maps off the essential
-    forms: every polynomial they evaluate is its own essential form."""
+    forms: every polynomial their grid evaluator takes is its own essential
+    form."""
     seen = []
-    evaluate = maxpoly.poly_eval
+    evaluate = maxpoly._grid_values
 
-    def recorded(f, x):
-        seen.append(f)
-        return evaluate(f, x)
+    def recorded(f, g):
+        seen.extend((f, g))
+        return evaluate(f, g)
 
-    monkeypatch.setattr(maxpoly, "poly_eval", recorded)
+    monkeypatch.setattr(maxpoly, "_grid_values", recorded)
     for f, g in _tie_heavy_pairs(400, seed=2023):
         for a, b in ((f, g), (g, f)):
             poly_value_surpasses(a, b)
@@ -444,6 +445,32 @@ def test_adding_a_ghost_polynomial_keeps_the_roots():
             ghost_free += 1
             assert f == g
     assert ghost_free >= 10
+
+
+def test_grid_comparisons_match_poly_eval_on_the_same_grid():
+    """poly_value_surpasses and roots_outside against poly_eval at -inf and
+    on the same comparison grid, on tie-heavy pairs over denominators 1..3.
+    Pairs f = g + h with h ghost or -inf, h over its own denominator, make
+    the surpassing true and the outside roots empty often enough that both
+    answers occur."""
+    rng = random.Random(2043)
+    pairs = list(_tie_heavy_pairs(600, seed=2043))
+    for _ in range(300):
+        g = _tie_heavy_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3))
+        pairs.append((poly_add(g, ghost_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3))), g))
+    outcomes = {"surpasses": set(), "outside": set()}
+    for f, g in pairs:
+        for a, b in ((f, g), (g, f)):
+            ea, eb = essential(a), essential(b)
+            points = [NEG_INF, *_comparison_grid(ea, eb)]
+            want = all(ghost_surpasses(poly_eval(ea, x), poly_eval(eb, x)) for x in points)
+            assert poly_value_surpasses(a, b) == want, (str(a), str(b))
+            outside = [x for x in points
+                       if not poly_eval(ea, x).is_tangible and poly_eval(eb, x).is_tangible]
+            assert roots_outside(a, b) == outside, (str(a), str(b))
+            outcomes["surpasses"].add(want)
+            outcomes["outside"].add(bool(outside))
+    assert outcomes == {"surpasses": {True, False}, "outside": {True, False}}
 
 
 def test_comparison_grid_is_linear_in_degree():
