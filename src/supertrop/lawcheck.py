@@ -31,18 +31,17 @@ from .maxpoly import (
     roots,
 )
 from .semiring import (
+    GHOST_KIND,
     NEG_INF,
     ONE,
+    TANGIBLE_KIND,
     Element,
-    Rational,
     format_scalar,
-    ghost,
     ghost_surpasses,
     kth_root,
     mul,
     power,
     rational,
-    tangible,
 )
 from .spectral import char_poly, conjugate, eval_at_matrix
 from .tropmat import (
@@ -112,15 +111,20 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        lo, hi = self.numerator_range
+        for name, x in (("n", self.n), ("a numerator_range bound", lo),
+                        ("a numerator_range bound", hi), ("denominator", self.denominator),
+                        ("seed", self.seed)):
+            if type(x) is not int:
+                raise ValueError(f"{name} must be an int, got {x!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        lo, hi = self.numerator_range
         if lo > hi:
             raise ValueError("empty numerator range")
         if self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
         for p in (self.neginf_prob, self.ghost_prob):
-            if not isinstance(p, (int, Fraction)) or not 0 <= p <= 1:
+            if type(p) not in (int, Fraction) or not 0 <= p <= 1:
                 raise ValueError("probabilities must be exact rationals in [0, 1]")
         if not 0 <= self.seed <= _MASK:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -140,28 +144,57 @@ def _sub_seed(seed: int, trial: int) -> int:
     return (seed * _MIX + trial + 1) & _MASK
 
 
-def _draw_value(rng: random.Random, cfg: GenConfig) -> Rational:
-    return rational(rng.randint(*cfg.numerator_range), cfg.denominator)
+def _entry_drawer(rng: random.Random, cfg: GenConfig) -> Callable[[bool], Element]:
+    """draw(kinds) -> one entry drawn as cfg says; draw(False) is a tangible
+    value only.
 
+    Each draw takes the bits of rng.getrandbits that randrange(d) and
+    randint(lo, hi) take, for d the denominator of a probability and for
+    the width of the numerator range: k = d.bit_length() bits, drawn again
+    while they read >= d.  So a seed gives the matrices it gave through
+    those calls, and no random.py frame runs per entry.
+    """
+    bits = rng.getrandbits
+    lo, hi = cfg.numerator_range
+    width = hi - lo + 1
+    kw = width.bit_length()
+    den = cfg.denominator
+    n_num, n_den = cfg.neginf_prob.numerator, cfg.neginf_prob.denominator
+    g_num, g_den = cfg.ghost_prob.numerator, cfg.ghost_prob.denominator
+    kn, kg = n_den.bit_length(), g_den.bit_length()
 
-def _draw_entry(rng: random.Random, cfg: GenConfig) -> Element:
-    if rng.randrange(cfg.neginf_prob.denominator) < cfg.neginf_prob.numerator:
-        return NEG_INF
-    v = _draw_value(rng, cfg)
-    if rng.randrange(cfg.ghost_prob.denominator) < cfg.ghost_prob.numerator:
-        return ghost(v)
-    return tangible(v)
+    def draw(kinds: bool = True) -> Element:
+        if kinds:
+            r = bits(kn)
+            while r >= n_den:
+                r = bits(kn)
+            if r < n_num:
+                return NEG_INF
+        r = bits(kw)
+        while r >= width:
+            r = bits(kw)
+        v = lo + r if den == 1 else rational(lo + r, den)
+        if kinds:
+            r = bits(kg)
+            while r >= g_den:
+                r = bits(kg)
+            if r < g_num:
+                return Element(GHOST_KIND, v)
+        return Element(TANGIBLE_KIND, v)
+
+    return draw
 
 
 def _gen_with_rng(rng: random.Random, cfg: GenConfig, constraint: Constraint) -> Matrix:
     n = cfg.n
+    draw = _entry_drawer(rng, cfg)
     for _ in range(MAX_GEN_ATTEMPTS):
         if constraint is Constraint.INVERTIBLE:
             perm = list(range(n))
             rng.shuffle(perm)
             entries = [NEG_INF] * (n * n)
             for i in range(n):
-                entries[i * n + perm[i]] = tangible(_draw_value(rng, cfg))
+                entries[i * n + perm[i]] = draw(False)
             return Matrix(n, n, entries)
         if constraint is Constraint.TRIANGULAR:
             # Upper triangular with a tangible diagonal, hence non-singular.
@@ -171,15 +204,15 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig, constraint: Constraint) ->
                     if j < i:
                         entries.append(NEG_INF)
                     elif j == i:
-                        entries.append(tangible(_draw_value(rng, cfg)))
+                        entries.append(draw(False))
                     else:
-                        entries.append(_draw_entry(rng, cfg))
+                        entries.append(draw())
             return Matrix(n, n, entries)
         if constraint is Constraint.DEFINITE:
             # The definite factor of a non-singular draw with a tangible-0
             # diagonal (A = P D); with no finite entry off it, A = I = D.
             entries = [
-                ONE if i == j else _draw_entry(rng, cfg)
+                ONE if i == j else draw()
                 for i in range(n)
                 for j in range(n)
             ]
@@ -187,7 +220,7 @@ def _gen_with_rng(rng: random.Random, cfg: GenConfig, constraint: Constraint) ->
             if classify(a) is SingularityClass.NON_SINGULAR:
                 return definite_form(a)[1]
             continue
-        a = Matrix(n, n, (_draw_entry(rng, cfg) for _ in range(n * n)))
+        a = Matrix(n, n, [draw() for _ in range(n * n)])
         if constraint is Constraint.NONE:
             return a
         if constraint is Constraint.NON_SINGULAR \

@@ -98,11 +98,11 @@ ONE = Element(TANGIBLE_KIND, 0)
 
 
 def tangible(value: _RationalLike) -> Element:
-    return Element(TANGIBLE_KIND, value if isinstance(value, int) else _canon(Fraction(value)))
+    return Element(TANGIBLE_KIND, value if type(value) is int else _canon(Fraction(value)))
 
 
 def ghost(value: _RationalLike) -> Element:
-    return Element(GHOST_KIND, value if isinstance(value, int) else _canon(Fraction(value)))
+    return Element(GHOST_KIND, value if type(value) is int else _canon(Fraction(value)))
 
 
 def add(a: Element, b: Element) -> Element:

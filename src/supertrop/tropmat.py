@@ -164,21 +164,27 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 # -- scaled rows --------------------------------------------------------------
 #
-# Products and kernels read a matrix as rows of its finite entries,
-# (column, magnitude, ghost).  Magnitudes are ints, scaled by the common
-# denominator of every matrix read together, so ties are exact integer ties
-# and no Fraction is added.  A state is [magnitude, ghost]; -inf is None or
-# a missing key.
+# Products read a matrix as rows of its finite entries, (column, magnitude,
+# ghost); kernels read it as the kernel rows below.  Magnitudes are ints,
+# scaled by the common denominator of every matrix read together, so ties
+# are exact integer ties and no Fraction is added.  A state is
+# [magnitude, ghost]; -inf is None or a missing key.
 
 
-def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
-    """The rows of each matrix as lists of (column, magnitude, ghost) over
-    its finite entries, and the one scale of all their magnitudes."""
+def _scale(*mats: Matrix) -> int:
+    """The common denominator of every entry of the matrices."""
     scale = 1
     for a in mats:
         for e in a.entries:
             if type(e.value) is Fraction and scale % e.value.denominator:
                 scale = lcm(scale, e.value.denominator)
+    return scale
+
+
+def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
+    """The rows of each matrix as lists of (column, magnitude, ghost) over
+    its finite entries, and the one scale of all their magnitudes."""
+    scale = _scale(*mats)
     out = []
     for a in mats:
         rows = []
@@ -238,7 +244,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # -- the permanent kernel -----------------------------------------------------
 #
 # A kernel row lists the finite entries of one matrix row as
-# (column bit, key step, magnitude, ghost), read off the scaled rows.
+# (column bit, key step, magnitude, ghost), on the scale of that matrix.
 
 
 def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple]], int]:
@@ -250,8 +256,19 @@ def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple
     require_square(a)
     if a.rows > cap:
         raise SizeCapExceededError(f"subset-fold kernels capped at n <= {cap}, got n = {a.rows}")
-    (rows,), scale = _scaled_rows(a)
-    return [[(1 << j, 1 << j, m, g) for j, m, g in row] for row in rows], scale
+    scale = _scale(a)
+    rows = []
+    for i in range(a.rows):
+        row = []
+        bit = 1
+        for e in a.row(i):
+            if e.kind != NEG_INF_KIND:
+                v = e.value
+                m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                row.append((bit, bit, m, e.kind == GHOST_KIND))
+            bit <<= 1
+        rows.append(row)
+    return rows, scale
 
 
 def _element(state: list | None, scale: int) -> Element:

@@ -154,23 +154,30 @@ def test_check_above_the_size_cap_exits_2_before_drawing(capsys, monkeypatch):
     assert captured.err.count("capped at n <= 16, got n = 17") == 2
 
 
-# sha256 of the stdout of `check` with these flags: reports stay byte
-# identical across changes that keep every result the same.
+# sha256 of the stdout of these commands: reports stay byte identical
+# across changes that keep every result the same.
 PINNED_REPORTS = [
-    (["--suite", "all", "--n", "5", "--trials", "60", "--seed", "42"],
+    (["check", "--suite", "all", "--n", "5", "--trials", "60", "--seed", "42"],
      "2bb833de3833ec0f373de63bad3693d502d99f2f9d3bba6ecd2e9fbb7e9432e1"),
-    (["--suite", "all", "--n", "4", "--trials", "40", "--seed", "3",
+    (["check", "--suite", "all", "--n", "4", "--trials", "40", "--seed", "3",
       "--range", "-2", "2", "--denominator", "2"],
      "02d048ee36fde9502c8bba712c389f7f9320a8dce16d3cc7afe7586ec4c449e0"),
-    (["--suite", "similarity", "--n", "6", "--trials", "300", "--seed", "11",
+    (["check", "--suite", "similarity", "--n", "6", "--trials", "300", "--seed", "11",
       "--range", "-2", "2", "--denominator", "2"],
      "0aea68e2d1781e48df7f8b7facf12577ce44bf370a50fb1c8aa715a8d3f7ed1a"),
+    (["explore", "--n", "4", "--trials", "100", "--seed", "0"],
+     "c4cff4de354352aba73a5a2620550805e86122a1472d08faa1155257113566d8"),
+    # A probability with denominator 1 and Fraction entries.
+    (["check", "--suite", "all", "--n", "3", "--trials", "30", "--seed", "5",
+      "--range", "-3", "3", "--denominator", "3", "--neginf-prob", "1/3",
+      "--ghost-prob", "0"],
+     "c2614cab7edc115fb8909820d396145cc9d3f9c17f066d99534264bbd15a0248"),
 ]
 
 
 @pytest.mark.parametrize("flags, digest", PINNED_REPORTS)
 def test_check_reports_match_their_pinned_digests(capsys, flags, digest):
-    assert main(["check", *flags]) == 0
+    assert main(flags) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -2,23 +2,28 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from supertrop import (
     DEFAULT_DET_CAP,
+    NEG_INF,
     ConstraintUnsatisfiableError,
     NotDefiniteError,
     NotNonSingularError,
     SingularityClass,
     SizeCapExceededError,
     classify,
+    ghost,
     identity,
     is_definite,
     is_invertible,
     matrix_to_dict,
+    tangible,
 )
 from supertrop import lawcheck, maxpoly, spectral, tropmat
+from supertrop.semiring import rational
 from supertrop.lawcheck import (
     CHECK_IDS,
     CHECKS,
@@ -38,6 +43,7 @@ from supertrop.lawcheck import (
     replay,
     run_check,
     run_suite,
+    _entry_drawer,
     _gen_with_rng,
     _sub_seed,
 )
@@ -114,6 +120,49 @@ def test_gen_config_validation():
         GenConfig(n=2, ghost_prob=0.5)
     with pytest.raises(ValueError):
         GenConfig(n=2, denominator=0)
+    # Sizes, bounds, the denominator and the seed are ints, not bools or
+    # floats; a probability is an int or a Fraction, not a bool.
+    for kwargs in [{"n": True}, {"n": 2.0}, {"n": 2, "seed": 1.5}, {"n": 2, "seed": True},
+                   {"n": 2, "denominator": 2.0}, {"n": 2, "denominator": True},
+                   {"n": 2, "numerator_range": (-1.5, 2)},
+                   {"n": 2, "numerator_range": (0, True)},
+                   {"n": 2, "neginf_prob": True}, {"n": 2, "ghost_prob": False}]:
+        with pytest.raises(ValueError):
+            GenConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"neginf_prob": Fraction(0)},
+    {"neginf_prob": Fraction(1)},
+    {"ghost_prob": Fraction(0)},
+    {"numerator_range": (0, 0)},
+    {"numerator_range": (-(1 << 70), 1 << 70)},
+    {"denominator": 3},
+], ids=repr)
+def test_entry_draws_take_the_bits_of_randrange_and_randint(kwargs):
+    """A draw takes the very bits randrange(d) < num and randint(lo, hi)
+    take, so a seed keeps its matrices; with a probability of denominator 1,
+    randrange(1) still takes one bit."""
+    cfg = GenConfig(n=2, **kwargs)
+    ours, stdlib = random.Random(2024), random.Random(2024)
+    draw = _entry_drawer(ours, cfg)
+    lo, hi = cfg.numerator_range
+    neginf, ghost_p = cfg.neginf_prob, cfg.ghost_prob
+
+    def reference(kinds):
+        if kinds and stdlib.randrange(neginf.denominator) < neginf.numerator:
+            return NEG_INF
+        v = rational(stdlib.randint(lo, hi), cfg.denominator)
+        if kinds and stdlib.randrange(ghost_p.denominator) < ghost_p.numerator:
+            return ghost(v)
+        return tangible(v)
+
+    for i in range(2400):
+        kinds = i % 6 != 5
+        got, want = draw(kinds), reference(kinds)
+        assert got == want and type(got.value) is type(want.value)
+    assert ours.getstate() == stdlib.getstate()
 
 
 @pytest.mark.parametrize("constraint", list(Constraint))

@@ -223,6 +223,14 @@ def test_format_parse_identity(a):
     assert parse_scalar(format_scalar(a)) == a
 
 
+@pytest.mark.parametrize("make", [tangible, ghost])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_value_is_stored_as_an_int(make, flag):
+    a = make(flag)
+    assert type(a.value) is int and a == make(int(flag))
+    assert parse_scalar(format_scalar(a)) == a
+
+
 def test_parse_normalizes():
     assert parse_scalar("4/2") == tangible(2)
     assert format_scalar(parse_scalar("4/2")) == "2"
