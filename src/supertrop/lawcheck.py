@@ -126,6 +126,10 @@ class GenConfig:
         for p in (self.neginf_prob, self.ghost_prob):
             if type(p) not in (int, Fraction) or not 0 <= p <= 1:
                 raise ValueError("probabilities must be exact rationals in [0, 1]")
+            try:
+                str(p)  # to_dict prints it; str refuses ints past Python's digit limit
+            except ValueError:
+                raise ValueError("probabilities must print within the int digit limit") from None
         if not 0 <= self.seed <= _MASK:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -281,56 +285,50 @@ def chk_adj_product(a: Matrix, b: Matrix) -> TrialResult:
     return TrialResult(False, {"adj_ab": format_matrix(lhs), "adj_b_adj_a": format_matrix(rhs)})
 
 
-_NABLA_ITERATES = 4
-
-
 def chk_nabla_period(a: Matrix) -> TrialResult:
     """Iterated pseudo-inverses have period two in magnitude from the first
-    application on (checked over the first four iterates), and the second
-    iterate is P A^inv P for the left conductor P.  definite_form raises
-    NotNonSingularError for a matrix that is not non-singular."""
+    application on, and the second iterate is P A^inv P for the left
+    conductor P; definite_form raises NotNonSingularError unless A is
+    non-singular.  Period two is asserted on iterates 1 and 3 alone: the
+    magnitude of X^inv is read off that of X (det and minors are max-plus
+    permanents of magnitudes, rescaled by det's; strict singularity is a
+    magnitude fact), so by induction it carries to every later pair, which
+    the test suite checks."""
     conductor, _ = definite_form(a, "left")
-    its = [a]
-    for _ in range(_NABLA_ITERATES):
-        its.append(pseudo_inverse(its[-1]))
+    p1 = pseudo_inverse(a)
+    p2 = pseudo_inverse(p1)
+    p3 = pseudo_inverse(p2)
     bad = {}
-    for k in range(1, _NABLA_ITERATES - 1):
-        if not mat_nu_equiv(its[k], its[k + 2]):
-            bad[f"iterate_{k}_vs_{k + 2}"] = \
-                f"{format_matrix(its[k])} | {format_matrix(its[k + 2])}"
-    sandwich = mat_mul(mat_mul(conductor, its[1]), conductor)
-    if not mat_nu_equiv(its[2], sandwich):
-        bad["conductor_sandwich"] = f"{format_matrix(its[2])} | {format_matrix(sandwich)}"
+    if not mat_nu_equiv(p1, p3):
+        bad["iterate_1_vs_3"] = f"{format_matrix(p1)} | {format_matrix(p3)}"
+    sandwich = mat_mul(mat_mul(conductor, p1), conductor)
+    if not mat_nu_equiv(p2, sandwich):
+        bad["conductor_sandwich"] = f"{format_matrix(p2)} | {format_matrix(sandwich)}"
     return TrialResult(not bad, bad)
 
 
 def chk_definite_stabilization(a: Matrix) -> TrialResult:
-    """For definite A: the pseudo-inverse equals the adjoint and is definite;
-    pseudo-inverse, its square, the Kleene star, A^(n-1) and both
-    pseudo-identities all share one magnitude; and powers stabilize from
-    exponent n-1 on.  kleene_star raises NotDefiniteError for any other A."""
+    """For definite A, A^inv is definite and has the magnitude of its own
+    pseudo-inverse, the Kleene star, A^(n-1) and A^inv A; kleene_star
+    raises NotDefiniteError for any other A.  The rest follows and is left
+    to the test suite: det(A) is tangible 0, and rescaling by it changes no
+    minor, so A^inv = adj(A); magnitudes multiply in max-plus, so
+    A^(k+1) = A^k A ~ A^inv A ~ A^inv for every k >= n-1, and
+    A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
     star = kleene_star(a)
-    n = a.rows
     pinv = pseudo_inverse(a)
     bad = {}
-    if pinv != adjugate(a) or not is_definite(pinv):
-        bad["pseudo_inverse_vs_adjoint"] = format_matrix(pinv)
+    if not is_definite(pinv):
+        bad["pseudo_inverse_definite"] = format_matrix(pinv)
     chain = {
         "double_pseudo_inverse": pseudo_inverse(pinv),
         "kleene_star": star,
-        "power_n_minus_1": mat_pow(a, n - 1),
-        "right_pseudo_identity": mat_mul(a, pinv),
+        "power_n_minus_1": mat_pow(a, a.rows - 1),
         "left_pseudo_identity": mat_mul(pinv, a),
     }
     for name, m in chain.items():
         if not mat_nu_equiv(pinv, m):
             bad[name] = f"{format_matrix(pinv)} | {format_matrix(m)}"
-    p = chain["power_n_minus_1"]
-    for k in range(n - 1, n + 2):
-        nxt = mat_mul(p, a)
-        if not mat_nu_equiv(p, nxt):
-            bad[f"power_{k}_vs_{k + 1}"] = f"{format_matrix(p)} | {format_matrix(nxt)}"
-        p = nxt
     return TrialResult(not bad, bad)
 
 

@@ -142,6 +142,22 @@ def test_check_flag_validation(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_probability_past_the_int_digit_limit_exits_1_before_drawing(capsys, monkeypatch):
+    """1e-5000 parses to a Fraction whose denominator has more digits than
+    str() prints, so the report could not show it: the config refuses it."""
+    def no_draw(rng, cfg, constraint):
+        raise AssertionError("drew a matrix for an unprintable probability")
+
+    monkeypatch.setattr(lawcheck, "_gen_with_rng", no_draw)
+    for flag in ("--neginf-prob", "--ghost-prob"):
+        assert main(["check", "--suite", "det_product", "--n", "2", "--trials", "2",
+                     flag, "1e-5000"]) == 1
+        assert main(["explore", "--n", "2", "--trials", "2", flag, "1e-5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: probabilities must print") == 4
+
+
 def test_check_above_the_size_cap_exits_2_before_drawing(capsys, monkeypatch):
     def no_draw(rng, cfg, constraint):
         raise AssertionError("drew a matrix above the size cap")

@@ -226,30 +226,48 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     only to form the conjugate, and leaves the corollaries of its law to the
     tier-1 tests: no root containment and no substitution of B.  The period
     check's guard is its definite_form call (A and the conductor's
-    determinant), then 2 for each of the four pseudo-inverses."""
+    determinant), then 2 for each of the three pseudo-inverses.  The
+    stabilization check folds only for A^inv and its pseudo-inverse, makes
+    the n - 2 products of A^(n-1) and one for A^inv A, and calls no
+    adjugate.  Each check reports only its kept keys."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold",
                         lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
     a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
     b = mat("0 2g -inf; -1 1 3; 2 -inf -2")
+    d = mat("0 -1 -2; -3 0 -1; -2 -4 0")
     for call, want in [(lambda: chk_similarity(a, b), 5),
-                       (lambda: chk_nabla_period(a), 10)]:
+                       (lambda: chk_nabla_period(a), 8),
+                       (lambda: chk_definite_stabilization(d), 4)]:
         folds.clear()
         assert call().ok
         assert len(folds) == want
     products = _count_calls(monkeypatch, "mat_mul")
+    adjugates = _count_calls(monkeypatch, "adjugate")
     corollaries = (_count_calls(monkeypatch, "roots_outside")
                    + _count_calls(monkeypatch, "eval_at_matrix"))
-    assert chk_similarity(a, b).ok
-    assert len(products) == 2
+    for call, want in [(lambda: chk_similarity(a, b), 2),
+                       (lambda: chk_definite_stabilization(d), 2)]:
+        products.clear()
+        assert call().ok
+        assert len(products) == want
+    assert adjugates == []
     assert corollaries == []
-    # with every comparison in lawcheck answering no, the one key is the law's
-    for name in ("poly_ghost_surpasses", "ghost_surpasses", "is_ghost_matrix"):
+    # with every comparison in lawcheck answering no, the keys are the kept laws'
+    for name in ("poly_ghost_surpasses", "ghost_surpasses", "is_ghost_matrix",
+                 "mat_nu_equiv", "is_definite"):
         monkeypatch.setattr(lawcheck, name, lambda *args: False)
-    res = chk_similarity(a, b)
-    assert not res.ok
-    assert list(res.details) == ["charpoly"]
+    for call, keys in [
+        (lambda: chk_similarity(a, b), ["charpoly"]),
+        (lambda: chk_nabla_period(a), ["iterate_1_vs_3", "conductor_sandwich"]),
+        (lambda: chk_definite_stabilization(d),
+         ["pseudo_inverse_definite", "double_pseudo_inverse", "kleene_star",
+          "power_n_minus_1", "left_pseudo_identity"]),
+    ]:
+        res = call()
+        assert not res.ok
+        assert list(res.details) == keys
 
 
 def test_chk_definite_stabilization_examples():

@@ -1,6 +1,7 @@
 """Matrix arithmetic, determinants, pseudo-inverses, definite forms, stars."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -347,12 +348,45 @@ def test_integral_results_are_stored_as_int():
 
 
 def test_star_agrees_with_pseudo_inverse_and_powers():
+    """On definite draws the star, A^inv and A^(n-1) share one magnitude.
+    So do the corollaries the stabilization check leaves to this test:
+    A^inv is the adjoint, and A A^inv and the powers past n-1 keep that
+    magnitude."""
     for t in range(40):
         n = 2 + t % 3
         a = gen_matrix(GenConfig(n=n, seed=11000 + t), Constraint.DEFINITE)
         s = kleene_star(a)
-        assert mat_nu_equiv(s, pseudo_inverse(a))
-        assert mat_nu_equiv(s, mat_pow(a, n - 1))
+        pinv = pseudo_inverse(a)
+        assert pinv == adjugate(a)
+        assert mat_nu_equiv(s, pinv)
+        assert mat_nu_equiv(mat_mul(a, pinv), pinv)
+        p = mat_pow(a, n - 1)
+        assert mat_nu_equiv(s, p)
+        for _ in range(3):
+            p = mat_mul(p, a)
+            assert mat_nu_equiv(p, pinv)
+
+
+def test_pseudo_inverse_magnitude_reads_only_magnitudes():
+    """Flipping every ghost flag of X leaves the magnitude of X^inv as it
+    was, and strict singularity too: the lemma by which the period check's
+    iterates 1 and 3 carry to every later pair.  The fourth iterate matches
+    the second, on tie-heavy draws."""
+    def flip(x):
+        return x.map(lambda e: e if e.is_neg_inf
+                      else ghost(e.value) if e.is_tangible else tangible(e.value))
+
+    for t in range(60):
+        cfg = GenConfig(n=2 + t % 4, numerator_range=(-2, 2),
+                        ghost_prob=Fraction(1, 3), seed=12000 + t)
+        for constraint in (Constraint.NON_SINGULAR, Constraint.NONE):
+            x = gen_matrix(cfg, constraint)
+            if classify(x) is SingularityClass.STRICTLY_SINGULAR:
+                with pytest.raises(StrictlySingularError):
+                    pseudo_inverse(flip(x))
+                continue
+            assert mat_nu_equiv(pseudo_inverse(x), pseudo_inverse(flip(x)))
+            assert mat_nu_equiv(pseudo_inverse_iter(x, 4), pseudo_inverse_iter(x, 2))
 
 
 # -- entrywise relations ----------------------------------------------------------------------
