@@ -17,6 +17,7 @@ stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -48,6 +49,7 @@ EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supertrop",

@@ -16,12 +16,11 @@ from .semiring import (
 from .tropmat import (
     Matrix,
     char_poly_coefficients,
-    identity,
     mat_mul,
+    power_sum,
     pseudo_inverse,
     require_square,
     scalar_mul,
-    mat_add,
 )
 
 
@@ -75,16 +74,8 @@ def check_eigenpair(a: Matrix, v: Sequence[Element], alpha: Element) -> bool:
 
 def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:
     """Substitute the matrix for the variable: sum of coeff(i) * A^i with
-    A^0 = I, all supertropically."""
-    require_square(a)
-    n = a.rows
-    acc = scalar_mul(f.coeffs[0], identity(n))
-    p = None
-    for c in f.coeffs[1:]:
-        p = a if p is None else mat_mul(p, a)
-        if not c.is_neg_inf:
-            acc = mat_add(acc, scalar_mul(c, p))
-    return acc
+    A^0 = I, all supertropically (tropmat.power_sum)."""
+    return power_sum(f.coeffs, a)
 
 
 def conjugate(a: Matrix, b: Matrix) -> Matrix:

@@ -12,12 +12,15 @@ forward fold), the dominant track of a definite form (read back from the
 fold that gave its determinant) and the characteristic coefficients (the
 fold of xI + A).  Definiteness is decided without the fold, by the cycle
 test of a Floyd-Warshall max-plus closure (n^3 instead of 2^n), and that
-closure is the Kleene star.  All of these, and the matrix product, work on
-magnitudes scaled to ints by the common denominator of the matrices they
-read, so ties are exact integer ties and no Fraction is added or compared
-inside a kernel or a product; each result entry becomes an Element once, at
-the end.  There is no floating point and no assignment-problem shortcut,
-because such shortcuts do not report tied optima.
+closure is the Kleene star.  All of these, the matrix product and the power
+routine `power_sum` (the sum of c_i A^i behind `mat_pow` and
+`spectral.eval_at_matrix`, one product step per further power) work on
+magnitudes scaled to ints by the common denominator of the matrices and
+coefficients they read, so ties are exact integer ties and no Fraction is
+added or compared inside a kernel, a product or a power sum; each result
+entry becomes an Element once, at the end.  There is no floating point and
+no assignment-problem shortcut, because such shortcuts do not report tied
+optima.
 """
 
 from __future__ import annotations
@@ -200,19 +203,17 @@ def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
     return out, scale
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product AB: entry (i, j) is the supertropical sum of a_ik b_kj.
+def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> list[list]:
+    """The product of two matrices given as scaled rows on one scale, as
+    one row of states per row of A.
 
     Row i of A is accumulated over its finite entries only, each times the
-    finite entries of the matching row of B, on the scaled ints of both
-    factors: the larger magnitude wins and a tie gives a ghost.
+    finite entries of the matching row of B: the larger magnitude wins and
+    a tie gives a ghost.
     """
-    if a.cols != b.rows:
-        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    (arows, brows), scale = _scaled_rows(a, b)
     out = []
     for arow in arows:
-        acc: list = [None] * b.cols
+        acc: list = [None] * cols
         for k, m, g in arow:
             for j, w, wg in brows[k]:
                 v = m + w
@@ -221,24 +222,71 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] = [v, g or wg]
                 elif v == cur[0]:
                     cur[1] = True
-        out += [_element(st, scale) for st in acc]
-    return Matrix(a.rows, b.cols, out)
+        out.append(acc)
+    return out
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product AB: entry (i, j) is the supertropical sum of a_ik b_kj,
+    one product step on the scaled ints of both factors."""
+    if a.cols != b.rows:
+        raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    (arows, brows), scale = _scaled_rows(a, b)
+    return Matrix(a.rows, b.cols,
+                  [_element(st, scale) for acc in _product(arows, brows, b.cols) for st in acc])
 
 
 def scalar_mul(c: Element, a: Matrix) -> Matrix:
     return a.map(lambda e: mul(c, e))
 
 
+def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
+    """The supertropical sum of c_i A^i over coeffs = (c_0, c_1, ...), with
+    A^0 = I.
+
+    A and the coefficients are read once, on their common denominator.
+    A^1 is A's own rows and each further power is one product step on the
+    scaled ints, up to the last finite coefficient.  Each c_i A^i is added
+    entrywise: the larger magnitude wins, and a tie, a ghost coefficient or
+    a ghost entry gives a ghost.  c_0 goes on the diagonal only.  Each
+    result entry becomes an Element once.
+    """
+    require_square(a)
+    n = a.rows
+    top = max((i for i, c in enumerate(coeffs) if c.kind != NEG_INF_KIND), default=-1)
+    if top < 0:
+        return neg_inf_matrix(n, n)
+    (arows, [crow]), scale = _scaled_rows(a, Matrix(1, top + 1, coeffs[:top + 1]))
+    sums: list = [None] * (n * n)
+    power, k = arows, 1
+    for i, c, cg in crow:
+        if i == 0:
+            for r in range(n):
+                sums[r * n + r] = [c, cg]
+            continue
+        for _ in range(i - k):
+            power = [[(j, st[0], st[1]) for j, st in enumerate(acc) if st is not None]
+                     for acc in _product(power, arows, n)]
+        k = i
+        for r, row in enumerate(power):
+            base = r * n
+            for j, m, g in row:
+                v = c + m
+                cur = sums[base + j]
+                if cur is None or v > cur[0]:
+                    sums[base + j] = [v, cg or g]
+                elif v == cur[0]:
+                    cur[1] = True
+    return Matrix(n, n, [_element(st, scale) for st in sums])
+
+
 def mat_pow(a: Matrix, k: int) -> Matrix:
+    """A^k, as the power sum with the one finite coefficient 0 at k; A^0 is
+    the identity."""
     require_square(a)
     if k < 0:
         raise ValueError("mat_pow expects k >= 0")
-    if k == 0:
-        return identity(a.rows)
-    acc = a
-    for _ in range(k - 1):
-        acc = mat_mul(acc, a)
-    return acc
+    return power_sum([NEG_INF] * k + [ONE], a)
 
 
 # -- the permanent kernel -----------------------------------------------------

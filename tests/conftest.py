@@ -101,6 +101,21 @@ def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, b.cols, out)
 
 
+def naive_power_sum(coeffs, a: Matrix) -> Matrix:
+    """Power sum oracle: the sum of c_i A^i with A^0 = I, each power by
+    naive_mat_mul, each term scaled by the scalar mul and added by mat_add,
+    -inf coefficients included."""
+    def times(c, m):
+        return m.map(lambda e: mul(c, e))
+
+    acc = times(coeffs[0], identity(a.rows))
+    p = None
+    for c in coeffs[1:]:
+        p = a if p is None else naive_mat_mul(p, a)
+        acc = mat_add(acc, times(c, p))
+    return acc
+
+
 def naive_star(a: Matrix) -> Matrix:
     """Kleene star oracle: the power sum I + A + ... + A^(n-1), by repeated
     naive_mat_mul and mat_add.  Ties in the sum come out ghost, so compare

@@ -1,5 +1,6 @@
 """Command surface: outputs, exit codes, round-trips, report determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from supertrop import lawcheck, matrix_from_dict, matrix_to_json
+from supertrop import cli, lawcheck, matrix_from_dict, matrix_to_json
 from supertrop.cli import main
 
 from conftest import mat
@@ -195,6 +196,46 @@ PINNED_REPORTS = [
 def test_check_reports_match_their_pinned_digests(capsys, flags, digest):
     assert main(flags) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flag_values(tmp_path, capsys, monkeypatch):
+    """Across a run of main calls the parser is built once, and each argv
+    gives the same bytes whichever call came before it: a flag given to one
+    call is back at its default in the next."""
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(parser, **kwargs):
+        builds.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    out = tmp_path / "adj.json"
+    runs = [
+        ["check", "--suite", "adj_rules", "--n", "3", "--trials", "3", "--seed", "9",
+         "--range", "-2", "2", "--out", str(out)],
+        ["check", "--n", "3", "--trials", "3", "--seed", "9"],
+        ["explore", "--n", "4", "--trials", "5"],
+    ]
+
+    def run(argv):
+        out.unlink(missing_ok=True)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        return out.read_bytes() if "--out" in argv else stdout.encode()
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli._build_parser.cache_clear()
+    try:
+        forward = [run(argv) for argv in runs]
+        backward = [run(argv) for argv in reversed(runs)][::-1]
+    finally:
+        cli._build_parser.cache_clear()
+    assert builds == ["supertrop"]
+    assert forward == backward
+    reports = json.loads(forward[1])["reports"]
+    assert [r["check_id"] for r in reports] == list(lawcheck.CHECK_IDS)
+    assert all(r["config"]["numerator_range"] == [-10, 10] for r in reports)
+    assert json.loads(forward[0])["reports"][0]["config"]["numerator_range"] == [-2, 2]
 
 
 def test_explore_cli(tmp_path, capsys):

@@ -25,6 +25,7 @@ from supertrop import (
     definite_form,
     determinant,
     eigenvalues,
+    eval_at_matrix,
     ghost,
     hat_matrix,
     identity,
@@ -32,7 +33,10 @@ from supertrop import (
     is_definite,
     kleene_star,
     mat_mul,
+    mat_pow,
     mul,
+    neg_inf_matrix,
+    power_sum,
     pseudo_inverse,
     tangible,
     to_ghost,
@@ -41,7 +45,16 @@ from supertrop import (
 )
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
-from conftest import mat, naive_adj, naive_char_poly, naive_det, naive_mat_mul, naive_star
+from conftest import (
+    mat,
+    naive_adj,
+    naive_char_poly,
+    naive_det,
+    naive_mat_mul,
+    naive_power_sum,
+    naive_star,
+    poly,
+)
 
 # Matrices per order; the oracles enumerate n! tracks per minor.
 COUNTS = {1: 40, 2: 60, 3: 60, 4: 60, 5: 40, 6: 25, 7: 10}
@@ -182,6 +195,46 @@ def test_mat_mul_matches_oracle_on_ties():
                      (True, int), (True, Fraction)}
 
 
+def tie_heavy_entry(rng):
+    """A quarter -inf, a third ghost, the rest tangible; numerators in
+    [-2, 2] over 1, 2 or 3."""
+    kind = rng.randrange(12)
+    if kind < 3:
+        return NEG_INF
+    v = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return ghost(v) if kind < 7 else tangible(v)
+
+
+def typed(m):
+    return [(e.kind, e.value, type(e.value)) for e in m.entries]
+
+
+# Coefficient lists whose denominators, ghosts and -inf gaps the matrix
+# alone does not have, so the common scale must include the coefficients.
+FIXED_COEFFS = ["1/2, -inf, 1/3g", "-inf, -inf, 0", "2g", "-inf, 1/6, -inf, -5/4g, -inf"]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_power_sum_matches_oracle_on_ties(n):
+    """power_sum, mat_pow (k = 0..n+1) and eval_at_matrix against the
+    Element-level power sum: same kind, value and value type entrywise."""
+    rng = random.Random(3000 + n)
+    int_matrix = Matrix(n, n, [tangible(rng.randint(-2, 2)) for _ in range(n * n)])
+    for f in FIXED_COEFFS:
+        cs = poly(f).coeffs
+        assert typed(power_sum(cs, int_matrix)) == typed(naive_power_sum(cs, int_matrix))
+    for _ in range(30):
+        a = Matrix(n, n, [tie_heavy_entry(rng) for _ in range(n * n)])
+        for k in range(n + 2):
+            cs = [NEG_INF] * k + [ONE]
+            assert typed(mat_pow(a, k)) == typed(naive_power_sum(cs, a)), (a, k)
+        cs = [tie_heavy_entry(rng) for _ in range(rng.randint(1, n + 2))]
+        assert typed(power_sum(cs, a)) == typed(naive_power_sum(cs, a)), (a, cs)
+        f = char_poly(a)
+        assert typed(eval_at_matrix(f, a)) == typed(naive_power_sum(f.coeffs, a)), a
+    assert power_sum([], int_matrix) == neg_inf_matrix(n, n)
+
+
 @pytest.mark.parametrize("n", sorted(COUNTS))
 def test_kleene_star_matches_power_sum_oracle(n):
     ds = definite_cases(n)
@@ -290,10 +343,13 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     a = mat("1/2 -1/3 -inf; 2/3g 0 -1/6; -inf 5/6 -1/2")
     d = mat("0 -1/2 -inf; -1/3 0 -2/3g; -5/6 -inf 0")
     assert is_definite(d)
+    p = poly("1/4, -inf, 2/3g, -1/5")
     calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
              (tropmat.char_poly_coefficients, a), (tropmat.is_definite, d),
              (tropmat.kleene_star, d), (lambda m: tropmat.mat_mul(m, d), a),
-             (lambda m: tropmat.mat_pow(m, 3), a)]
+             (lambda m: tropmat.mat_pow(m, 0), a), (lambda m: tropmat.mat_pow(m, 3), a),
+             (lambda m: tropmat.mat_pow(m, 4), a),
+             (lambda m: eval_at_matrix(p, m), a)]
     want = [f(x) for f, x in calls]
 
     def no_arithmetic(*args):

@@ -211,7 +211,8 @@ def test_chk_nabla_period_examples():
 
 def _count_calls(monkeypatch, name):
     """Count calls to the library function `name` through every module that
-    binds it."""
+    binds it.  Products are counted at tropmat's private product step, which
+    mat_mul and the power sum share."""
     calls = []
     for module in (tropmat, maxpoly, spectral, lawcheck):
         if hasattr(module, name):
@@ -243,7 +244,7 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
         folds.clear()
         assert call().ok
         assert len(folds) == want
-    products = _count_calls(monkeypatch, "mat_mul")
+    products = _count_calls(monkeypatch, "_product")
     adjugates = _count_calls(monkeypatch, "adjugate")
     corollaries = (_count_calls(monkeypatch, "roots_outside")
                    + _count_calls(monkeypatch, "eval_at_matrix"))

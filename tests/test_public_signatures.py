@@ -34,6 +34,8 @@ def test_guard_sees_every_public_function():
     found = public_parameters()
     assert found["tropmat.determinant"] == {"a", "cap"}
     assert found["tropmat.kleene_star"] == {"a"}
+    assert found["tropmat.power_sum"] == {"coeffs", "a"}
+    assert found["tropmat.mat_pow"] == {"a", "k"}
     assert found["cli.main"] == {"argv"}
     assert not any(name.split(".")[1].startswith("_") for name in found)
 

@@ -25,6 +25,7 @@ from supertrop import (
     is_ghost_matrix,
     kth_root,
     mat_add,
+    mat_mul,
     mat_pow,
     poly_add,
     poly_eval,
@@ -128,18 +129,18 @@ def test_eval_at_matrix_cases():
 
 def test_powers_start_from_the_matrix(monkeypatch):
     """No product with the identity: mat_pow(A, k) makes k - 1 products and
-    A substituted into its characteristic polynomial makes n - 1."""
-    from supertrop import spectral, tropmat
+    A substituted into its characteristic polynomial makes n - 1, counted
+    at the product step that mat_mul and the power sum share."""
+    from supertrop import tropmat
 
     products = []
-    mat_mul = tropmat.mat_mul
+    product = tropmat._product
 
-    def counted(x, y):
+    def counted(*args):
         products.append(1)
-        return mat_mul(x, y)
+        return product(*args)
 
-    monkeypatch.setattr(tropmat, "mat_mul", counted)
-    monkeypatch.setattr(spectral, "mat_mul", counted)
+    monkeypatch.setattr(tropmat, "_product", counted)
     for n in range(1, 6):
         a = gen_matrix(GenConfig(n=n, seed=70 + n))
         want = identity(n)
