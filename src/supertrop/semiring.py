@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import NotInvertibleError, ParseError
+from .errors import NotInvertibleError, ParseError, SupertropicalError
 
 # Element kinds.
 NEG_INF_KIND = 0
@@ -225,6 +225,8 @@ def parse_scalar(text: str) -> Element:
 def format_scalar(a: Element) -> str:
     if a.kind == NEG_INF_KIND:
         return "-inf"
-    if a.kind == GHOST_KIND:
-        return f"{a.value}g"
-    return str(a.value)
+    try:
+        text = str(a.value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise SupertropicalError("cannot print a value past the int-to-str digit limit") from None
+    return text + "g" if a.kind == GHOST_KIND else text

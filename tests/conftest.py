@@ -1,5 +1,6 @@
 """Shared test helpers: compact builders and independent oracles."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -18,6 +19,19 @@ from supertrop import (
     parse_scalar,
     tangible,
 )
+
+
+def rebind_everywhere(monkeypatch, module, name, wrap) -> None:
+    """Point every supertrop module's binding of module.name at
+    wrap(original), so calls through any import of it, the defining
+    module's own included, reach the wrapper; monkeypatch undoes it."""
+    original = getattr(module, name)
+    wrapper = wrap(original)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "supertrop":
+            for attr, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
 
 
 def el(s: str):

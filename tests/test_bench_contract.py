@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer wraps all exist in supertrop.
+"""The names the benchmark's tracer wraps all exist in supertrop, and a
+sweep reaches them.
 
 bench/tracer.py is read as source, never imported or changed: its SPANNED
 pairs and CHECK_IDS are literals, taken with ast.literal_eval.
@@ -6,9 +7,12 @@ pairs and CHECK_IDS are literals, taken with ast.literal_eval.
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
-from supertrop import lawcheck
+from supertrop import cli, lawcheck
+
+from conftest import rebind_everywhere
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -40,3 +44,29 @@ def test_generation_boundary_exists():
 
 def test_tracer_check_ids_match():
     assert tracer_literals()["CHECK_IDS"] == lawcheck.CHECK_IDS
+
+
+# Spanned functions that no `check --suite all` call reaches: poly_pow has
+# no caller in the library, and only `compute eigen` calls eigenvalues.
+OFF_THE_SWEEP = {"maxpoly.poly_pow", "spectral.eigenvalues"}
+
+
+def test_a_sweep_reaches_every_other_spanned_function(monkeypatch, tmp_path):
+    """A span that reads 0 on working code shows nothing, so every spanned
+    function but those in OFF_THE_SWEEP is called by one pinned
+    `check --suite all --n 5` call.  Its flags make some f_{A^m} ghost-free,
+    so the charpoly-power check compares value equality as well."""
+    calls = Counter()
+
+    def counting(name):
+        return lambda fn: lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    spanned = [f"{module}.{function}" for module, function in tracer_literals()["SPANNED"]]
+    for name in spanned:
+        module, function = name.split(".")
+        rebind_everywhere(monkeypatch, importlib.import_module(f"supertrop.{module}"),
+                          function, counting(name))
+    assert cli.main(["check", "--suite", "all", "--n", "5", "--trials", "2", "--seed", "1",
+                     "--range", "-1000", "1000", "--neginf-prob", "1/2",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert {name for name in spanned if not calls[name]} == OFF_THE_SWEEP

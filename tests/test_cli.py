@@ -159,6 +159,21 @@ def test_probability_past_the_int_digit_limit_exits_1_before_drawing(capsys, mon
     assert captured.err.count("error: probabilities must print") == 4
 
 
+def test_compute_result_past_the_int_digit_limit_exits_2(capsys, tmp_path):
+    """Each 4300-digit entry parses, but det(A), and with it the constant
+    coefficient of f_A, is their sum: 4301 digits, more than str() prints.
+    One domain error line, no traceback, nothing on stdout."""
+    big = "9" * 4300
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[big, "-inf"], ["-inf", big]]}))
+    for what in ("det", "charpoly"):
+        assert main(["compute", what, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "domain error: cannot print a value past the int-to-str digit limit"]
+
+
 def test_check_above_the_size_cap_exits_2_before_drawing(capsys, monkeypatch):
     def no_draw(rng, cfg, constraint):
         raise AssertionError("drew a matrix above the size cap")

@@ -32,6 +32,7 @@ from supertrop.lawcheck import (
     GenConfig,
     TrialResult,
     chk_adj_rules,
+    chk_charpoly_power,
     chk_reversal_conjecture,
     chk_det_product,
     chk_definite_stabilization,
@@ -48,7 +49,7 @@ from supertrop.lawcheck import (
     _sub_seed,
 )
 
-from conftest import mat
+from conftest import mat, rebind_everywhere
 
 
 # -- generation --------------------------------------------------------------------
@@ -338,6 +339,48 @@ def test_chk_charpoly_power_takes_running_products(monkeypatch):
                         lambda rows, keep_all=False: calls.append("fold") or fold(rows, keep_all))
     assert CHECKS["charpoly_power"].fn(mat("1 0 -1; 3 4 -inf; 0 -2 2")).ok
     assert sorted(calls) == ["fold"] * 3 + ["mat_mul"] * 2
+
+
+def test_chk_charpoly_power_compares_at_degree_n(monkeypatch):
+    """The check forms no polynomial product, power, inflation or k-th
+    root: each comparison takes f_{A^m} and g_m, both of degree <= n.
+    Tie-heavy draws at n = 1..5 make some f_{A^m} ghost-free, so value
+    equality is compared as well."""
+    from supertrop import semiring
+
+    called = []
+    for module, name in ((maxpoly, "poly_mul"), (maxpoly, "poly_pow"),
+                         (maxpoly, "inflate"), (semiring, "kth_root")):
+        rebind_everywhere(monkeypatch, module, name,
+                          lambda fn, name=name: lambda *args: called.append(name) or fn(*args))
+    compared = []
+    for name in ("poly_value_surpasses", "poly_value_equal"):
+        compare = getattr(lawcheck, name)
+        monkeypatch.setattr(lawcheck, name, lambda f, g, name=name, compare=compare: (
+            compared.append((name, f.degree, g.degree)) or compare(f, g)))
+    for t in range(60):
+        cfg = GenConfig(n=1 + t % 5, numerator_range=(-2, 2), denominator=2,
+                        ghost_prob=Fraction(1, 3), seed=4700 + t)
+        start = len(compared)
+        assert chk_charpoly_power(gen_matrix(cfg)).ok
+        assert all(max(df, dg) <= cfg.n for _, df, dg in compared[start:])
+    assert called == []
+    assert {name for name, _, _ in compared} == {"poly_value_surpasses", "poly_value_equal"}
+
+
+def test_chk_charpoly_power_keys(monkeypatch):
+    """Three keys for each m, and no root containment key: with both value
+    comparisons false and every polynomial given the corner root 1, which
+    is not m times a corner root, each law fails on the ghost-free
+    f_{A^m} of diag(1, 2, 4)."""
+    from supertrop import RootSet, diag, tangible
+
+    monkeypatch.setattr(lawcheck, "poly_value_surpasses", lambda f, g: False)
+    monkeypatch.setattr(lawcheck, "poly_value_equal", lambda f, g: False)
+    monkeypatch.setattr(lawcheck, "roots", lambda f: RootSet(((tangible(1), 1),), ()))
+    r = chk_charpoly_power(diag([tangible(1), tangible(2), tangible(4)]))
+    assert list(r.details) == [f"{law}_m{m}" for m in (2, 3) for law in (
+        "value_surpassing", "tangible_equality", "root_power_onto")]
 
 
 def test_chk_conjecture_on_pinned_instances():

@@ -27,6 +27,7 @@ from supertrop import (
     poly_pow,
     poly_value_equal,
     poly_value_surpasses,
+    power,
     roots,
     roots_outside,
     tangible,
@@ -349,6 +350,40 @@ def test_value_comparisons_match_the_all_pairs_oracle():
     assert mismatches == []
     # the mix decides both ways, so agreement is not vacuous
     assert outcomes == {"surpasses": {True, False}, "equal": {True, False}}
+
+
+def _corner_values(f):
+    return {v.value for v, _ in roots(f).corner}
+
+
+def test_power_comparisons_hold_at_degree_n():
+    """The characteristic-power law compares inflate(f, m) with g^m; by the
+    Frobenius property (a + b)^m = a^m + b^m it is the same comparison of f
+    with g_m, g's coefficient-wise m-th power, at x^m.  On the tie-heavy
+    pairs, read as (f_{A^m}, f_A), the literal and the degree-n forms agree
+    on value surpassing, value equality and the onto law for corner roots,
+    for m = 2 and 3, on pairs that fail the comparison as well."""
+    disagree = []
+    outcomes = {"surpasses": set(), "equal": set(), "onto": set()}
+    for f, g in _tie_heavy_pairs(1600, seed=2029):
+        for m in (2, 3):
+            lhs, rhs = inflate(f, m), poly_pow(g, m)
+            g_m = Polynomial(power(c, m) for c in g.coeffs)
+            pairs = {
+                "surpasses": (poly_value_surpasses(lhs, rhs), poly_value_surpasses(f, g_m)),
+                "equal": (poly_value_equal(lhs, rhs), poly_value_equal(f, g_m)),
+            }
+            if not (f.is_neg_inf or g.is_neg_inf):
+                pairs["onto"] = (
+                    _corner_values(lhs) <= _corner_values(rhs),
+                    _corner_values(f) <= {m * r for r in _corner_values(g)},
+                )
+            for name, (literal, degree_n) in pairs.items():
+                outcomes[name].add(literal)
+                if literal != degree_n:
+                    disagree.append((name, m, str(f), str(g)))
+    assert disagree == []
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_eval_matches_the_dense_walk():

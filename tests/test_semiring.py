@@ -231,6 +231,15 @@ def test_a_bool_value_is_stored_as_an_int(make, flag):
     assert parse_scalar(format_scalar(a)) == a
 
 
+def test_format_refuses_a_value_past_the_int_digit_limit():
+    from supertrop import SupertropicalError
+
+    for a in (tangible(10 ** 4300), ghost(-(10 ** 4300)), tangible(Fraction(1, 10 ** 4300))):
+        with pytest.raises(SupertropicalError, match="digit limit"):
+            format_scalar(a)
+    assert format_scalar(ghost(10 ** 4299)) == "1" + "0" * 4299 + "g"
+
+
 def test_parse_normalizes():
     assert parse_scalar("4/2") == tangible(2)
     assert format_scalar(parse_scalar("4/2")) == "2"

@@ -219,10 +219,18 @@ def test_similar_charpolys_coincide_for_definite_reduction():
 
 
 def test_charpoly_power_relations_sampled():
-    for t in range(40):
-        n = 1 + t % 4
+    """The property test for root_power_containment, which chk_charpoly_power
+    derives rather than asserts: every corner root of A powers up into a
+    root of A^m.  The other relations are checked here in their literal
+    form, inflate(f_{A^m}, m) against f_A^m.  40 draws at the default
+    probabilities for n = 1..4, then 200 tie-heavy ones for n = 1..5:
+    numerators in [-2, 2] over 2, 1/3 ghost."""
+    cfgs = [GenConfig(n=1 + t % 4, seed=4500 + t) for t in range(40)]
+    cfgs += [GenConfig(n=1 + t % 5, numerator_range=(-2, 2), denominator=2,
+                       ghost_prob=Fraction(1, 3), seed=4600 + t) for t in range(200)]
+    for t, cfg in enumerate(cfgs):
         m = 2 + t % 2
-        a = gen_matrix(GenConfig(n=n, seed=4500 + t))
+        a = gen_matrix(cfg)
         f_a = char_poly(a)
         f_am = char_poly(mat_pow(a, m))
         lhs = inflate(f_am, m)
