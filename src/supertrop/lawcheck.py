@@ -258,10 +258,11 @@ def chk_det_product(a: Matrix, b: Matrix) -> TrialResult:
 
 
 def chk_adj_rules(a: Matrix) -> TrialResult:
-    """det(A adj(A)) = det(A)^n and det(adj(A)) = det(A)^(n-1), exactly."""
+    """det(A adj(A)) = det(A)^n and det(adj(A)) = det(A)^(n-1), exactly.
+    The adjoint comes first: its forward fold gives det(A) as well."""
     n = a.rows
-    d = determinant(a)
     adj = adjugate(a)
+    d = determinant(a)
     bad = {}
     lhs1, rhs1 = determinant(mat_mul(a, adj)), power(d, n)
     if lhs1 != rhs1:

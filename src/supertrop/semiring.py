@@ -87,7 +87,14 @@ class Element:
         return hash((self.kind, self.value))
 
     def __repr__(self) -> str:
-        return f"Element({format_scalar(self)!r})"
+        try:
+            return f"Element({format_scalar(self)!r})"
+        except SupertropicalError:  # past the int-to-str digit limit
+            v = self.value
+            size = (f"{_digits(v)}" if type(v) is int
+                    else f"{_digits(v.numerator)}/{_digits(v.denominator)}")
+            kind = "ghost" if self.kind == GHOST_KIND else "tangible"
+            return f"Element({kind}, {size} digits)"
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -220,6 +227,15 @@ def parse_scalar(text: str) -> Element:
         raise ParseError(f"bad scalar: {exc}") from None
     kind = GHOST_KIND if m.group(2) else TANGIBLE_KIND
     return Element(kind, value)
+
+
+def _digits(k: int) -> int:
+    """The number of decimal digits of |k|, without int-to-str conversion."""
+    k = abs(k)
+    d = max(1, (k.bit_length() - 1) * 30102 // 100000 + 1)  # a lower bound: 0.30102 < log10 2
+    while k >= 10 ** d:
+        d += 1
+    return d
 
 
 def format_scalar(a: Element) -> str:

@@ -21,6 +21,18 @@ added or compared inside a kernel, a product or a power sum; each result
 entry becomes an Element once, at the end.  There is no floating point and
 no assignment-problem shortcut, because such shortcuts do not report tied
 optima.
+
+A Matrix is immutable and every kernel result is a pure function of it, so
+each result is kept on the matrix, in its private memo, by the first kernel
+that computes it: det (also written by the adjoint's and the
+pseudo-inverse's forward fold, by the characteristic coefficients as
+coefficient 0 and by definite_form), the adjoint, the pseudo-inverse (the
+kept adjoint rescaled by the kept det, when both are held), the
+characteristic coefficients and the definiteness closure.  So det, adj,
+A^inv, f_A and the eigenvalues of one matrix cost one fold each.  The memo
+keeps returned results and O(n^2) ints only, never a 2^n fold table.  A
+Matrix must therefore never be mutated: change its entries and the memo
+answers for the old ones.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from .errors import (
     ParseError,
     SizeCapExceededError,
     StrictlySingularError,
+    SupertropicalError,
     VerificationError,
 )
 from .semiring import (
@@ -75,13 +88,16 @@ class PseudoIdentityClass(enum.Enum):
 
 
 class Matrix:
-    """Dense row-major matrix of Elements; immutable."""
+    """Dense row-major matrix of Elements; immutable.  `_memo` keeps the
+    kernels' results (see the module docstring); it is None until a kernel
+    first writes to it and takes no part in equality, hashing or printing."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_memo")
 
     rows: int
     cols: int
     entries: tuple[Element, ...]
+    _memo: dict | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Element]):
         es = tuple(entries)
@@ -94,6 +110,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = es
+        self._memo = None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Element]]) -> "Matrix":
@@ -133,7 +150,11 @@ class Matrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols}: {format_matrix(self)})"
+        try:
+            text = format_matrix(self)
+        except SupertropicalError:  # an entry past the int-to-str digit limit
+            text = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
+        return f"Matrix({self.rows}x{self.cols}: {text})"
 
 
 def format_matrix(a: Matrix) -> str:
@@ -295,15 +316,24 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # (column bit, key step, magnitude, ghost), on the scale of that matrix.
 
 
-def _kernel_rows(a: Matrix, cap: int = DEFAULT_DET_CAP) -> tuple[list[list[tuple]], int]:
-    """The kernel rows of a square matrix and the scale of their magnitudes.
+def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
+    """The memo of a square matrix, made empty on first use.
 
     This is the one size guard of the kernels: every fold has 2^n states,
-    so a matrix of order n > cap is refused here, before any fold.
+    so a matrix of order n > cap is refused here, before any kept result is
+    read and before any fold.
     """
-    require_square(a)
-    if a.rows > cap:
+    if a.rows != a.cols or a.rows > cap:
+        require_square(a)
         raise SizeCapExceededError(f"subset-fold kernels capped at n <= {cap}, got n = {a.rows}")
+    memo = a._memo
+    if memo is None:
+        memo = a._memo = {}
+    return memo
+
+
+def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
+    """The kernel rows of a square matrix and the scale of their magnitudes."""
     scale = _scale(a)
     rows = []
     for i in range(a.rows):
@@ -327,6 +357,15 @@ def _element(state: list | None, scale: int) -> Element:
     if scale != 1:
         m = rational(m, scale)
     return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
+
+
+def _state(e: Element, scale: int) -> list | None:
+    """The kernel state of a scalar whose denominator divides scale."""
+    if e.kind == NEG_INF_KIND:
+        return None
+    v = e.value
+    m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+    return [m, e.kind == GHOST_KIND]
 
 
 def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
@@ -362,10 +401,13 @@ def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
 
 def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     """Tropical permanent, by the subset fold over the 2^n column sets
-    (n <= cap)."""
-    n = a.rows
-    rows, scale = _kernel_rows(a, cap)
-    return _element(_fold(rows).get((1 << n) - 1), scale)
+    (n <= cap), or kept from an earlier kernel on the same matrix."""
+    memo = _memo_of(a, cap)
+    det = memo.get("det")
+    if det is None:
+        rows, scale = _kernel_rows(a)
+        det = memo["det"] = _element(_fold(rows).get((1 << a.rows) - 1), scale)
+    return det
 
 
 def classify(a: Matrix) -> SingularityClass:
@@ -377,8 +419,8 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(rows: list[list[tuple]]) -> tuple[dict, list]:
-    """The forward fold table of rows and the n^2 minor states.
+def _minors(rows: list[list[tuple]]) -> tuple[list | None, list]:
+    """The forward fold's full-set state (det) and the n^2 minor states.
 
     State i * n + j is the permanent of the minor deleting row j and column
     i: the sum, over column sets S of size j without i, of the forward state
@@ -407,7 +449,7 @@ def _minors(rows: list[list[tuple]]) -> tuple[dict, list]:
                 acc[i * n + j] = [v, g or b[1]]
             elif v == cur[0]:
                 cur[1] = True
-    return fwd, acc
+    return fwd.get(full), acc
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -415,12 +457,18 @@ def adjugate(a: Matrix) -> Matrix:
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
     adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
-    the rows and one backward fold, joined.
+    the rows and one backward fold, joined; the forward fold's full set
+    gives det, which is kept with the adjoint.
     """
-    n = a.rows
-    rows, scale = _kernel_rows(a)
-    _, minors = _minors(rows)
-    return Matrix(n, n, [_element(st, scale) for st in minors])
+    memo = _memo_of(a)
+    adj = memo.get("adj")
+    if adj is None:
+        n = a.rows
+        rows, scale = _kernel_rows(a)
+        det, minors = _minors(rows)
+        memo["det"] = _element(det, scale)
+        adj = memo["adj"] = Matrix(n, n, [_element(st, scale) for st in minors])
+    return adj
 
 
 def char_poly_coefficients(a: Matrix) -> list[Element]:
@@ -429,15 +477,23 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     The fold of xI + A keeps the degree of x in the bits above the columns:
     row r may also take x from the diagonal.  Expanding the product, the
     coefficient of x^k is the supertropical sum of the determinants of the
-    (n-k) x (n-k) principal submatrices, ghosts included.
+    (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
+    det, and is kept as such.  The coefficients are kept on the matrix and
+    each call returns a new list of them.
     """
-    n = a.rows
-    rows, scale = _kernel_rows(a)
-    for r, row in enumerate(rows):
-        row.append((1 << r, (1 << r) + (1 << n), 0, False))
-    last = _fold(rows)
-    full = (1 << n) - 1
-    return [_element(last.get(k << n | full), scale) for k in range(n + 1)]
+    memo = _memo_of(a)
+    coeffs = memo.get("coeffs")
+    if coeffs is None:
+        n = a.rows
+        rows, scale = _kernel_rows(a)
+        for r, row in enumerate(rows):
+            row.append((1 << r, (1 << r) + (1 << n), 0, False))
+        last = _fold(rows)
+        full = (1 << n) - 1
+        coeffs = memo["coeffs"] = [_element(last.get(k << n | full), scale)
+                                   for k in range(n + 1)]
+        memo["det"] = coeffs[0]
+    return list(coeffs)
 
 
 def pseudo_inverse(a: Matrix) -> Matrix:
@@ -447,17 +503,31 @@ def pseudo_inverse(a: Matrix) -> Matrix:
 
     One forward and one backward fold give both: det is the forward fold's
     full-set state, and each minor state is rescaled on the scaled ints
-    (magnitude minus det's, ghost if either is ghost).
+    (magnitude minus det's, ghost if either is ghost).  When the adjoint
+    and det are already kept on the matrix, the kept adjoint is rescaled
+    instead, on the same scaled ints, and nothing is folded.
     """
-    n = a.rows
-    rows, scale = _kernel_rows(a)
-    fwd, minors = _minors(rows)
-    det = fwd.get((1 << n) - 1)
-    if det is None:
+    memo = _memo_of(a)
+    pinv = memo.get("pinv")
+    if pinv is not None:
+        return pinv
+    adj = memo.get("adj")
+    if adj is not None:  # adjugate keeps det with it
+        scale = _scale(a)
+        full = _state(memo["det"], scale)
+        minors = [_state(e, scale) for e in adj.entries]
+    else:
+        rows, scale = _kernel_rows(a)
+        full, minors = _minors(rows)
+        if "det" not in memo:
+            memo["det"] = _element(full, scale)
+    if full is None:
         raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
-    dm, dg = det
-    return Matrix(n, n, [NEG_INF if st is None else _element((st[0] - dm, st[1] or dg), scale)
-                         for st in minors])
+    dm, dg = full
+    n = a.rows
+    pinv = memo["pinv"] = Matrix(n, n, [
+        NEG_INF if st is None else _element((st[0] - dm, st[1] or dg), scale) for st in minors])
+    return pinv
 
 
 def pseudo_inverse_iter(a: Matrix, k: int) -> Matrix:
@@ -505,7 +575,6 @@ def _closure(a: Matrix) -> tuple[list, int] | None:
     ghosts det, a positive one beats it, and ghosts on negative cycles lose.
     After Floyd-Warshall, d[i][i] is the heaviest cycle through i.
     """
-    require_square(a)
     n = a.rows
     if any(a.at(i, i) != ONE for i in range(n)):
         return None
@@ -534,10 +603,18 @@ def _closure(a: Matrix) -> tuple[list, int] | None:
     return d, scale
 
 
+def _kept_closure(a: Matrix) -> tuple[list, int] | None:
+    """_closure(a), computed once and kept on A."""
+    memo = _memo_of(a)
+    if "closure" not in memo:
+        memo["closure"] = _closure(a)
+    return memo["closure"]
+
+
 def is_definite(a: Matrix) -> bool:
     """Tangible 0 on the whole diagonal and determinant exactly tangible 0,
     decided by the cycle test of the closure (no determinant fold)."""
-    return _closure(a) is not None
+    return _kept_closure(a) is not None
 
 
 def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[list, list]:
@@ -579,10 +656,11 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    memo = _memo_of(a)
     n = a.rows
     rows, scale = _kernel_rows(a)
     table = _fold(rows, keep_all=True)
-    det = _element(table.get((1 << n) - 1), scale)
+    det = memo["det"] = _element(table.get((1 << n) - 1), scale)
     if det.kind != TANGIBLE_KIND:
         raise NotNonSingularError("definite form needs a tangible determinant")
     pi, track = _dominant_permutation(rows, table)
@@ -666,10 +744,11 @@ def kleene_star(a: Matrix) -> Matrix:
     returned with tangible entries, and is magnitude-equivalent to both
     pseudo_inverse(A) and mat_pow(A, n-1).
     """
-    closure = _closure(a)
+    closure = _kept_closure(a)
     if closure is None:
         raise NotDefiniteError("kleene star requires a definite matrix")
     d, scale = closure
+    d = d.copy()  # the memo keeps the closure as _closure left it
     n = a.rows
     for i in range(n):
         d[i * n + i] = 0

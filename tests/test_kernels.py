@@ -15,7 +15,11 @@ from supertrop import (
     DEFAULT_DET_CAP,
     NEG_INF,
     ONE,
+    Element,
     Matrix,
+    NotDefiniteError,
+    NotNonSingularError,
+    RootSet,
     SizeCapExceededError,
     StrictlySingularError,
     adjugate,
@@ -66,6 +70,11 @@ def tie_heavy(n, seed):
     return gen_matrix(GenConfig(n=n, numerator_range=(-2, 2), denominator=1 + seed % 2,
                                 neginf_prob=Fraction(1, 5), ghost_prob=Fraction(1, 10),
                                 seed=seed))
+
+
+def fresh(a):
+    """A new Matrix with a's entries and an empty memo."""
+    return Matrix(a.rows, a.cols, a.entries)
 
 
 def cases(n):
@@ -349,7 +358,8 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
              (tropmat.kleene_star, d), (lambda m: tropmat.mat_mul(m, d), a),
              (lambda m: tropmat.mat_pow(m, 0), a), (lambda m: tropmat.mat_pow(m, 3), a),
              (lambda m: tropmat.mat_pow(m, 4), a),
-             (lambda m: eval_at_matrix(p, m), a)]
+             (lambda m: eval_at_matrix(p, m), a),
+             (lambda m: (tropmat.adjugate(m), tropmat.pseudo_inverse(m)), a)]
     want = [f(x) for f, x in calls]
 
     def no_arithmetic(*args):
@@ -357,7 +367,8 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
 
     for name in FRACTION_OPS:
         monkeypatch.setattr(Fraction, name, no_arithmetic)
-    got = [f(x) for f, x in calls]
+    # fresh copies, so that no result is read back from the first run's memo
+    got = [f(fresh(x)) for f, x in calls]
     monkeypatch.undo()
     assert got == want
 
@@ -444,3 +455,140 @@ def test_self_checks_raise_typed_errors_under_optimize():
         "definite factor is not definite",
         "conductor does not carry det(A)",
     ]
+
+
+# -- the memo: each kernel result is kept on its matrix ---------------------------
+
+
+MEMO_KERNELS = {
+    "determinant": determinant,
+    "classify": classify,
+    "adjugate": adjugate,
+    "pseudo_inverse": pseudo_inverse,
+    "char_poly_coefficients": tropmat.char_poly_coefficients,
+    "eigenvalues": eigenvalues,
+    "is_definite": is_definite,
+    "kleene_star": kleene_star,
+    "definite_form": definite_form,
+}
+
+
+def exact(x):
+    """x with each Element as (kind, value, value type), so that an int and
+    an equal Fraction differ."""
+    if isinstance(x, Element):
+        return (x.kind, x.value, type(x.value))
+    if isinstance(x, Matrix):
+        return (x.rows, x.cols, [exact(e) for e in x.entries])
+    if isinstance(x, (list, tuple)):
+        return [exact(y) for y in x]
+    if isinstance(x, RootSet):
+        return (exact(x.corner), str(x))
+    return x
+
+
+def outcome(kernel, a):
+    try:
+        return exact(kernel(a))
+    except (StrictlySingularError, NotDefiniteError, NotNonSingularError) as exc:
+        return type(exc)
+
+
+def memo_cases():
+    """Tie-heavy matrices of order 1..5 with Fractions, ghosts and -inf
+    (strictly singular, singular and non-singular ones), plus definite
+    factors, so that every kernel both answers and raises."""
+    out = []
+    for n in range(1, 6):
+        out += mixed_cases(n)[:16] + cases(n)[:8] + definite_cases(n)[:8]
+    return out
+
+
+def test_kept_results_equal_fresh_ones_in_any_order():
+    rng = random.Random(77)
+    names = list(MEMO_KERNELS)
+    orders = [names, names[::-1]] + [rng.sample(names, len(names)) for _ in range(3)]
+    raised = set()
+    for a in memo_cases():
+        want = {name: outcome(k, fresh(a)) for name, k in MEMO_KERNELS.items()}
+        raised.update(w for w in want.values() if isinstance(w, type))
+        for order in orders:
+            m = fresh(a)
+            for name in order + order:
+                assert outcome(MEMO_KERNELS[name], m) == want[name], (a, order, name)
+    assert raised == {StrictlySingularError, NotDefiniteError, NotNonSingularError}
+
+
+def test_kept_adjoint_keeps_strict_singularity():
+    for text in ("0 1; -inf -inf", "1 -inf 2g; 0 -inf 1/2; -1 -inf 3", "-inf"):
+        a = mat(text)
+        adjugate(a)
+        for _ in range(2):
+            with pytest.raises(StrictlySingularError):
+                pseudo_inverse(a)
+        b = mat(text)
+        tropmat.char_poly_coefficients(b)
+        with pytest.raises(StrictlySingularError):
+            pseudo_inverse(b)
+
+
+def test_size_cap_is_checked_before_the_memo():
+    a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
+    assert determinant(a) == determinant(fresh(a))
+    with pytest.raises(SizeCapExceededError):
+        determinant(a, cap=a.rows - 1)
+    assert determinant(a, cap=a.rows) == determinant(fresh(a))
+
+
+def test_returned_results_do_not_write_back_into_the_memo():
+    """A second kleene_star starts from the kept closure, not from the first
+    star; a caller's edits to a returned coefficient list reach no later
+    result."""
+    for d in definite_cases(4)[:10]:
+        star = kleene_star(d)
+        assert kleene_star(d) == star == kleene_star(fresh(d))
+        assert d._memo["closure"] == tropmat._closure(fresh(d))
+        assert is_definite(d)
+    for a in mixed_cases(4)[:10]:
+        coeffs = tropmat.char_poly_coefficients(a)
+        want = (exact(coeffs), exact(determinant(fresh(a))), exact(eigenvalues(fresh(a))))
+        coeffs[0] = ghost(99)
+        coeffs.append(tangible(5))
+        got = (exact(tropmat.char_poly_coefficients(a)), exact(determinant(a)),
+               exact(eigenvalues(a)))
+        assert got == want
+
+
+def test_memo_holds_no_fold_table_at_order_twelve():
+    """After every kernel has run on a definite 12x12 matrix, its memo holds
+    the kept results and n^2-sized lists only: no dict (no 2^n fold table)
+    and no container longer than n^2."""
+    n = 12
+    rng = random.Random(12)
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                entries.append(ONE)
+            elif rng.randrange(5) == 0:
+                entries.append(NEG_INF)
+            else:
+                v = Fraction(-rng.randint(1, 8), rng.randint(1, 2))
+                entries.append(ghost(v) if rng.randrange(10) == 0 else tangible(v))
+    d = Matrix(n, n, entries)
+    for kernel in MEMO_KERNELS.values():
+        kernel(d)
+    assert set(d._memo) == {"det", "adj", "pinv", "coeffs", "closure"}
+
+    def walk(x):
+        assert not isinstance(x, dict)
+        if isinstance(x, Matrix):
+            assert x._memo is None
+            walk(x.entries)
+        elif isinstance(x, (list, tuple)):
+            assert len(x) <= n * n
+            for y in x:
+                walk(y)
+
+    for value in d._memo.values():
+        walk(value)

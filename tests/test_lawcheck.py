@@ -222,8 +222,19 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_folds(monkeypatch):
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold",
+                        lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
+    return folds
+
+
 def test_law_checks_fold_each_quantity_once(monkeypatch):
-    """The similarity check folds for its classify guard, the conjugate's
+    """Each check gets freshly built matrices, so no result is kept from an
+    earlier call.  The adjoint rules fold twice for the adjoint, which also
+    gives det(A), then once for each of det(A adj A) and det(adj A).  The
+    similarity check folds for its classify guard, the conjugate's
     pseudo-inverse (2) and the two characteristic polynomials, multiplies
     only to form the conjugate, and leaves the corollaries of its law to the
     tier-1 tests: no root containment and no substitution of B.  The period
@@ -232,16 +243,14 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     stabilization check folds only for A^inv and its pseudo-inverse, makes
     the n - 2 products of A^(n-1) and one for A^inv A, and calls no
     adjugate.  Each check reports only its kept keys."""
-    folds = []
-    fold = tropmat._fold
-    monkeypatch.setattr(tropmat, "_fold",
-                        lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
-    a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
-    b = mat("0 2g -inf; -1 1 3; 2 -inf -2")
-    d = mat("0 -1 -2; -3 0 -1; -2 -4 0")
-    for call, want in [(lambda: chk_similarity(a, b), 5),
-                       (lambda: chk_nabla_period(a), 8),
-                       (lambda: chk_definite_stabilization(d), 4)]:
+    folds = _count_folds(monkeypatch)
+    a = "1 0 -1; 3 4 -inf; 0 -2 2"
+    b = "0 2g -inf; -1 1 3; 2 -inf -2"
+    d = "0 -1 -2; -3 0 -1; -2 -4 0"
+    for call, want in [(lambda: chk_adj_rules(mat(a)), 4),
+                       (lambda: chk_similarity(mat(a), mat(b)), 5),
+                       (lambda: chk_nabla_period(mat(a)), 8),
+                       (lambda: chk_definite_stabilization(mat(d)), 4)]:
         folds.clear()
         assert call().ok
         assert len(folds) == want
@@ -249,8 +258,8 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     adjugates = _count_calls(monkeypatch, "adjugate")
     corollaries = (_count_calls(monkeypatch, "roots_outside")
                    + _count_calls(monkeypatch, "eval_at_matrix"))
-    for call, want in [(lambda: chk_similarity(a, b), 2),
-                       (lambda: chk_definite_stabilization(d), 2)]:
+    for call, want in [(lambda: chk_similarity(mat(a), mat(b)), 2),
+                       (lambda: chk_definite_stabilization(mat(d)), 2)]:
         products.clear()
         assert call().ok
         assert len(products) == want
@@ -261,15 +270,49 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
                  "mat_nu_equiv", "is_definite"):
         monkeypatch.setattr(lawcheck, name, lambda *args: False)
     for call, keys in [
-        (lambda: chk_similarity(a, b), ["charpoly"]),
-        (lambda: chk_nabla_period(a), ["iterate_1_vs_3", "conductor_sandwich"]),
-        (lambda: chk_definite_stabilization(d),
+        (lambda: chk_similarity(mat(a), mat(b)), ["charpoly"]),
+        (lambda: chk_nabla_period(mat(a)), ["iterate_1_vs_3", "conductor_sandwich"]),
+        (lambda: chk_definite_stabilization(mat(d)),
          ["pseudo_inverse_definite", "double_pseudo_inverse", "kleene_star",
           "power_n_minus_1", "left_pseudo_identity"]),
     ]:
         res = call()
         assert not res.ok
         assert list(res.details) == keys
+
+
+def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
+    """In a run_check trial the draw's classify folds A once per attempt;
+    the check's own classify guard then reads the kept det and folds
+    nothing."""
+    folds = _count_folds(monkeypatch)
+    costs = []
+    classify_ = lawcheck.classify
+
+    def counted(m):
+        before = len(folds)
+        out = classify_(m)
+        costs.append(len(folds) - before)
+        return out
+
+    monkeypatch.setattr(lawcheck, "classify", counted)
+    for seed in range(5):
+        costs.clear()
+        assert run_check("similarity", GenConfig(n=4, seed=seed), 1).passes == 1
+        assert costs[:-1] == [1] * (len(costs) - 1) and costs[-1] == 0
+
+
+def test_definite_stabilization_closes_the_draw_once(monkeypatch):
+    """The DEFINITE draw's definite_form decides that D is definite by its
+    closure; the check's kleene_star(D) reads that closure back, so in a
+    run_check trial only D and A^inv are closed, once each."""
+    closed = []
+    closure = tropmat._closure
+    monkeypatch.setattr(tropmat, "_closure", lambda m: closed.append(m) or closure(m))
+    for seed in range(5):
+        closed.clear()
+        assert run_check("definite_stabilization", GenConfig(n=4, seed=seed), 1).passes == 1
+        assert len(closed) == 2 and closed[0] is not closed[1]
 
 
 def test_chk_definite_stabilization_examples():

@@ -240,6 +240,16 @@ def test_format_refuses_a_value_past_the_int_digit_limit():
     assert format_scalar(ghost(10 ** 4299)) == "1" + "0" * 4299 + "g"
 
 
+def test_repr_past_the_int_digit_limit_gives_a_digit_count():
+    """repr never raises: past the digit limit it names the kind and counts
+    the digits; below it, it is the scalar text."""
+    assert repr(tangible(10 ** 4300)) == "Element(tangible, 4301 digits)"
+    assert repr(tangible(Fraction(7, 10 ** 4300))) == "Element(tangible, 1/4301 digits)"
+    assert repr(ghost(Fraction(-(10 ** 5000), 3))) == "Element(ghost, 5001/1 digits)"
+    assert repr(ghost(10 ** 4299)) == f"Element({'1' + '0' * 4299 + 'g'!r})"
+    assert repr(NEG_INF) == "Element('-inf')"
+
+
 def test_parse_normalizes():
     assert parse_scalar("4/2") == tangible(2)
     assert format_scalar(parse_scalar("4/2")) == "2"

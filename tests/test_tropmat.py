@@ -19,6 +19,7 @@ from supertrop import (
     SingularityClass,
     SizeCapExceededError,
     StrictlySingularError,
+    SupertropicalError,
     adjugate,
     classify,
     definite_form,
@@ -320,6 +321,13 @@ def test_format_matrix_is_the_repr_body():
     a = mat("0 -1/2g; -inf 3")
     assert format_matrix(a) == "0 -1/2g; -inf 3"
     assert repr(a) == "Matrix(2x2: 0 -1/2g; -inf 3)"
+
+
+def test_repr_never_raises_past_the_int_digit_limit():
+    a = Matrix(1, 2, [tangible(10 ** 4300), NEG_INF])
+    with pytest.raises(SupertropicalError):
+        format_matrix(a)
+    assert repr(a) == "Matrix(1x2: Element(tangible, 4301 digits) Element('-inf'))"
 
 
 def test_kleene_star_cases():
