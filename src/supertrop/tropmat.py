@@ -6,21 +6,24 @@ entry) comes out ghost.  It is computed exactly, as a fold over column
 subsets (the Bellman / Held-Karp dynamic program) instead of an enumeration
 of the n! tracks: the semiring is commutative and `add` keeps every tie and
 every ghost, so grouping tracks by the columns their first rows use loses
-nothing.  The same fold gives the adjoint and the pseudo-inverse (one
-forward and one backward fold joined; the pseudo-inverse reads det from the
-forward fold), the dominant track of a definite form (read back from the
-fold that gave its determinant) and the characteristic coefficients (the
-fold of xI + A).  Definiteness is decided without the fold, by the cycle
-test of a Floyd-Warshall max-plus closure (n^3 instead of 2^n), and that
-closure is the Kleene star.  All of these, the matrix product and the power
-routine `power_sum` (the sum of c_i A^i behind `mat_pow` and
-`spectral.eval_at_matrix`, one product step per further power) work on
-magnitudes scaled to ints by the common denominator of the matrices and
-coefficients they read, so ties are exact integer ties and no Fraction is
-added or compared inside a kernel, a product or a power sum; each result
-entry becomes an Element once, at the end.  There is no floating point and
-no assignment-problem shortcut, because such shortcuts do not report tied
-optima.
+nothing.  Each fold fills one flat table indexed by column-set key, as a
+list of magnitudes and a list of ghost flags, so the fold allocates no
+container per state or per layer.  The same fold gives the adjoint and the
+pseudo-inverse (the forward and the backward table joined slot by slot; the
+pseudo-inverse reads det from the forward table), the dominant track of a
+definite form (backtracked over the table that gave its determinant) and
+the characteristic coefficients (the fold of xI + A, with the degree of x
+in the key bits above the columns).  Definiteness is decided without the
+fold, by the cycle test of a Floyd-Warshall max-plus closure (n^3 instead
+of 2^n), and that closure is the Kleene star.  All of these, the matrix
+product and the power routine `power_sum` (the sum of c_i A^i behind
+`mat_pow` and `spectral.eval_at_matrix`, one product step per further
+power) work on magnitudes scaled to ints by the common denominator of the
+matrices and coefficients they read, so ties are exact integer ties and no
+Fraction is added or compared inside a kernel, a product or a power sum;
+each result entry becomes an Element once, at the end.  There is no
+floating point and no assignment-problem shortcut, because such shortcuts
+do not report tied optima.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
@@ -191,8 +194,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 # Products read a matrix as rows of its finite entries, (column, magnitude,
 # ghost); kernels read it as the kernel rows below.  Magnitudes are ints,
 # scaled by the common denominator of every matrix read together, so ties
-# are exact integer ties and no Fraction is added.  A state is
-# [magnitude, ghost]; -inf is None or a missing key.
+# are exact integer ties and no Fraction is added.  A product state is
+# [magnitude, ghost], and None is -inf.
 
 
 def _scale(*mats: Matrix) -> int:
@@ -254,7 +257,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     (arows, brows), scale = _scaled_rows(a, b)
     return Matrix(a.rows, b.cols,
-                  [_element(st, scale) for acc in _product(arows, brows, b.cols) for st in acc])
+                  [NEG_INF if st is None else _element(*st, scale)
+                   for acc in _product(arows, brows, b.cols) for st in acc])
 
 
 def scalar_mul(c: Element, a: Matrix) -> Matrix:
@@ -298,7 +302,7 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
                     sums[base + j] = [v, cg or g]
                 elif v == cur[0]:
                     cur[1] = True
-    return Matrix(n, n, [_element(st, scale) for st in sums])
+    return Matrix(n, n, [NEG_INF if st is None else _element(*st, scale) for st in sums])
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -319,9 +323,9 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
     """The memo of a square matrix, made empty on first use.
 
-    This is the one size guard of the kernels: every fold has 2^n states,
-    so a matrix of order n > cap is refused here, before any kept result is
-    read and before any fold.
+    This is the one size guard of the kernels: every fold fills 2^n slots
+    or more, so a matrix of order n > cap is refused here, before any kept
+    result is read and before any fold.
     """
     if a.rows != a.cols or a.rows > cap:
         require_square(a)
@@ -349,54 +353,64 @@ def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
     return rows, scale
 
 
-def _element(state: list | None, scale: int) -> Element:
-    """The scalar a kernel state stands for."""
-    if state is None:
+def _element(m: int | None, g: bool, scale: int) -> Element:
+    """The scalar of scaled magnitude m (None for -inf) and ghost flag g."""
+    if m is None:
         return NEG_INF
-    m, g = state
     if scale != 1:
         m = rational(m, scale)
     return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
 
 
-def _state(e: Element, scale: int) -> list | None:
-    """The kernel state of a scalar whose denominator divides scale."""
+def _magnitude(e: Element, scale: int) -> int | None:
+    """The scaled magnitude of a scalar whose denominator divides scale, or
+    None for -inf."""
     if e.kind == NEG_INF_KIND:
         return None
     v = e.value
-    m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-    return [m, e.kind == GHOST_KIND]
+    return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
 
 
-def _fold(rows: Sequence[list[tuple]], keep_all: bool = False) -> dict:
+def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     """Subset fold of the permanent over rows[0], rows[1], ...
 
-    After k rows, the state under key K is the supertropical sum over every
-    placement of those rows on distinct columns whose column set is the low
-    bits of K: the permanent of the first k rows on those columns.  A key
-    step may also add to the bits above the columns (char_poly_coefficients
-    counts the degree of x there).  Returns the last layer, or with keep_all
-    every layer in one table.
+    Fills one flat table of `size` slots, as two lists indexed by key:
+    mag[K] is the scaled magnitude (None for -inf) and gh[K] the ghost flag
+    of the supertropical sum over every placement of the first k rows on
+    distinct columns whose column set is the low bits of K, k being the
+    number of those bits: the permanent of the first k rows on those
+    columns.  A key step may also add to the bits above the columns
+    (char_poly_coefficients counts the degree of x there), so size is 2^n,
+    or (n+1) 2^n with the degree.  Each layer is the list of keys it
+    reached, in first-reached order; keys of different layers never collide,
+    so the table holds every layer.
     """
-    layer: dict = {0: [0, False]}
-    table = dict(layer)
+    mag: list = [None] * size
+    gh = [False] * size
+    mag[0] = 0
+    layer = [0]
     for row in rows:
-        nxt: dict = {}
-        for key, (m, g) in layer.items():
+        nxt = []
+        for key in layer:
+            m = mag[key]
+            g = gh[key]
             for bit, step, w, wg in row:
                 if key & bit:
                     continue
                 k = key + step
                 v = m + w
-                cur = nxt.get(k)
-                if cur is None or v > cur[0]:
-                    nxt[k] = [v, g or wg]
-                elif v == cur[0]:
-                    cur[1] = True
+                cur = mag[k]
+                if cur is None:
+                    mag[k] = v
+                    gh[k] = g or wg
+                    nxt.append(k)
+                elif v > cur:
+                    mag[k] = v
+                    gh[k] = g or wg
+                elif v == cur:
+                    gh[k] = True
         layer = nxt
-        if keep_all:
-            table.update(layer)
-    return table if keep_all else layer
+    return mag, gh
 
 
 def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
@@ -406,7 +420,9 @@ def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     det = memo.get("det")
     if det is None:
         rows, scale = _kernel_rows(a)
-        det = memo["det"] = _element(_fold(rows).get((1 << a.rows) - 1), scale)
+        full = (1 << a.rows) - 1
+        mag, gh = _fold(rows, full + 1)
+        det = memo["det"] = _element(mag[full], gh[full], scale)
     return det
 
 
@@ -419,37 +435,44 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(rows: list[list[tuple]]) -> tuple[list | None, list]:
-    """The forward fold's full-set state (det) and the n^2 minor states.
+def _minors(rows: list[list[tuple]]) -> tuple[int | None, bool, list, list]:
+    """det (the forward table's full-set slot, as magnitude and ghost flag)
+    and the n^2 minors, as a list of magnitudes and a list of ghost flags.
 
-    State i * n + j is the permanent of the minor deleting row j and column
-    i: the sum, over column sets S of size j without i, of the forward state
-    at S times the backward state at the columns left over.
+    Minor i * n + j is the permanent of the minor deleting row j and column
+    i: the sum, over column sets S of size j without i, of the forward slot
+    at S times the backward slot at the columns left over.
     """
     n = len(rows)
-    fwd = _fold(rows, keep_all=True)
-    bwd = _fold(rows[::-1], keep_all=True)
     full = (1 << n) - 1
-    acc: list = [None] * (n * n)
-    for s, (m, g) in fwd.items():
-        j = s.bit_count()
-        if j == n:
+    fm, fg = _fold(rows, full + 1)
+    bm, bg = _fold(rows[::-1], full + 1)
+    am: list = [None] * (n * n)
+    ag = [False] * (n * n)
+    cols = [(1 << i, i * n) for i in range(n)]
+    for s in range(full):
+        m = fm[s]
+        if m is None:
             continue
+        g = fg[s]
+        j = s.bit_count()
         free = full ^ s
-        for i in range(n):
-            bit = 1 << i
+        for bit, base in cols:
             if not free & bit:
                 continue
-            b = bwd.get(free ^ bit)
+            rest = free ^ bit
+            b = bm[rest]
             if b is None:
                 continue
-            v = m + b[0]
-            cur = acc[i * n + j]
-            if cur is None or v > cur[0]:
-                acc[i * n + j] = [v, g or b[1]]
-            elif v == cur[0]:
-                cur[1] = True
-    return fwd.get(full), acc
+            v = m + b
+            k = base + j
+            cur = am[k]
+            if cur is None or v > cur:
+                am[k] = v
+                ag[k] = g or bg[rest]
+            elif v == cur:
+                ag[k] = True
+    return fm[full], fg[full], am, ag
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -465,9 +488,9 @@ def adjugate(a: Matrix) -> Matrix:
     if adj is None:
         n = a.rows
         rows, scale = _kernel_rows(a)
-        det, minors = _minors(rows)
-        memo["det"] = _element(det, scale)
-        adj = memo["adj"] = Matrix(n, n, [_element(st, scale) for st in minors])
+        dm, dg, am, ag = _minors(rows)
+        memo["det"] = _element(dm, dg, scale)
+        adj = memo["adj"] = Matrix(n, n, [_element(m, g, scale) for m, g in zip(am, ag)])
     return adj
 
 
@@ -488,9 +511,9 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
         rows, scale = _kernel_rows(a)
         for r, row in enumerate(rows):
             row.append((1 << r, (1 << r) + (1 << n), 0, False))
-        last = _fold(rows)
+        mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
-        coeffs = memo["coeffs"] = [_element(last.get(k << n | full), scale)
+        coeffs = memo["coeffs"] = [_element(mag[k << n | full], gh[k << n | full], scale)
                                    for k in range(n + 1)]
         memo["det"] = coeffs[0]
     return list(coeffs)
@@ -501,8 +524,8 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     tangible, and the ghost of that scaling when det is ghost.  Undefined
     for strictly singular matrices.
 
-    One forward and one backward fold give both: det is the forward fold's
-    full-set state, and each minor state is rescaled on the scaled ints
+    One forward and one backward fold give both: det is the forward table's
+    full-set slot, and each minor is rescaled on the scaled ints
     (magnitude minus det's, ghost if either is ghost).  When the adjoint
     and det are already kept on the matrix, the kept adjoint is rescaled
     instead, on the same scaled ints, and nothing is folded.
@@ -514,19 +537,20 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     adj = memo.get("adj")
     if adj is not None:  # adjugate keeps det with it
         scale = _scale(a)
-        full = _state(memo["det"], scale)
-        minors = [_state(e, scale) for e in adj.entries]
+        det = memo["det"]
+        dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
+        am = [_magnitude(e, scale) for e in adj.entries]
+        ag = [e.kind == GHOST_KIND for e in adj.entries]
     else:
         rows, scale = _kernel_rows(a)
-        full, minors = _minors(rows)
+        dm, dg, am, ag = _minors(rows)
         if "det" not in memo:
-            memo["det"] = _element(full, scale)
-    if full is None:
+            memo["det"] = _element(dm, dg, scale)
+    if dm is None:
         raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
-    dm, dg = full
     n = a.rows
     pinv = memo["pinv"] = Matrix(n, n, [
-        NEG_INF if st is None else _element((st[0] - dm, st[1] or dg), scale) for st in minors])
+        NEG_INF if m is None else _element(m - dm, g or dg, scale) for m, g in zip(am, ag)])
     return pinv
 
 
@@ -617,21 +641,21 @@ def is_definite(a: Matrix) -> bool:
     return _kept_closure(a) is not None
 
 
-def _dominant_permutation(rows: list[list[tuple]], table: dict) -> tuple[list, list]:
+def _dominant_permutation(rows: list[list[tuple]], mag: list) -> tuple[list, list]:
     """The unique permutation track attaining a tangible determinant and
-    the scaled magnitudes of its entries, read back from the keep_all fold
-    table of rows, the same fold that gave the determinant: with a tangible
-    determinant, exactly one column of each row extends the track
+    the scaled magnitudes of its entries, backtracked over the magnitudes
+    of rows' fold table, the same fold that gave the determinant: with a
+    tangible determinant, exactly one column of each row extends the track
     optimally."""
     n = len(rows)
     mask = (1 << n) - 1
     perm = [0] * n
     weights = [0] * n
     for r in reversed(range(n)):
-        best = table.get(mask)
+        best = mag[mask]
         for bit, _, w, _ in rows[r]:
-            prev = table.get(mask ^ bit) if mask & bit else None
-            if best is not None and prev is not None and prev[0] + w == best[0]:
+            prev = mag[mask ^ bit] if mask & bit else None
+            if best is not None and prev is not None and prev + w == best:
                 break
         else:
             raise VerificationError("no permutation track attains the determinant")
@@ -659,11 +683,12 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     memo = _memo_of(a)
     n = a.rows
     rows, scale = _kernel_rows(a)
-    table = _fold(rows, keep_all=True)
-    det = memo["det"] = _element(table.get((1 << n) - 1), scale)
+    full = (1 << n) - 1
+    mag, gh = _fold(rows, full + 1)
+    det = memo["det"] = _element(mag[full], gh[full], scale)
     if det.kind != TANGIBLE_KIND:
         raise NotNonSingularError("definite form needs a tangible determinant")
-    pi, track = _dominant_permutation(rows, table)
+    pi, track = _dominant_permutation(rows, mag)
     conductor = Matrix(n, n, [a.at(i, j) if j == pi[i] else NEG_INF
                               for i in range(n) for j in range(n)])
     # Left: row pi[i] of the definite factor is row i of A less its track
@@ -679,9 +704,9 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
             c = bit.bit_length() - 1
             i = r if side == "left" else row_of[c]
             at = pi[r] * n + c if side == "left" else r * n + i
-            entries[at] = _element((w - track[i], g), scale)
+            entries[at] = _element(w - track[i], g, scale)
     definite = Matrix(n, n, entries)
-    del rows, table  # release the fold before the checks below fold again
+    del rows, mag, gh  # release the fold before the checks below fold again
 
     product = mat_mul(conductor, definite) if side == "left" else mat_mul(definite, conductor)
     if product != a:
@@ -752,7 +777,7 @@ def kleene_star(a: Matrix) -> Matrix:
     n = a.rows
     for i in range(n):
         d[i * n + i] = 0
-    return Matrix(n, n, [NEG_INF if v is None else _element((v, False), scale) for v in d])
+    return Matrix(n, n, [_element(v, False, scale) for v in d])
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:

@@ -331,8 +331,7 @@ def test_kernels_fold_their_input_once(monkeypatch):
     kleene_star none: definiteness is the closure's own cycle test."""
     folds = []
     fold = tropmat._fold
-    monkeypatch.setattr(tropmat, "_fold",
-                        lambda rows, keep_all=False: folds.append(1) or fold(rows, keep_all))
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
     a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
     d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
     for call, want in [(lambda: pseudo_inverse(a), 2),
@@ -341,6 +340,108 @@ def test_kernels_fold_their_input_once(monkeypatch):
         folds.clear()
         call()
         assert len(folds) == want
+
+
+def traced_fold(fold, rows, size):
+    """fold(rows, size) and every layer list it built, each as it stood
+    when the fold moved on: a line tracer on the fold's frame notes each new
+    list bound to `layer`."""
+    code = fold.__code__
+    layers = []
+
+    def on_line(frame, event, arg):
+        layer = frame.f_locals.get("layer")
+        if layer is not None and (not layers or layers[-1] is not layer):
+            layers.append(layer)
+        return on_line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        table = fold(rows, size)
+    finally:
+        sys.settrace(before)
+    return table, layers
+
+
+def recorded_folds(monkeypatch):
+    """Route tropmat's folds through traced_fold; each fold appends
+    (size, (mag, gh), layers) to the returned list."""
+    seen = []
+    original = tropmat._fold
+
+    def fold(rows, size):
+        table, layers = traced_fold(original, rows, size)
+        seen.append((size, table, layers))
+        return table
+
+    monkeypatch.setattr(tropmat, "_fold", fold)
+    return seen
+
+
+def check_layers(n, size, mag, layers):
+    """One layer per row plus the empty set; layer r lists each finite slot
+    whose low n bits have r set bits, each once."""
+    full = (1 << n) - 1
+    assert len(layers) == n + 1
+    for r, layer in enumerate(layers):
+        assert len(set(layer)) == len(layer)
+        assert set(layer) == {k for k in range(size)
+                              if mag[k] is not None and (k & full).bit_count() == r}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
+    """Every slot S of the determinant's table is the permanent of the first
+    |S| rows on columns S (None where no placement reaches S), and slot
+    deg << n | full of the characteristic fold is the coefficient of x^deg."""
+    seen = recorded_folds(monkeypatch)
+    full = (1 << n) - 1
+    kinds, scales = set(), set()
+    for a in cases(n)[:12] + mixed_cases(n)[:12]:
+        scale = tropmat._scale(a)
+        scales.add(scale)
+        seen.clear()
+        determinant(fresh(a))
+        tropmat.char_poly_coefficients(fresh(a))
+        [(size, (mag, gh), layers), (csize, (cmag, cgh), clayers)] = seen
+        assert (size, csize) == (full + 1, (n + 1) << n)
+        for s in range(full + 1):
+            cols = [c for c in range(n) if s >> c & 1]
+            want = naive_det(a, range(len(cols)), cols)
+            got = tropmat._element(mag[s], gh[s], scale)
+            assert (got, mag[s] is None) == (want, want.is_neg_inf), (a, s)
+            kinds.add(got.kind)
+        check_layers(n, size, mag, layers)
+        coeffs = naive_char_poly(a).coeffs
+        for deg in range(n + 1):
+            k = deg << n | full
+            assert tropmat._element(cmag[k], cgh[k], scale) == coeffs[deg], (a, deg)
+        check_layers(n, csize, cmag, clayers)
+    assert len(kinds) == 3 and len(scales) > 1
+
+
+def test_each_fold_returns_one_flat_table(monkeypatch):
+    """On a 5x5 matrix every fold returns two lists of slots, one of int
+    magnitudes or None and one of ghost flags: 2^n slots for det, the
+    adjoint's minors and the definite form, (n+1) 2^n for the
+    characteristic coefficients, and never a dict."""
+    n = 5
+    a = next(m for m in mixed_cases(n) if determinant(m).is_tangible)
+    seen = recorded_folds(monkeypatch)
+    for call, size, folds in [(determinant, 1 << n, 1), (adjugate, 1 << n, 2),
+                              (tropmat.char_poly_coefficients, (n + 1) << n, 1),
+                              (definite_form, 1 << n, 2)]:
+        seen.clear()
+        call(fresh(a))
+        assert len(seen) == folds
+        for _, table, _ in seen:
+            assert type(table) is tuple and len(table) == 2
+            mag, gh = table
+            assert type(mag) is list and type(gh) is list
+            assert len(mag) == len(gh) == size
+            assert all(m is None or type(m) is int for m in mag)
+            assert all(type(g) is bool for g in gh)
 
 
 # Magnitudes inside the kernels are ints scaled by the common denominator.
@@ -385,7 +486,7 @@ def test_order_twelve_laplace_and_constant_coefficient(seed, numerators):
 def test_one_size_guard_comes_before_any_fold(monkeypatch):
     """Every kernel entry point refuses an order above DEFAULT_DET_CAP
     before it folds anything."""
-    def no_fold(rows, keep_all=False):
+    def no_fold(*args):
         raise AssertionError("folded a matrix above the size cap")
 
     monkeypatch.setattr(tropmat, "_fold", no_fold)
@@ -426,9 +527,12 @@ def forced(patch, call):
 det = tropmat.determinant
 
 
-def full_set_only(rows, keep_all=False):
-    """A fold whose full-set state is a tangible 0 that no row extends."""
-    return {(1 << len(rows)) - 1: [0, False]}
+def full_set_only(rows, size):
+    """A flat fold table whose only finite slot is a tangible 0 at the full
+    set, which no row extends."""
+    mag = [None] * size
+    mag[(1 << len(rows)) - 1] = 0
+    return mag, [False] * size
 
 
 a = mat("1 0; 3 4")
