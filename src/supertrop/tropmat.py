@@ -20,10 +20,11 @@ product and the power routine `power_sum` (the sum of c_i A^i behind
 `mat_pow` and `spectral.eval_at_matrix`, one product step per further
 power) work on magnitudes scaled to ints by the common denominator of the
 matrices and coefficients they read, so ties are exact integer ties and no
-Fraction is added or compared inside a kernel, a product or a power sum;
-each result entry becomes an Element once, at the end.  There is no
-floating point and no assignment-problem shortcut, because such shortcuts
-do not report tied optima.
+Fraction is added or compared inside a kernel, a product or a power sum.
+A result becomes Elements once, at the end, and each distinct
+(magnitude, ghost) pair of it is built once and shared by the entries
+that hold it.  There is no floating point and no assignment-problem
+shortcut, because such shortcuts do not report tied optima.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
@@ -36,6 +37,16 @@ A^inv, f_A and the eigenvalues of one matrix cost one fold each.  The memo
 keeps returned results and O(n^2) ints only, never a 2^n fold table.  A
 Matrix must therefore never be mutated: change its entries and the memo
 answers for the old ones.
+
+The last determinant fold (of determinant or definite_form) is handed on
+in one private slot, keyed by the identity of its matrix: the next
+adjugate or pseudo-inverse of that matrix takes its table as the forward
+half and folds only backward, definite_form backtracks over it, and
+char_poly_coefficients reads its kernel rows.  So a det fold followed by
+the adjoint, the pseudo-inverse or the definite form of the same matrix
+folds it forward once, and at most one 2^n table outlives its fold.
+definite_form verifies the factors it returns on their scaled ints, not
+on a product of Elements.
 """
 
 from __future__ import annotations
@@ -194,8 +205,9 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 # Products read a matrix as rows of its finite entries, (column, magnitude,
 # ghost); kernels read it as the kernel rows below.  Magnitudes are ints,
 # scaled by the common denominator of every matrix read together, so ties
-# are exact integer ties and no Fraction is added.  A product state is
-# [magnitude, ghost], and None is -inf.
+# are exact integer ties and no Fraction is added.  A result is two flat
+# row-major lists, magnitudes (None for -inf) and ghost flags, until
+# _elements turns it into scalars.
 
 
 def _scale(*mats: Matrix) -> int:
@@ -227,26 +239,54 @@ def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
     return out, scale
 
 
-def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> list[list]:
-    """The product of two matrices given as scaled rows on one scale, as
-    one row of states per row of A.
+def _rows_of(mag: list, gh: list, cols: int) -> list[list[tuple]]:
+    """The scaled rows of a flat result with `cols` columns."""
+    return [[(j, mag[base + j], gh[base + j]) for j in range(cols) if mag[base + j] is not None]
+            for base in range(0, len(mag), cols)]
+
+
+def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> tuple[list, list]:
+    """The product of two matrices given as scaled rows on one scale, as a
+    flat result (magnitudes and ghost flags, row-major).
 
     Row i of A is accumulated over its finite entries only, each times the
     finite entries of the matching row of B: the larger magnitude wins and
     a tie gives a ghost.
     """
-    out = []
+    size = len(arows) * cols
+    mag: list = [None] * size
+    gh = [False] * size
+    base = 0
     for arow in arows:
-        acc: list = [None] * cols
         for k, m, g in arow:
             for j, w, wg in brows[k]:
                 v = m + w
-                cur = acc[j]
-                if cur is None or v > cur[0]:
-                    acc[j] = [v, g or wg]
-                elif v == cur[0]:
-                    cur[1] = True
-        out.append(acc)
+                at = base + j
+                cur = mag[at]
+                if cur is None or v > cur:
+                    mag[at] = v
+                    gh[at] = g or wg
+                elif v == cur:
+                    gh[at] = True
+        base += cols
+    return mag, gh
+
+
+def _elements(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
+    """The scalars of a flat result on `scale`.  Each distinct (magnitude,
+    ghost) pair becomes one Element, shared by every entry that holds it,
+    so a value's Fraction is built once per result."""
+    built: dict = {}
+    out = []
+    for m, g in zip(mag, gh):
+        if m is None:
+            out.append(NEG_INF)
+            continue
+        key = m + m + g  # one int per (magnitude, ghost) pair
+        e = built.get(key)
+        if e is None:
+            e = built[key] = Element(GHOST_KIND if g else TANGIBLE_KIND, rational(m, scale))
+        out.append(e)
     return out
 
 
@@ -256,9 +296,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     (arows, brows), scale = _scaled_rows(a, b)
-    return Matrix(a.rows, b.cols,
-                  [NEG_INF if st is None else _element(*st, scale)
-                   for acc in _product(arows, brows, b.cols) for st in acc])
+    return Matrix(a.rows, b.cols, _elements(*_product(arows, brows, b.cols), scale))
 
 
 def scalar_mul(c: Element, a: Matrix) -> Matrix:
@@ -273,8 +311,8 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
     A^1 is A's own rows and each further power is one product step on the
     scaled ints, up to the last finite coefficient.  Each c_i A^i is added
     entrywise: the larger magnitude wins, and a tie, a ghost coefficient or
-    a ghost entry gives a ghost.  c_0 goes on the diagonal only.  Each
-    result entry becomes an Element once.
+    a ghost entry gives a ghost.  c_0 goes on the diagonal only.  The
+    result becomes Elements once, at the end.
     """
     require_square(a)
     n = a.rows
@@ -282,27 +320,30 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
     if top < 0:
         return neg_inf_matrix(n, n)
     (arows, [crow]), scale = _scaled_rows(a, Matrix(1, top + 1, coeffs[:top + 1]))
-    sums: list = [None] * (n * n)
+    mag: list = [None] * (n * n)
+    gh = [False] * (n * n)
     power, k = arows, 1
     for i, c, cg in crow:
         if i == 0:
-            for r in range(n):
-                sums[r * n + r] = [c, cg]
+            for at in range(0, n * n, n + 1):
+                mag[at] = c
+                gh[at] = cg
             continue
         for _ in range(i - k):
-            power = [[(j, st[0], st[1]) for j, st in enumerate(acc) if st is not None]
-                     for acc in _product(power, arows, n)]
+            power = _rows_of(*_product(power, arows, n), n)
         k = i
         for r, row in enumerate(power):
             base = r * n
             for j, m, g in row:
                 v = c + m
-                cur = sums[base + j]
-                if cur is None or v > cur[0]:
-                    sums[base + j] = [v, cg or g]
-                elif v == cur[0]:
-                    cur[1] = True
-    return Matrix(n, n, [NEG_INF if st is None else _element(*st, scale) for st in sums])
+                at = base + j
+                cur = mag[at]
+                if cur is None or v > cur:
+                    mag[at] = v
+                    gh[at] = cg or g
+                elif v == cur:
+                    gh[at] = True
+    return Matrix(n, n, _elements(mag, gh, scale))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -371,6 +412,12 @@ def _magnitude(e: Element, scale: int) -> int | None:
     return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
 
 
+def _ints(a: Matrix, scale: int) -> tuple[list, list]:
+    """A matrix whose denominators divide scale as a flat result: scaled
+    magnitudes (None for -inf) and ghost flags, row-major."""
+    return [_magnitude(e, scale) for e in a.entries], [e.kind == GHOST_KIND for e in a.entries]
+
+
 def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     """Subset fold of the permanent over rows[0], rows[1], ...
 
@@ -413,16 +460,59 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     return mag, gh
 
 
+# The last determinant fold, handed to the next kernel on the same matrix:
+# (matrix, kernel rows, scale, mag, gh), or None.  It is keyed by identity,
+# so it answers only for the matrix object that made it, and it holds the
+# one 2^n table that outlives its fold: a fold of any other matrix drops it
+# first, and the adjoint's fold of the same matrix takes it.
+_handoff: tuple | None = None
+
+
+def _handed(a: Matrix, take: bool) -> tuple | None:
+    """(kernel rows, scale, mag, gh) of A's determinant fold from the
+    handoff slot, or None.  Another matrix's fold is dropped from the slot,
+    so that its table is freed before the caller folds; A's own is dropped
+    too when the caller takes it."""
+    global _handoff
+    slot = _handoff
+    if slot is None or slot[0] is not a:
+        _handoff = None
+        return None
+    if take:
+        _handoff = None
+    return slot[1:]
+
+
+def _det_fold(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int, list, list]:
+    """A's kernel rows, their scale and A's fold table (magnitudes and ghost
+    flags).  They are read from the handoff slot when it holds A's; else A
+    is folded now, det is kept in the memo and the table in the slot."""
+    global _handoff
+    handed = _handed(a, take=False)
+    if handed is not None:
+        return handed
+    rows, scale = _kernel_rows(a)
+    full = (1 << a.rows) - 1
+    mag, gh = _fold(rows, full + 1)
+    memo["det"] = _element(mag[full], gh[full], scale)
+    _handoff = (a, rows, scale, mag, gh)
+    return rows, scale, mag, gh
+
+
 def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     """Tropical permanent, by the subset fold over the 2^n column sets
-    (n <= cap), or kept from an earlier kernel on the same matrix."""
+    (n <= cap), or kept from an earlier kernel on the same matrix.
+
+    A fold here leaves A's table (2^n slots) alive in the handoff slot
+    until A's next adjoint or pseudo-inverse takes it, or until another
+    matrix's determinant, adjoint, pseudo-inverse, definite form or
+    characteristic coefficients are folded.
+    """
     memo = _memo_of(a, cap)
     det = memo.get("det")
     if det is None:
-        rows, scale = _kernel_rows(a)
-        full = (1 << a.rows) - 1
-        mag, gh = _fold(rows, full + 1)
-        det = memo["det"] = _element(mag[full], gh[full], scale)
+        _det_fold(a, memo)
+        det = memo["det"]
     return det
 
 
@@ -435,17 +525,25 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(rows: list[list[tuple]]) -> tuple[int | None, bool, list, list]:
-    """det (the forward table's full-set slot, as magnitude and ghost flag)
-    and the n^2 minors, as a list of magnitudes and a list of ghost flags.
+def _minors(a: Matrix) -> tuple[int, int | None, bool, list, list]:
+    """A's scale, det (the forward table's full-set slot, as magnitude and
+    ghost flag) and the n^2 minors, as a list of magnitudes and a list of
+    ghost flags.
 
     Minor i * n + j is the permanent of the minor deleting row j and column
     i: the sum, over column sets S of size j without i, of the forward slot
-    at S times the backward slot at the columns left over.
+    at S times the backward slot at the columns left over.  The forward
+    table is taken from the handoff slot when it holds A's determinant
+    fold; the slot is emptied either way.
     """
+    handed = _handed(a, take=True)
+    if handed is not None:
+        rows, scale, fm, fg = handed
+    else:
+        rows, scale = _kernel_rows(a)
+        fm, fg = _fold(rows, 1 << a.rows)
     n = len(rows)
     full = (1 << n) - 1
-    fm, fg = _fold(rows, full + 1)
     bm, bg = _fold(rows[::-1], full + 1)
     am: list = [None] * (n * n)
     ag = [False] * (n * n)
@@ -472,7 +570,7 @@ def _minors(rows: list[list[tuple]]) -> tuple[int | None, bool, list, list]:
                 ag[k] = g or bg[rest]
             elif v == cur:
                 ag[k] = True
-    return fm[full], fg[full], am, ag
+    return scale, fm[full], fg[full], am, ag
 
 
 def adjugate(a: Matrix) -> Matrix:
@@ -480,17 +578,17 @@ def adjugate(a: Matrix) -> Matrix:
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
     adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
-    the rows and one backward fold, joined; the forward fold's full set
-    gives det, which is kept with the adjoint.
+    the rows (handed over by the last determinant fold of A, if any) and
+    one backward fold, joined; the forward fold's full set gives det, which
+    is kept with the adjoint.
     """
     memo = _memo_of(a)
     adj = memo.get("adj")
     if adj is None:
         n = a.rows
-        rows, scale = _kernel_rows(a)
-        dm, dg, am, ag = _minors(rows)
+        scale, dm, dg, am, ag = _minors(a)
         memo["det"] = _element(dm, dg, scale)
-        adj = memo["adj"] = Matrix(n, n, [_element(m, g, scale) for m, g in zip(am, ag)])
+        adj = memo["adj"] = Matrix(n, n, _elements(am, ag, scale))
     return adj
 
 
@@ -501,16 +599,18 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     row r may also take x from the diagonal.  Expanding the product, the
     coefficient of x^k is the supertropical sum of the determinants of the
     (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
-    det, and is kept as such.  The coefficients are kept on the matrix and
+    det, and is kept as such.  A's kernel rows are read from the handoff
+    slot when it holds A's; each row is copied with the x entry added, so
+    the slot's rows stay A's.  The coefficients are kept on the matrix and
     each call returns a new list of them.
     """
     memo = _memo_of(a)
     coeffs = memo.get("coeffs")
     if coeffs is None:
         n = a.rows
-        rows, scale = _kernel_rows(a)
-        for r, row in enumerate(rows):
-            row.append((1 << r, (1 << r) + (1 << n), 0, False))
+        handed = _handed(a, take=False)
+        base, scale = handed[:2] if handed is not None else _kernel_rows(a)
+        rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
         coeffs = memo["coeffs"] = [_element(mag[k << n | full], gh[k << n | full], scale)
@@ -524,11 +624,12 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     tangible, and the ghost of that scaling when det is ghost.  Undefined
     for strictly singular matrices.
 
-    One forward and one backward fold give both: det is the forward table's
-    full-set slot, and each minor is rescaled on the scaled ints
-    (magnitude minus det's, ghost if either is ghost).  When the adjoint
-    and det are already kept on the matrix, the kept adjoint is rescaled
-    instead, on the same scaled ints, and nothing is folded.
+    The adjoint's forward and backward folds give both (the forward one
+    handed over by the last determinant fold of A, if any): det is the
+    forward table's full-set slot, and each minor is rescaled on the scaled
+    ints (magnitude minus det's, ghost if either is ghost).  When the
+    adjoint and det are already kept on the matrix, the kept adjoint is
+    rescaled instead, on the same scaled ints, and nothing is folded.
     """
     memo = _memo_of(a)
     pinv = memo.get("pinv")
@@ -539,18 +640,16 @@ def pseudo_inverse(a: Matrix) -> Matrix:
         scale = _scale(a)
         det = memo["det"]
         dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
-        am = [_magnitude(e, scale) for e in adj.entries]
-        ag = [e.kind == GHOST_KIND for e in adj.entries]
+        am, ag = _ints(adj, scale)
     else:
-        rows, scale = _kernel_rows(a)
-        dm, dg, am, ag = _minors(rows)
+        scale, dm, dg, am, ag = _minors(a)
         if "det" not in memo:
             memo["det"] = _element(dm, dg, scale)
     if dm is None:
         raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
     n = a.rows
-    pinv = memo["pinv"] = Matrix(n, n, [
-        NEG_INF if m is None else _element(m - dm, g or dg, scale) for m, g in zip(am, ag)])
+    pinv = memo["pinv"] = Matrix(n, n, _elements(
+        [None if m is None else m - dm for m in am], [True] * (n * n) if dg else ag, scale))
     return pinv
 
 
@@ -641,28 +740,26 @@ def is_definite(a: Matrix) -> bool:
     return _kept_closure(a) is not None
 
 
-def _dominant_permutation(rows: list[list[tuple]], mag: list) -> tuple[list, list]:
-    """The unique permutation track attaining a tangible determinant and
-    the scaled magnitudes of its entries, backtracked over the magnitudes
-    of rows' fold table, the same fold that gave the determinant: with a
-    tangible determinant, exactly one column of each row extends the track
-    optimally."""
+def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
+    """The unique permutation track attaining a tangible determinant, as
+    (column, magnitude, ghost) of its entry in each row, backtracked over
+    the magnitudes of rows' fold table, the same fold that gave the
+    determinant: with a tangible determinant, exactly one column of each
+    row extends the track optimally."""
     n = len(rows)
     mask = (1 << n) - 1
-    perm = [0] * n
-    weights = [0] * n
+    track: list = [None] * n
     for r in reversed(range(n)):
         best = mag[mask]
-        for bit, _, w, _ in rows[r]:
+        for bit, _, w, g in rows[r]:
             prev = mag[mask ^ bit] if mask & bit else None
             if best is not None and prev is not None and prev + w == best:
                 break
         else:
             raise VerificationError("no permutation track attains the determinant")
-        perm[r] = bit.bit_length() - 1
-        weights[r] = w
+        track[r] = (bit.bit_length() - 1, w, g)
         mask ^= bit
-    return perm, weights
+    return track
 
 
 Side = Literal["left", "right"]
@@ -675,45 +772,58 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     side='left' and A = definite * conductor for side='right'.  The
     conductor is a generalized permutation matrix carrying det(A): it holds
     the entries of the unique dominant permutation track, and the definite
-    factor is A with that track rescaled onto a tangible-0 diagonal.  The
-    factorization is verified before returning.
+    factor is A with that track rescaled onto a tangible-0 diagonal.  A's
+    fold is the determinant's (handed over when it was the last one, and
+    kept in the handoff slot for the next kernel on A).  The returned
+    factors are verified on A's scaled ints before returning: their product
+    is A, the conductor's fold carries det(A), and the definite factor is
+    definite.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    memo = _memo_of(a)
+    left = side == "left"
     n = a.rows
-    rows, scale = _kernel_rows(a)
+    rows, scale, mag, gh = _det_fold(a, _memo_of(a))
     full = (1 << n) - 1
-    mag, gh = _fold(rows, full + 1)
-    det = memo["det"] = _element(mag[full], gh[full], scale)
-    if det.kind != TANGIBLE_KIND:
+    if mag[full] is None or gh[full]:
         raise NotNonSingularError("definite form needs a tangible determinant")
-    pi, track = _dominant_permutation(rows, mag)
-    conductor = Matrix(n, n, [a.at(i, j) if j == pi[i] else NEG_INF
-                              for i in range(n) for j in range(n)])
-    # Left: row pi[i] of the definite factor is row i of A less its track
-    # entry.  Right: column i is column pi[i] of A less the track entry of
-    # row i.  Either way entry (r, c) of A moves to one place, less the
-    # track entry of one row.
+    track = _dominant_track(rows, mag)
+    cond = [NEG_INF] * (n * n)
     row_of = [0] * n
-    for i, c in enumerate(pi):
+    for i, (c, _, _) in enumerate(track):
+        cond[i * n + c] = a.at(i, c)
         row_of[c] = i
-    entries = [NEG_INF] * (n * n)
+    conductor = Matrix(n, n, cond)
+    # With pi(i) the track's column in row i.  Left: row pi(i) of the
+    # definite factor is row i of A less its track entry.  Right: column i
+    # is column pi(i) of A less the track entry of row i.  Either way entry
+    # (r, c) of A moves to one place, less the track entry of one row.
+    am: list = [None] * (n * n)
+    ag = [False] * (n * n)
+    dm: list = [None] * (n * n)
+    dg = [False] * (n * n)
     for r, row in enumerate(rows):
+        pr = track[r][0]
         for bit, _, w, g in row:
             c = bit.bit_length() - 1
-            i = r if side == "left" else row_of[c]
-            at = pi[r] * n + c if side == "left" else r * n + i
-            entries[at] = _element(w - track[i], g, scale)
-    definite = Matrix(n, n, entries)
-    del rows, mag, gh  # release the fold before the checks below fold again
+            am[r * n + c] = w
+            ag[r * n + c] = g
+            i = r if left else row_of[c]
+            at = pr * n + c if left else r * n + i
+            dm[at] = w - track[i][1]
+            dg[at] = g
+    definite = Matrix(n, n, _elements(dm, dg, scale))
 
-    product = mat_mul(conductor, definite) if side == "left" else mat_mul(definite, conductor)
-    if product != a:
+    # The checks read the returned factors back onto A's scale.
+    crows = _rows_of(*_ints(conductor, scale), n)
+    drows = _rows_of(*_ints(definite, scale), n)
+    product = _product(crows, drows, n) if left else _product(drows, crows, n)
+    if product != (am, ag):
         raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
-    if determinant(conductor) != det:
+    cm, cg = _fold([[(1 << j, 1 << j, m, g) for j, m, g in row] for row in crows], full + 1)
+    if cm[full] != mag[full] or cg[full] != gh[full]:
         raise VerificationError("conductor does not carry det(A)")
     return conductor, definite
 
@@ -775,9 +885,9 @@ def kleene_star(a: Matrix) -> Matrix:
     d, scale = closure
     d = d.copy()  # the memo keeps the closure as _closure left it
     n = a.rows
-    for i in range(n):
-        d[i * n + i] = 0
-    return Matrix(n, n, [_element(v, False, scale) for v in d])
+    for at in range(0, n * n, n + 1):
+        d[at] = 0
+    return Matrix(n, n, _elements(d, [False] * (n * n), scale))
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:

@@ -1,6 +1,7 @@
 """The subset-fold kernels against the enumeration oracles, on tie-heavy
 inputs, and their self-checks as typed errors."""
 
+import gc
 import os
 import random
 import subprocess
@@ -327,7 +328,7 @@ def test_definite_form_splits_a_permuted_definite_matrix(n):
 
 def test_kernels_fold_their_input_once(monkeypatch):
     """pseudo_inverse runs one forward and one backward fold, definite_form
-    one fold of A plus one for the determinant of its conductor, and
+    one fold of A plus one of its conductor, and
     kleene_star none: definiteness is the closure's own cycle test."""
     folds = []
     fold = tropmat._fold
@@ -502,7 +503,7 @@ def test_one_size_guard_comes_before_any_fold(monkeypatch):
 # assert would have vanished.
 FORCED_FAILURES = r'''
 import sys
-from supertrop import VerificationError, is_invertible, neg_inf_matrix, tangible
+from supertrop import VerificationError
 from supertrop import tropmat
 from conftest import mat
 
@@ -524,7 +525,7 @@ def forced(patch, call):
     return "no error"
 
 
-det = tropmat.determinant
+fold = tropmat._fold
 
 
 def full_set_only(rows, size):
@@ -535,14 +536,27 @@ def full_set_only(rows, size):
     return mag, [False] * size
 
 
-a = mat("1 0; 3 4")
-print(forced({"_fold": full_set_only}, lambda: tropmat.definite_form(a)))
-print(forced({"mat_mul": lambda x, y: neg_inf_matrix(x.rows, y.cols)},
-             lambda: tropmat.definite_form(a)))
+def no_product(arows, brows, cols):
+    """A product step whose result is -inf everywhere."""
+    return [None] * (len(arows) * cols), [False] * (len(arows) * cols)
+
+
+def conductor_off(rows, size):
+    """The fold, with the full set of a one-entry-per-row fold (the
+    conductor's) raised by 99."""
+    mag, gh = fold(rows, size)
+    if all(len(row) == 1 for row in rows):
+        mag[size - 1] += 99
+    return mag, gh
+
+
+# a fresh A for each case, so that no case reads another's kept fold
+text = "1 0; 3 4"
+print(forced({"_fold": full_set_only}, lambda: tropmat.definite_form(mat(text))))
+print(forced({"_product": no_product}, lambda: tropmat.definite_form(mat(text))))
 print(forced({"is_definite": lambda m: False},
-             lambda: tropmat.definite_form(a)))
-print(forced({"determinant": lambda m: tangible(99) if is_invertible(m) else det(m)},
-             lambda: tropmat.definite_form(a)))
+             lambda: tropmat.definite_form(mat(text))))
+print(forced({"_fold": conductor_off}, lambda: tropmat.definite_form(mat(text))))
 '''
 
 
@@ -696,3 +710,172 @@ def test_memo_holds_no_fold_table_at_order_twelve():
 
     for value in d._memo.values():
         walk(value)
+
+
+# -- the handoff slot: the last determinant fold goes to the next kernel ----------
+
+
+def test_handoff_keeps_one_table_at_order_twelve():
+    """After determinant on 20 distinct 12x12 matrices, each memo holds no
+    container longer than n^2, and at most one fold table (two lists of
+    2^n slots) is alive: the last matrix's, in the handoff slot."""
+    n = 12
+    size = 1 << n
+
+    def tables():
+        gc.collect()
+        return sum(1 for x in gc.get_objects() if type(x) is list and len(x) == size)
+
+    determinant(identity(2))  # drops any table an earlier test left in the slot
+    before = tables()
+    mats = [gen_matrix(GenConfig(n=n, numerator_range=(-4, 4), denominator=2, seed=s))
+            for s in range(20)]
+    for a in mats:
+        determinant(a)
+    assert tables() - before <= 2
+    assert tropmat._handoff[0] is mats[-1]
+    for a in mats:
+        assert set(a._memo) == {"det"}
+        assert not isinstance(a._memo["det"], (list, tuple, dict))
+    adjugate(mats[-1])  # takes the table
+    assert tropmat._handoff is None
+    assert tables() == before
+
+
+def test_handed_table_is_dropped_by_another_matrix():
+    """No table outlives the adjoint or the pseudo-inverse of a different
+    matrix: its fold drops the slot's table before it runs."""
+    for kernel in (adjugate, pseudo_inverse):
+        a, b = mat("1 0 -1; 3 4 -inf; 0 -2 2"), mat("0 1; 2 0")
+        determinant(a)
+        assert tropmat._handoff[0] is a
+        kernel(b)
+        assert tropmat._handoff is None
+
+
+def test_handed_table_answers_only_its_own_matrix(monkeypatch):
+    """The slot is keyed by identity: after det(A) and det(B), adj(A)
+    folds A forward and backward itself; a matrix B with A's entries never
+    reads A's table; only A itself, straight after det(A), folds backward
+    alone."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    seen = 0
+    for a, b in zip(mixed_cases(5), mixed_cases(5)[1:]):
+        if not determinant(a).is_tangible or a.entries == b.entries:
+            continue
+        seen += 1
+        want_adj, want_pinv = exact(naive_adj(a)), exact(pseudo_inverse(fresh(a)))
+        want_form = exact(definite_form(fresh(a)))
+        x, y = fresh(a), fresh(b)
+        determinant(x)
+        determinant(y)
+        folds.clear()
+        assert exact(adjugate(x)) == want_adj
+        assert len(folds) == 2
+        for kernel, want, cost in [(adjugate, want_adj, 2), (pseudo_inverse, want_pinv, 2),
+                                   (definite_form, want_form, 2)]:
+            x, twin = fresh(a), fresh(a)
+            determinant(x)
+            folds.clear()
+            assert exact(kernel(twin)) == want
+            assert len(folds) == cost, kernel
+            x = fresh(a)
+            determinant(x)
+            folds.clear()
+            assert exact(kernel(x)) == want
+            assert len(folds) == cost - 1, kernel  # the backward half, or the conductor
+    assert seen >= 5
+
+
+def test_handed_rows_are_never_mutated(monkeypatch):
+    """char_poly copies the slot's rows with its x entry: after det(A) and
+    char_poly(A), the slot still holds A's kernel rows, and adj(A), folding
+    backward alone over them, equals adj of a fresh copy."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    for n in (1, 3, 5):
+        for a in mixed_cases(n)[:10]:
+            want = exact(adjugate(fresh(a)))
+            x = fresh(a)
+            determinant(x)
+            tropmat.char_poly_coefficients(x)
+            assert tropmat._handoff[1] == tropmat._kernel_rows(fresh(a))[0]
+            folds.clear()
+            assert exact(adjugate(x)) == want
+            assert len(folds) == 1
+
+
+# -- shared result scalars ---------------------------------------------------------
+
+
+def scaled_cases(dens, count, seed):
+    """Matrices of order 2..5 whose entries have the denominators dens (and
+    common scale lcm(dens)): numerators in [-2, 2], a fifth -inf and a fifth
+    ghosts, so equal values, ghosts and ties fill every result."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        n = 2 + t % 4
+        entries = []
+        for _ in range(n * n):
+            if rng.randrange(5) == 0:
+                entries.append(NEG_INF)
+                continue
+            v = Fraction(rng.randint(-2, 2), rng.choice(dens))
+            entries.append(ghost(v) if rng.randrange(5) == 0 else tangible(v))
+        out.append(Matrix(n, n, entries))
+    return out
+
+
+def definite_of(a):
+    """A with a tangible-0 diagonal and each off-diagonal value v replaced
+    by -|v| - 1: every cycle is negative, so the result is definite."""
+    n = a.rows
+    return Matrix(n, n, [ONE if i == j else e if e.is_neg_inf
+                         else Element(e.kind, -abs(e.value) - 1)
+                         for i in range(n) for j, e in enumerate(a.row(i))])
+
+
+@pytest.mark.parametrize("dens, scale", [((1,), 1), ((1, 2), 2), ((2, 3), 6)])
+def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
+    """Every result built from scaled ints equals, kind, value and value
+    type, the same result with each entry built by its own _element call,
+    and each distinct scalar of a result is one object.  (A
+    star's scale may be 1 at dens (1, 2): definite_of drops the diagonal.)"""
+    mats = [a for a in scaled_cases(dens, 80, scale) if tropmat._scale(a) == scale]
+    assert len(mats) >= 40
+    coeffs = [tangible(Fraction(1, dens[-1])), NEG_INF, ghost(0), ONE]
+    on_any = [lambda a: mat_mul(a, hat_matrix(a)), lambda a: power_sum(coeffs, a),
+              adjugate, lambda a: kleene_star(definite_of(a))]
+    on_defined = [pseudo_inverse, lambda a: (adjugate(a), pseudo_inverse(a))]
+    defined = [a for a in mats if not determinant(a).is_neg_inf]
+    formable = [a for a in mats if determinant(a).is_tangible]
+    assert formable
+    cases_ = [(f, a) for f in on_any for a in mats]
+    cases_ += [(f, a) for f in on_defined for a in defined]
+    cases_ += [(lambda a: definite_form(a)[1], a) for a in formable]
+    cases_ += [(lambda a: definite_form(a, "right")[1], a) for a in formable]
+
+    def results(x):
+        return x if isinstance(x, tuple) else (x,)
+
+    got = [results(f(fresh(a))) for f, a in cases_]
+    element = tropmat._element
+    monkeypatch.setattr(tropmat, "_elements", lambda mag, gh, s: [
+        element(m, g, s) for m, g in zip(mag, gh)])
+    want = [results(f(fresh(a))) for f, a in cases_]
+    assert [exact(x) for x in got] == [exact(x) for x in want]
+    kinds, types, tied = set(), set(), 0
+    for out in got:
+        for m in out:
+            finite = [e for e in m.entries if not e.is_neg_inf]
+            kinds.update(e.kind for e in m.entries)
+            types.update(type(e.value) for e in finite)
+            values = {(e.kind, e.value) for e in finite}
+            tied += len(values) < len(finite)
+            assert len({id(e) for e in finite}) == len(values)
+    assert len(kinds) == 3 and tied > len(got) // 2
+    assert types == ({int} if scale == 1 else {int, Fraction})

@@ -234,21 +234,22 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     earlier call.  The adjoint rules fold twice for the adjoint, which also
     gives det(A), then once for each of det(A adj A) and det(adj A).  The
     similarity check folds for its classify guard, the conjugate's
-    pseudo-inverse (2) and the two characteristic polynomials, multiplies
-    only to form the conjugate, and leaves the corollaries of its law to the
-    tier-1 tests: no root containment and no substitution of B.  The period
-    check's guard is its definite_form call (A and the conductor's
-    determinant), then 2 for each of the three pseudo-inverses.  The
-    stabilization check folds only for A^inv and its pseudo-inverse, makes
-    the n - 2 products of A^(n-1) and one for A^inv A, and calls no
+    pseudo-inverse (1: the guard's fold is its forward half) and the two
+    characteristic polynomials, multiplies only to form the conjugate, and
+    leaves the corollaries of its law to the tier-1 tests: no root
+    containment and no substitution of B.  The period check's guard is its
+    definite_form call (A and the conductor), then 1 for A's pseudo-inverse
+    (the guard's fold is its forward half) and 2 for each of the other two.
+    The stabilization check folds only for A^inv and its pseudo-inverse,
+    makes the n - 2 products of A^(n-1) and one for A^inv A, and calls no
     adjugate.  Each check reports only its kept keys."""
     folds = _count_folds(monkeypatch)
     a = "1 0 -1; 3 4 -inf; 0 -2 2"
     b = "0 2g -inf; -1 1 3; 2 -inf -2"
     d = "0 -1 -2; -3 0 -1; -2 -4 0"
     for call, want in [(lambda: chk_adj_rules(mat(a)), 4),
-                       (lambda: chk_similarity(mat(a), mat(b)), 5),
-                       (lambda: chk_nabla_period(mat(a)), 8),
+                       (lambda: chk_similarity(mat(a), mat(b)), 4),
+                       (lambda: chk_nabla_period(mat(a)), 7),
                        (lambda: chk_definite_stabilization(mat(d)), 4)]:
         folds.clear()
         assert call().ok
@@ -299,6 +300,35 @@ def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
         costs.clear()
         assert run_check("similarity", GenConfig(n=4, seed=seed), 1).passes == 1
         assert costs[:-1] == [1] * (len(costs) - 1) and costs[-1] == 0
+
+
+@pytest.mark.parametrize("check_id, after_draw", [
+    ("nabla_period", 6), ("definite_stabilization", 5),
+    ("similarity", 3), ("reversal_conjecture", 3)])
+def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypatch):
+    """In one run_check trial at n = 5 the draw's classify folds once per
+    attempt, and that fold is the forward half of the next pseudo-inverse
+    or the table of the next definite form.  After it: the period check
+    folds the conductor, the backward half of A^inv and 2 for each further
+    pseudo-inverse; the DEFINITE draw folds its conductor, then the check 2
+    for each of its two pseudo-inverses; the similarity and reversal checks
+    fold the backward half of A^inv and two characteristic polynomials."""
+    folds = _count_folds(monkeypatch)
+    drawn = []
+    classify_ = lawcheck.classify
+
+    def counted(m):
+        before = len(folds)
+        out = classify_(m)
+        drawn.append(len(folds) - before)
+        return out
+
+    monkeypatch.setattr(lawcheck, "classify", counted)
+    for seed in range(4):
+        folds.clear()
+        drawn.clear()
+        assert run_check(check_id, GenConfig(n=5, seed=seed), 1).passes == 1
+        assert len(folds) - sum(drawn) == after_draw, seed
 
 
 def test_definite_stabilization_closes_the_draw_once(monkeypatch):
