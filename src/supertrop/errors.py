@@ -17,8 +17,10 @@ class SizeCapExceededError(SupertropicalError):
     """Raised when a matrix kernel gets a matrix of order above
     tropmat.DEFAULT_DET_CAP (16): the subset fold has 2^n states.  The cap is
     fixed and not set per call; every kernel checks it once before any work,
-    the Floyd-Warshall closure of is_definite and kleene_star included, and
-    lawcheck.run_check checks it before drawing any matrix."""
+    the Floyd-Warshall closure included (it decides is_definite and is
+    kleene_star, and for a definite matrix the adjoint and the
+    pseudo-inverse), and lawcheck.run_check checks it before drawing any
+    matrix."""
 
 
 class StrictlySingularError(SupertropicalError):

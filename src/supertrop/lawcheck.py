@@ -309,11 +309,15 @@ def chk_nabla_period(a: Matrix) -> TrialResult:
 def chk_definite_stabilization(a: Matrix) -> TrialResult:
     """For definite A, A^inv is definite and has the magnitude of its own
     pseudo-inverse, the Kleene star, A^(n-1) and A^inv A; kleene_star
-    raises NotDefiniteError for any other A.  The rest follows and is left
-    to the test suite: det(A) is tangible 0, and rescaling by it changes no
-    minor, so A^inv = adj(A); magnitudes multiply in max-plus, so
-    A^(k+1) = A^k A ~ A^inv A ~ A^inv for every k >= n-1, and
-    A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
+    raises NotDefiniteError for any other A.  Nothing here folds: A^inv is
+    A's closure with its ghost flags and the star is its tangible
+    projection, so the star key holds by construction, and A^inv's own
+    pseudo-inverse is A^inv's closure; A^(n-1) and A^inv A are products.
+    The rest follows and is left to the test suite, which also compares
+    the closure's A^inv with the adjoint oracle: det(A) is tangible 0, and
+    rescaling by it changes no minor, so A^inv = adj(A); magnitudes
+    multiply in max-plus, so A^(k+1) = A^k A ~ A^inv A ~ A^inv for every
+    k >= n-1, and A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
     star = kleene_star(a)
     pinv = pseudo_inverse(a)
     bad = {}

@@ -14,13 +14,16 @@ pseudo-inverse reads det from the forward table), the dominant track of a
 definite form (backtracked over the table that gave its determinant) and
 the characteristic coefficients (the fold of xI + A, with the degree of x
 in the key bits above the columns).  Definiteness is decided without the
-fold, by the cycle test of a Floyd-Warshall max-plus closure (n^3 instead
-of 2^n), and that closure is the Kleene star.  All of these, the matrix
-product and the power routine `power_sum` (the sum of c_i A^i behind
-`mat_pow` and `spectral.eval_at_matrix`, one product step per further
-power) work on magnitudes scaled to ints by the common denominator of the
-matrices and coefficients they read, so ties are exact integer ties and no
-Fraction is added or compared inside a kernel, a product or a power sum.
+fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
+that keeps a ghost flag beside each magnitude.  For a definite matrix that
+closure is the adjoint and the pseudo-inverse, ghosts included, and its
+tangible projection is the Kleene star, so none of the three folds.  All
+of these, the matrix product and the power routine `power_sum` (the sum
+of c_i A^i behind `mat_pow` and `spectral.eval_at_matrix`, one product
+step per further power) work on magnitudes scaled to ints by the common
+denominator of the matrices and coefficients they read, so ties are exact
+integer ties and no Fraction is added or compared inside a kernel, a
+product or a power sum.
 A result becomes Elements once, at the end, and each distinct
 (magnitude, ghost) pair of it is built once and shared by the entries
 that hold it.  There is no floating point and no assignment-problem
@@ -30,18 +33,22 @@ A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
 that computes it: det (also written by the adjoint's and the
 pseudo-inverse's forward fold, by the characteristic coefficients as
-coefficient 0 and by definite_form), the adjoint, the pseudo-inverse (the
-kept adjoint rescaled by the kept det, when both are held), the
-characteristic coefficients and the definiteness closure.  So det, adj,
-A^inv, f_A and the eigenvalues of one matrix cost one fold each.  The memo
-keeps returned results and O(n^2) ints only, never a 2^n fold table.  A
-Matrix must therefore never be mutated: change its entries and the memo
-answers for the old ones.
+coefficient 0, by definite_form and, as tangible 0, by the closure of a
+definite matrix), the adjoint, the pseudo-inverse (the kept adjoint
+rescaled by the kept det, when both are held), the characteristic
+coefficients and the definiteness closure.  So det, adj, A^inv, f_A and the
+eigenvalues of one matrix cost one fold each, and adj and A^inv of a
+definite matrix none.  The adjoint's fold also leaves A's kernel rows in
+the memo until the characteristic coefficients take them.  The memo keeps
+returned results and O(n^2) ints only, never a 2^n fold table.  A Matrix
+must therefore never be mutated: change its entries and the memo answers
+for the old ones.
 
 The last determinant fold (of determinant or definite_form) is handed on
 in one private slot, keyed by the identity of its matrix: the next
 adjugate or pseudo-inverse of that matrix takes its table as the forward
-half and folds only backward, definite_form backtracks over it, and
+half and folds only backward (the table leaves the slot; the rows stay
+in the memo, as above), definite_form backtracks over it, and
 char_poly_coefficients reads its kernel rows.  So a det fold followed by
 the adjoint, the pseudo-inverse or the definite form of the same matrix
 folds it forward once, and at most one 2^n table outlives its fold.
@@ -525,7 +532,7 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(a: Matrix) -> tuple[int, int | None, bool, list, list]:
+def _minors(a: Matrix, memo: dict) -> tuple[int, int | None, bool, list, list]:
     """A's scale, det (the forward table's full-set slot, as magnitude and
     ghost flag) and the n^2 minors, as a list of magnitudes and a list of
     ghost flags.
@@ -534,7 +541,9 @@ def _minors(a: Matrix) -> tuple[int, int | None, bool, list, list]:
     i: the sum, over column sets S of size j without i, of the forward slot
     at S times the backward slot at the columns left over.  The forward
     table is taken from the handoff slot when it holds A's determinant
-    fold; the slot is emptied either way.
+    fold; the slot is emptied either way.  A's kernel rows and their scale
+    are left in the memo, under "rows", for char_poly_coefficients, unless
+    the coefficients are already kept.
     """
     handed = _handed(a, take=True)
     if handed is not None:
@@ -542,6 +551,8 @@ def _minors(a: Matrix) -> tuple[int, int | None, bool, list, list]:
     else:
         rows, scale = _kernel_rows(a)
         fm, fg = _fold(rows, 1 << a.rows)
+    if "coeffs" not in memo:
+        memo["rows"] = rows, scale
     n = len(rows)
     full = (1 << n) - 1
     bm, bg = _fold(rows[::-1], full + 1)
@@ -573,20 +584,48 @@ def _minors(a: Matrix) -> tuple[int, int | None, bool, list, list]:
     return scale, fm[full], fg[full], am, ag
 
 
+def _definite_inverse(a: Matrix, memo: dict) -> Matrix | None:
+    """adj(A) of a definite A, from its closure with tangible 0 written on
+    the diagonal, kept as the adjoint and as the pseudo-inverse with
+    det = 0; None, with nothing kept but the closure, for any other A.
+
+    Every non-identity cycle of a definite A is strictly negative and
+    det(A) is tangible 0.  A track of the minor deleting row j and column
+    i (i != j) is a path from i to j plus cycles on the other rows, so the
+    tracks that attain its permanent are the heaviest paths from i to j
+    with the identity on every other row, and the permanent is the
+    closure's supertropical sum of those paths, ghosts included.  A
+    principal minor's permanent is the identity's tangible 0.  Rescaling
+    by det = 0 changes nothing, so A^inv = adj(A).
+    """
+    closure = _kept_closure(a, memo)
+    if closure is None:
+        return None
+    d, dg, scale = closure
+    n = a.rows
+    memo["det"] = ONE
+    inverse = memo["adj"] = memo["pinv"] = Matrix(
+        n, n, _elements(*_with_unit_diagonal(d, dg, n), scale))
+    return inverse
+
+
 def adjugate(a: Matrix) -> Matrix:
     """Entry (i, j) is the determinant of the minor deleting row j, column i.
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
-    adjugate([[a]]) = [[0]].  All n^2 minors come from one forward fold over
-    the rows (handed over by the last determinant fold of A, if any) and
-    one backward fold, joined; the forward fold's full set gives det, which
-    is kept with the adjoint.
+    adjugate([[a]]) = [[0]].  A definite A is not folded: its adjoint is
+    its closure (see _definite_inverse).  Otherwise all n^2 minors come
+    from one forward fold over the rows (handed over by the last
+    determinant fold of A, if any) and one backward fold, joined; the
+    forward fold's full set gives det, which is kept with the adjoint.
     """
     memo = _memo_of(a)
     adj = memo.get("adj")
     if adj is None:
+        adj = _definite_inverse(a, memo)
+    if adj is None:
         n = a.rows
-        scale, dm, dg, am, ag = _minors(a)
+        scale, dm, dg, am, ag = _minors(a, memo)
         memo["det"] = _element(dm, dg, scale)
         adj = memo["adj"] = Matrix(n, n, _elements(am, ag, scale))
     return adj
@@ -600,7 +639,8 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     coefficient of x^k is the supertropical sum of the determinants of the
     (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
     det, and is kept as such.  A's kernel rows are read from the handoff
-    slot when it holds A's; each row is copied with the x entry added, so
+    slot when it holds A's, else taken from the memo when the adjoint's
+    fold left them there; each row is copied with the x entry added, so
     the slot's rows stay A's.  The coefficients are kept on the matrix and
     each call returns a new list of them.
     """
@@ -609,7 +649,8 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     if coeffs is None:
         n = a.rows
         handed = _handed(a, take=False)
-        base, scale = handed[:2] if handed is not None else _kernel_rows(a)
+        kept = memo.pop("rows", None)
+        base, scale = handed[:2] if handed is not None else kept or _kernel_rows(a)
         rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
@@ -624,15 +665,19 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     tangible, and the ghost of that scaling when det is ghost.  Undefined
     for strictly singular matrices.
 
-    The adjoint's forward and backward folds give both (the forward one
-    handed over by the last determinant fold of A, if any): det is the
-    forward table's full-set slot, and each minor is rescaled on the scaled
-    ints (magnitude minus det's, ghost if either is ghost).  When the
-    adjoint and det are already kept on the matrix, the kept adjoint is
-    rescaled instead, on the same scaled ints, and nothing is folded.
+    A definite A is not folded: det(A) is tangible 0, so A^inv = adj(A),
+    and both are its closure (see _definite_inverse).  Otherwise the
+    adjoint's forward and backward folds give both (the forward one handed
+    over by the last determinant fold of A, if any): det is the forward
+    table's full-set slot, and each minor is rescaled on the scaled ints
+    (magnitude minus det's, ghost if either is ghost).  When the adjoint
+    and det are already kept on the matrix, the kept adjoint is rescaled
+    instead, on the same scaled ints, and nothing is folded.
     """
     memo = _memo_of(a)
     pinv = memo.get("pinv")
+    if pinv is None:
+        pinv = _definite_inverse(a, memo)
     if pinv is not None:
         return pinv
     adj = memo.get("adj")
@@ -642,7 +687,7 @@ def pseudo_inverse(a: Matrix) -> Matrix:
         dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
         am, ag = _ints(adj, scale)
     else:
-        scale, dm, dg, am, ag = _minors(a)
+        scale, dm, dg, am, ag = _minors(a, memo)
         if "det" not in memo:
             memo["det"] = _element(dm, dg, scale)
     if dm is None:
@@ -689,55 +734,83 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     return PseudoIdentityClass.NEITHER
 
 
-def _closure(a: Matrix) -> tuple[list, int] | None:
-    """The max-plus closure of A's off-diagonal entries as scaled ints (None
-    for -inf), with their scale; None if A is not definite.
+def _closure(a: Matrix) -> tuple[list, list, int] | None:
+    """The supertropical closure of A's off-diagonal entries, as scaled
+    ints (None for -inf) and ghost flags, with their scale; None if A is
+    not definite.
 
     With a tangible-0 diagonal, A is definite iff every cycle of length >= 2
     is strictly negative: a zero-weight cycle ties the identity track and
     ghosts det, a positive one beats it, and ghosts on negative cycles lose.
-    After Floyd-Warshall, d[i][i] is the heaviest cycle through i.
+    After Floyd-Warshall, d[i][i] is the heaviest cycle through i, and for
+    i != j d[i][j] is the supertropical sum of the paths from i to j: a
+    strictly larger d[i][k] + d[k][j] takes the ghost flag of either half,
+    an equal one ghosts the entry.  When the cycle test passes, that sum
+    is exact over the simple paths.  Each simple path is counted once, at
+    its highest intermediate vertex; a walk that repeats a vertex holds a
+    strictly negative cycle, and the same walk without it is strictly
+    heavier, so it never ties the maximum.  Pass k leaves row k and column
+    k alone: they could change only through d[k][k], which is negative in
+    a definite A and so absorbed, while a d[k][k] >= 0 already fails the
+    cycle test, as no entry ever decreases.
     """
     n = a.rows
-    if any(a.at(i, i) != ONE for i in range(n)):
-        return None
+    for e in a.entries[::n + 1]:
+        if e.kind != TANGIBLE_KIND or e.value:
+            return None  # a diagonal entry other than tangible 0
     rows, scale = _kernel_rows(a)
     d: list = [None] * (n * n)
+    dg = [False] * (n * n)
     for i, row in enumerate(rows):
-        for bit, _, w, _ in row:
+        for bit, _, w, g in row:
             j = bit.bit_length() - 1
             if j != i:
                 d[i * n + j] = w
+                dg[i * n + j] = g
     for k in range(n):
-        dk = d[k * n:(k + 1) * n]
-        for i in range(n):
-            dik = d[i * n + k]
-            if dik is None:
+        lo = k * n
+        dk = [(j, d[lo + j], dg[lo + j]) for j in range(n)
+              if j != k and d[lo + j] is not None]
+        for base in range(0, n * n, n):
+            dik = d[base + k]
+            if dik is None or base == lo:
                 continue
-            for j, dkj in enumerate(dk):
-                if dkj is None:
-                    continue
+            gik = dg[base + k]
+            for j, dkj, gkj in dk:
                 v = dik + dkj
-                cur = d[i * n + j]
+                at = base + j
+                cur = d[at]
                 if cur is None or v > cur:
-                    d[i * n + j] = v
-    if any(d[i * n + i] is not None and d[i * n + i] >= 0 for i in range(n)):
+                    d[at] = v
+                    dg[at] = gik or gkj
+                elif v == cur:
+                    dg[at] = True
+    if any(d[at] is not None and d[at] >= 0 for at in range(0, n * n, n + 1)):
         return None
-    return d, scale
+    return d, dg, scale
 
 
-def _kept_closure(a: Matrix) -> tuple[list, int] | None:
-    """_closure(a), computed once and kept on A."""
-    memo = _memo_of(a)
+def _kept_closure(a: Matrix, memo: dict) -> tuple[list, list, int] | None:
+    """_closure(a), computed once and kept in A's memo."""
     if "closure" not in memo:
         memo["closure"] = _closure(a)
     return memo["closure"]
 
 
+def _with_unit_diagonal(mag: list, gh: list, n: int) -> tuple[list, list]:
+    """Copies of a closure's magnitudes and ghost flags with tangible 0 on
+    the diagonal; the kept closure itself is left as _closure made it."""
+    mag, gh = mag.copy(), gh.copy()
+    for at in range(0, n * n, n + 1):
+        mag[at] = 0
+        gh[at] = False
+    return mag, gh
+
+
 def is_definite(a: Matrix) -> bool:
     """Tangible 0 on the whole diagonal and determinant exactly tangible 0,
     decided by the cycle test of the closure (no determinant fold)."""
-    return _kept_closure(a) is not None
+    return _kept_closure(a, _memo_of(a)) is not None
 
 
 def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
@@ -876,18 +949,18 @@ def kleene_star(a: Matrix) -> Matrix:
     its diagonal: every non-identity cycle of a definite matrix is strictly
     negative, so the closure is exactly I + A + ... + A^(n-1), where the
     power sum stabilizes.  The star is the tropical-side object: it is
-    returned with tangible entries, and is magnitude-equivalent to both
-    pseudo_inverse(A) and mat_pow(A, n-1).
+    returned with tangible entries.  It is exactly the tangible projection
+    of pseudo_inverse(A) = adjugate(A), which is built from the same
+    closure with its ghost flags, and magnitude-equivalent to
+    mat_pow(A, n-1).
     """
-    closure = _kept_closure(a)
+    closure = _kept_closure(a, _memo_of(a))
     if closure is None:
         raise NotDefiniteError("kleene star requires a definite matrix")
-    d, scale = closure
-    d = d.copy()  # the memo keeps the closure as _closure left it
+    d, dg, scale = closure
     n = a.rows
-    for at in range(0, n * n, n + 1):
-        d[at] = 0
-    return Matrix(n, n, _elements(d, [False] * (n * n), scale))
+    mag, _ = _with_unit_diagonal(d, dg, n)
+    return Matrix(n, n, _elements(mag, [False] * (n * n), scale))
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:

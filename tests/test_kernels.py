@@ -96,6 +96,25 @@ def definite_cases(n):
     return [definite_form(a)[1] for a in mixed_cases(n) if determinant(a).is_tangible]
 
 
+def tie_heavy_definite(n, count):
+    """Definite factors of non-singular draws with numerators in [-2, 2]
+    over 1 or 2, a third -inf and a third ghosts: the heaviest paths
+    between two indices often tie or pass through a ghost."""
+    return [gen_matrix(GenConfig(n=n, numerator_range=(-2, 2), denominator=1 + t % 2,
+                                 neginf_prob=Fraction(1, 3), ghost_prob=Fraction(1, 3),
+                                 seed=700 * n + t), Constraint.DEFINITE)
+            for t in range(count)]
+
+
+def naive_pinv(a):
+    """The adjoint oracle scaled by the inverse of the determinant oracle,
+    ghosted when det is ghost."""
+    d = naive_det(a)
+    c = invert(to_tangible(d))
+    c = to_ghost(c) if d.is_ghost else c
+    return naive_adj(a).map(lambda e: mul(c, e))
+
+
 @pytest.mark.parametrize("n", sorted(COUNTS))
 def test_determinant_matches_oracle_on_ties(n):
     for a in cases(n):
@@ -150,9 +169,7 @@ def test_pseudo_inverse_matches_oracle_scaling():
                 with pytest.raises(StrictlySingularError):
                     pseudo_inverse(a)
                 continue
-            c = invert(to_tangible(d))
-            c = to_ghost(c) if d.is_ghost else c
-            assert pseudo_inverse(a) == naive_adj(a).map(lambda e: mul(c, e))
+            assert pseudo_inverse(a) == naive_pinv(a)
     assert len(kinds) == 3
 
 
@@ -328,8 +345,9 @@ def test_definite_form_splits_a_permuted_definite_matrix(n):
 
 def test_kernels_fold_their_input_once(monkeypatch):
     """pseudo_inverse runs one forward and one backward fold, definite_form
-    one fold of A plus one of its conductor, and
-    kleene_star none: definiteness is the closure's own cycle test."""
+    one fold of A plus one of its conductor, and kleene_star none:
+    definiteness is the closure's own cycle test.  Nor do the adjoint and
+    the pseudo-inverse of a definite matrix fold: both are its closure."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
@@ -337,10 +355,66 @@ def test_kernels_fold_their_input_once(monkeypatch):
     d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
     for call, want in [(lambda: pseudo_inverse(a), 2),
                        (lambda: definite_form(a), 2),
-                       (lambda: kleene_star(d), 0)]:
+                       (lambda: kleene_star(d), 0),
+                       (lambda: adjugate(fresh(d)), 0),
+                       (lambda: pseudo_inverse(fresh(d)), 0)]:
         folds.clear()
         call()
         assert len(folds) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_definite_inverse_matches_oracle_on_ties(n, monkeypatch):
+    """adj(D) and D^inv of a definite D are read from its closure, with no
+    fold, and equal the adjoint oracle, kind, value and value type, whether
+    the closure was made first (by kleene_star or is_definite) or by the
+    adjoint or the pseudo-inverse itself; kleene_star(D) is then their
+    tangible projection.  Each D is checked with its ghosts and as
+    hat(D), whose ghost entries come from tied paths alone."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    ghosted = {False: 0, True: 0}
+    for d in tie_heavy_definite(n, COUNTS[n]):
+        for x, tangible_only in ((d, False), (hat_matrix(d), True)):
+            oracle = naive_adj(x)
+            want, star = exact(oracle), hat_matrix(oracle)
+            ghosted[tangible_only] += oracle.entries != star.entries
+            for first in (kleene_star, is_definite, adjugate, pseudo_inverse):
+                for kernel in (adjugate, pseudo_inverse):
+                    m = fresh(x)
+                    folds.clear()
+                    first(m)
+                    assert exact(kernel(m)) == want, (x, first, kernel)
+                    assert kleene_star(m) == star
+                    assert folds == []
+    if n >= 2:
+        assert ghosted[False] >= COUNTS[n] // 4
+    if n >= 3:
+        assert ghosted[True] >= COUNTS[n] // 5
+
+
+def test_tangible_zero_diagonal_without_definiteness_is_folded(monkeypatch):
+    """A tangible-0 diagonal with a cycle of weight 0 (det ghost) or a
+    positive cycle is not definite: its adjoint and pseudo-inverse come from
+    the fold, forward and backward, and equal the oracles."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    for text, det_ghost in [("0 1; -1 0", True),
+                            ("0 1 -inf; -inf 0 2g; -3 -inf 0", True),
+                            ("0 2; -1 0", False),
+                            ("0 -1 1/2; -inf 0 -1; 1 -inf 0", False)]:
+        a = mat(text)
+        assert naive_det(a).is_ghost == det_ghost and not is_definite(a)
+        for kernel, oracle in ((adjugate, naive_adj), (pseudo_inverse, naive_pinv)):
+            for closed_first in (False, True):
+                m = fresh(a)
+                if closed_first:
+                    assert not is_definite(m)
+                folds.clear()
+                assert exact(kernel(m)) == exact(oracle(a)), (text, kernel)
+                assert len(folds) == 2
 
 
 def traced_fold(fold, rows, size):
@@ -615,10 +689,12 @@ def outcome(kernel, a):
 def memo_cases():
     """Tie-heavy matrices of order 1..5 with Fractions, ghosts and -inf
     (strictly singular, singular and non-singular ones), plus definite
-    factors, so that every kernel both answers and raises."""
+    factors, some with tied and ghost paths, so that every kernel both
+    answers and raises."""
     out = []
     for n in range(1, 6):
-        out += mixed_cases(n)[:16] + cases(n)[:8] + definite_cases(n)[:8]
+        out += (mixed_cases(n)[:16] + cases(n)[:8] + definite_cases(n)[:8]
+                + tie_heavy_definite(n, 8))
     return out
 
 
@@ -806,6 +882,25 @@ def test_handed_rows_are_never_mutated(monkeypatch):
             folds.clear()
             assert exact(adjugate(x)) == want
             assert len(folds) == 1
+
+
+def test_adjoint_leaves_the_rows_for_char_poly(monkeypatch):
+    """The adjoint's fold, handed over by det or its own, leaves A's kernel
+    rows in the memo: char_poly then reads A's rows no second time, takes
+    them out of the memo and equals a fresh copy's coefficients."""
+    reads = []
+    kernel_rows = tropmat._kernel_rows
+    monkeypatch.setattr(tropmat, "_kernel_rows",
+                        lambda m: reads.append(m) or kernel_rows(m))
+    for a in mixed_cases(5)[:10]:
+        want = exact(tropmat.char_poly_coefficients(fresh(a)))
+        for first in ([determinant, adjugate], [adjugate], [pseudo_inverse]):
+            x = fresh(a)
+            reads.clear()
+            for kernel in first:
+                outcome(kernel, x)
+            assert exact(tropmat.char_poly_coefficients(x)) == want
+            assert reads == [x] and "rows" not in x._memo
 
 
 # -- shared result scalars ---------------------------------------------------------

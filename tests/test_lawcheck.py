@@ -240,9 +240,11 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     containment and no substitution of B.  The period check's guard is its
     definite_form call (A and the conductor), then 1 for A's pseudo-inverse
     (the guard's fold is its forward half) and 2 for each of the other two.
-    The stabilization check folds only for A^inv and its pseudo-inverse,
-    makes the n - 2 products of A^(n-1) and one for A^inv A, and calls no
-    adjugate.  Each check reports only its kept keys."""
+    The stabilization check folds nothing: A and A^inv are definite, so
+    each pseudo-inverse is read from the closure that kleene_star or
+    is_definite makes.  It makes the n - 2 products of A^(n-1) and one for
+    A^inv A, and calls no adjugate.  Each check reports only its kept
+    keys."""
     folds = _count_folds(monkeypatch)
     a = "1 0 -1; 3 4 -inf; 0 -2 2"
     b = "0 2g -inf; -1 1 3; 2 -inf -2"
@@ -250,7 +252,7 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     for call, want in [(lambda: chk_adj_rules(mat(a)), 4),
                        (lambda: chk_similarity(mat(a), mat(b)), 4),
                        (lambda: chk_nabla_period(mat(a)), 7),
-                       (lambda: chk_definite_stabilization(mat(d)), 4)]:
+                       (lambda: chk_definite_stabilization(mat(d)), 0)]:
         folds.clear()
         assert call().ok
         assert len(folds) == want
@@ -303,16 +305,17 @@ def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id, after_draw", [
-    ("nabla_period", 6), ("definite_stabilization", 5),
+    ("nabla_period", 6), ("definite_stabilization", 1),
     ("similarity", 3), ("reversal_conjecture", 3)])
 def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypatch):
     """In one run_check trial at n = 5 the draw's classify folds once per
     attempt, and that fold is the forward half of the next pseudo-inverse
     or the table of the next definite form.  After it: the period check
     folds the conductor, the backward half of A^inv and 2 for each further
-    pseudo-inverse; the DEFINITE draw folds its conductor, then the check 2
-    for each of its two pseudo-inverses; the similarity and reversal checks
-    fold the backward half of A^inv and two characteristic polynomials."""
+    pseudo-inverse; the DEFINITE draw folds its conductor, and the check
+    folds nothing (both its pseudo-inverses are of definite matrices, read
+    from their closures); the similarity and reversal checks fold the
+    backward half of A^inv and two characteristic polynomials."""
     folds = _count_folds(monkeypatch)
     drawn = []
     classify_ = lawcheck.classify
