@@ -9,15 +9,21 @@ crossover of two tangible essential monomials, and non-corner intervals
 where ghost essential monomials dominate.  Two polynomials are equal as
 maps when their essential forms are equal; the other comparisons evaluate
 the two essential forms at -inf and at and between the breakpoints of those
-forms and of their sum, the same breakpoints that give the roots.  That
-evaluation runs on ints: coefficients and points scaled by their common
-denominator, so ties are exact and no Fraction is added.
+forms and of their sum, the same breakpoints that give the roots.
+
+Every function of the map (the essential form, the roots, the comparison
+grid and the value comparisons) reads its coefficients once onto their
+common denominator and works on ints from there: the hull by int cross
+products, the crossovers and midpoints on a scale that also clears the
+exponent gaps and the halving.  Coefficient-wise surpassing compares its
+coefficients in pairs, by int cross products.  So ties are exact integer
+ties, no Fraction is added or compared, and a rational is built only for a
+root or a grid point that a function returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
@@ -31,7 +37,6 @@ from .semiring import (
     Element,
     add,
     format_scalar,
-    ghost_surpasses,
     mul,
     parse_scalar,
     power,
@@ -143,46 +148,71 @@ def inflate(f: Polynomial, m: int) -> Polynomial:
     return Polynomial(out)
 
 
-def _essential_exponents(f: Polynomial) -> list[int]:
-    """Exponents of the essential monomials.
+# A term is one finite coefficient read onto an int scale: (exponent,
+# magnitude, kind), the magnitude the coefficient's value times the scale.
+Term = tuple[int, int, int]
+
+
+def _read(*polys: Polynomial) -> tuple[int, list[list[Term]]]:
+    """The common denominator of the finite coefficients of polys, and each
+    polynomial's terms on that scale, exponent ascending.
+
+    Scaling every magnitude by one positive int keeps kinds, ties and
+    order, so every decision below is taken on ints exactly as on the
+    rationals they stand for.
+    """
+    scale = 1
+    for f in polys:
+        for c in f.coeffs:
+            if c.kind != NEG_INF_KIND and scale % c.value.denominator:
+                scale = lcm(scale, c.value.denominator)
+    return scale, [[(i, c.value.numerator * (scale // c.value.denominator), c.kind)
+                    for i, c in enumerate(f.coeffs) if c.kind != NEG_INF_KIND]
+                   for f in polys]
+
+
+def _hull(terms: list[Term]) -> list[Term]:
+    """The essential terms: the strict vertices of the upper concave
+    envelope of the points (exponent, magnitude), decided by int cross
+    products.
 
     A monomial is essential iff deleting it changes the evaluation map
-    somewhere on tangible inputs (or at -inf).  Over the points
-    (exponent, magnitude) this is exactly being a strict vertex of the
-    upper concave envelope: a vertex dominates alone on an interval of
-    positive length, while a monomial on the interior of an envelope edge
-    only ever ties the two edge endpoints, so removing it changes neither
-    the value nor the ghostness anywhere.
+    somewhere on tangible inputs (or at -inf).  A vertex dominates alone on
+    an interval of positive length, while a monomial on the interior of an
+    envelope edge only ever ties the two edge endpoints, so removing it
+    changes neither the value nor the ghostness anywhere.  Kinds play no
+    part.
     """
-    pts = [(i, c.value) for i, c in f.monomials()]
-    if not pts:
-        return []
-    hull: list[tuple[int, Fraction | int]] = []
-    for i, v in pts:
+    hull: list[Term] = []
+    for t in terms:
+        i, v, _ = t
         while len(hull) >= 2:
-            i1, v1 = hull[-2]
-            i2, v2 = hull[-1]
+            i1, v1, _ = hull[-2]
+            i2, v2, _ = hull[-1]
             # Drop the middle point unless it lies strictly above the chord.
             if (v2 - v1) * (i - i1) > (v - v1) * (i2 - i1):
                 break
             hull.pop()
-        hull.append((i, v))
-    return [i for i, _ in hull]
+        hull.append(t)
+    return hull
 
 
 def essential(f: Polynomial) -> Polynomial:
     """Replace every inessential coefficient with -inf (same function pointwise)."""
-    keep = set(_essential_exponents(f))
-    return Polynomial(c if i in keep else NEG_INF for i, c in enumerate(f.coeffs))
+    _, (terms,) = _read(f)
+    out = [NEG_INF] * len(f.coeffs)
+    for i, _, _ in _hull(terms):
+        out[i] = f.coeffs[i]
+    return Polynomial(out)
 
 
-def _breakpoints(mons: list[tuple[int, Element]]) -> list[Fraction | int]:
-    """Crossover magnitudes of consecutive essential monomials.
+def _breakpoints(hull: list[Term], q: int) -> list[int]:
+    """Crossovers of consecutive essential terms, strictly ascending, as ints
+    on q times the terms' scale; q must be a multiple of every exponent gap.
 
-    mons are the monomials of an essential form, exponent ascending, so the
-    crossovers come out strictly ascending.
+    The terms a x^i and b x^j (i < j) cross at (a - b) / (j - i).
     """
-    return [rational(a.value - b.value, j - i) for (i, a), (j, b) in zip(mons, mons[1:])]
+    return [(a - b) * (q // (j - i)) for (i, a, _), (j, b, _) in zip(hull, hull[1:])]
 
 
 @dataclass(frozen=True)
@@ -233,109 +263,133 @@ class RootSet:
 def roots(f: Polynomial) -> RootSet:
     """Corner and non-corner roots of f.
 
-    One walk over the essential monomials, exponent ascending, reads both
-    kinds off.  The crossover between consecutive essential monomials
-    a_i x^i and a_j x^j (i < j) sits at the (j-i)-th root of a_i / a_j.  A
-    crossover of two tangible monomials is a corner root of multiplicity
-    j - i.  A run of ghost essential monomials dominates one closed
-    interval on which every point is a root: it opens at the crossover left
-    of the run (at -inf if the run starts the walk) and closes at the
-    crossover with the next tangible monomial (unbounded if none follows),
-    so a crossover against a ghost monomial is swallowed by that interval
-    rather than listed as a corner.  If the constant coefficient is absent
-    the single point -inf is a root as well.
+    One walk over the essential terms, exponent ascending, reads both kinds
+    off.  The crossover between consecutive essential monomials a_i x^i and
+    a_j x^j (i < j) sits at the (j-i)-th root of a_i / a_j.  A crossover of
+    two tangible monomials is a corner root of multiplicity j - i.  A run
+    of ghost essential monomials dominates one closed interval on which
+    every point is a root: it opens at the crossover left of the run (at
+    -inf if the run starts the walk) and closes at the crossover with the
+    next tangible monomial (unbounded if none follows), so a crossover
+    against a ghost monomial is swallowed by that interval rather than
+    listed as a corner.  If the constant coefficient is absent the single
+    point -inf is a root as well.  The walk runs on f's scaled ints; a
+    crossover becomes a rational only where it is reported.
     """
     if f.is_neg_inf:
         raise DegeneratePolynomialError("every point is a root of the -inf polynomial")
-    mons = essential(f).monomials()
-    cross = [NEG_INF, *(Element(TANGIBLE_KIND, x) for x in _breakpoints(mons))]
+    scale, (terms,) = _read(f)
+    hull = _hull(terms)
     corner: list[tuple[Element, int]] = []
     noncorner: list[Interval] = []
     # -inf is a root whenever the constant term is absent; if the lowest
     # essential monomial is a ghost its interval already starts at -inf.
-    if mons[0][0] > 0 and mons[0][1].kind == TANGIBLE_KIND:
+    if hull[0][0] > 0 and hull[0][2] == TANGIBLE_KIND:
         noncorner.append(Interval(NEG_INF, NEG_INF))
-    lo = None  # left end of the open run of ghost monomials
-    for t, (i, a) in enumerate(mons):
-        if a.kind == GHOST_KIND:
-            if lo is None:
-                lo = cross[t]
+    lo = NEG_INF if hull[0][2] == GHOST_KIND else None  # left end of the open ghost run
+    for (i, a, _), (j, b, kind) in zip(hull, hull[1:]):
+        if kind == GHOST_KIND and lo is not None:
+            continue  # inside the ghost run's interval
+        x = Element(TANGIBLE_KIND, rational(a - b, (j - i) * scale))
+        if kind == GHOST_KIND:
+            lo = x
         elif lo is not None:
-            noncorner.append(Interval(lo, cross[t]))
+            noncorner.append(Interval(lo, x))
             lo = None
-        elif t:
-            corner.append((cross[t], i - mons[t - 1][0]))
+        else:
+            corner.append((x, j - i))
     if lo is not None:
         noncorner.append(Interval(lo, None))
     return RootSet(tuple(corner), tuple(noncorner))
 
 
 def poly_ghost_surpasses(f: Polynomial, g: Polynomial) -> bool:
-    """Coefficient-wise ghost surpassing (shorter operand padded with -inf)."""
-    n = max(len(f.coeffs), len(g.coeffs))
-    return all(ghost_surpasses(f.coeff(i), g.coeff(i)) for i in range(n))
+    """Coefficient-wise ghost surpassing (shorter operand padded with -inf).
 
-
-def _comparison_grid(f: Polynomial, g: Polynomial) -> list[Element]:
-    """Tangible points that decide any pointwise comparison of f and g.
-
-    f and g must be essential forms; only the essential form of f + g is
-    taken here.  The points are the breakpoints of f, g and essential(f + g),
-    a midpoint inside each cell between them and a margin on both unbounded
-    sides.  Inside a cell f and g are each one monomial of fixed kind, and
-    their magnitudes cannot cross there: a crossing with different slopes is
-    a kink of max(nu f, nu g) = nu(f + g), hence one of its breakpoints.  So
-    the comparison is constant on every cell.
+    Coefficients are compared in pairs and never summed, so no common scale
+    is needed: a ghost meets the other coefficient by an int cross product
+    of numerators and denominators.
     """
-    xs = set()
-    for h in (f, g, essential(poly_add(f, g))):
-        xs.update(_breakpoints(h.monomials()))
-    if not xs:
-        return [Element(TANGIBLE_KIND, 0)]
-    pts = sorted(xs)
-    grid = [pts[0] - 1]
-    for k, x in enumerate(pts):
-        grid.append(x)
-        if k + 1 < len(pts):
-            grid.append(rational(x + pts[k + 1], 2))
-    grid.append(pts[-1] + 1)
-    return [Element(TANGIBLE_KIND, x) for x in grid]
+    for i in range(max(len(f.coeffs), len(g.coeffs))):
+        a, b = f.coeff(i), g.coeff(i)
+        if a.kind == b.kind and a.value == b.value or \
+                a.kind == GHOST_KIND and b.kind == NEG_INF_KIND:
+            continue
+        if a.kind != GHOST_KIND:
+            return False
+        x, y = a.value, b.value
+        if x.numerator * y.denominator < y.numerator * x.denominator:
+            return False
+    return True
 
 
-def _grid_values(f: Polynomial, g: Polynomial) -> tuple[list, list, list]:
-    """-inf and the comparison grid of the essential forms f and g, with
-    the values of f and of g at each of those points.
+def _comparison_grid(breakpoints: list[list[int]], unit: int) -> list[int]:
+    """Tangible points that decide any pointwise comparison of two maps,
+    as ints on a scale of which unit is 1.
 
-    The magnitudes of the values are ints on one scale, the common
-    denominator of the coefficients and the points, and no Fraction is
-    added.  Scaling every magnitude by one positive int keeps kinds, ties
-    and order, so ghost_surpasses decides on these values exactly what it
-    decides on the true ones.  At -inf only the constant term is finite.
+    breakpoints are those of the two maps' essential forms f and g and of
+    essential(f + g), every one an even int on that scale.  The grid holds
+    them, a midpoint inside each cell between them and a margin on both
+    unbounded sides.  Inside a cell f and g are each one monomial of fixed
+    kind, and their magnitudes cannot cross there: a crossing with
+    different slopes is a kink of max(nu f, nu g) = nu(f + g), hence one of
+    its breakpoints.  So the comparison is constant on every cell.
     """
-    points = [NEG_INF, *_comparison_grid(f, g)]
-    fm, gm = f.monomials(), g.monomials()
-    scale = 1
-    for v in [c.value for _, c in fm + gm] + [x.value for x in points[1:]]:
-        if scale % v.denominator:
-            scale = lcm(scale, v.denominator)
-    xs = [x.value.numerator * (scale // x.value.denominator) for x in points[1:]]
+    pts = sorted({x for xs in breakpoints for x in xs})
+    if not pts:
+        return [0]
+    grid = [pts[0] - unit]
+    for x, y in zip(pts, pts[1:]):
+        grid += (x, (x + y) // 2)
+    grid += (pts[-1], pts[-1] + unit)
+    return grid
 
-    def values(mons: list[tuple[int, Element]]) -> list[Element]:
-        terms = [(i, c.value.numerator * (scale // c.value.denominator), c.kind)
-                 for i, c in mons]
-        out = [Element(terms[0][2], terms[0][1]) if terms and terms[0][0] == 0 else NEG_INF]
-        for x in xs:
-            best, kind = None, NEG_INF_KIND
-            for i, c, k in terms:
-                v = c + i * x
-                if best is None or v > best:
-                    best, kind = v, k
-                elif v == best:
-                    kind = GHOST_KIND
-            out.append(NEG_INF if best is None else Element(kind, best))
-        return out
 
-    return points, values(fm), values(gm)
+def _values(hull: list[Term], breakpoints: list[int], q: int,
+            grid: list[int]) -> list[tuple[int, int | None]]:
+    """(kind, magnitude) of the map of an essential form at -inf and at each
+    grid point; magnitudes on the grid's scale, None for -inf.
+
+    hull is the form's terms and breakpoints its crossovers on the grid's
+    scale, q times the terms' own.  Every breakpoint is a grid point, so one
+    walk finds each point's cell: the one term that dominates it, or the
+    two that tie there, which makes the value ghost.  At -inf only the
+    constant term is finite.
+    """
+    if not hull:
+        return [(NEG_INF_KIND, None)] * (len(grid) + 1)
+    i, c, k = hull[0]
+    out = [(k, c * q) if i == 0 else (NEG_INF_KIND, None)]
+    t, last = 0, len(breakpoints)
+    for x in grid:
+        while t < last and breakpoints[t] < x:
+            t += 1
+        i, c, k = hull[t]
+        out.append((GHOST_KIND if t < last and breakpoints[t] == x else k, c * q + i * x))
+    return out
+
+
+def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], list, list]:
+    """The comparison grid of the essential forms f and g, with the values
+    of f and of g at -inf and at each grid point.
+
+    Both are read once onto one int scale; essential(f + g) is taken on
+    those ints, and the grid's scale is q times theirs, q twice the lcm of
+    the exponent gaps of the three forms, so that every breakpoint and
+    every midpoint is an int.  Returns that scale, the grid and the two
+    (kind, magnitude) lists, -inf first.
+    """
+    scale, (fs, gs) = _read(f, g)
+    top: dict[int, int] = {}
+    for i, v, _ in fs + gs:
+        if i not in top or v > top[i]:
+            top[i] = v
+    # f and g are essential forms, so their terms are their own hulls
+    hulls = (fs, gs, _hull([(i, top[i], TANGIBLE_KIND) for i in sorted(top)]))
+    q = 2 * lcm(*(t[0] - s[0] for h in hulls for s, t in zip(h, h[1:])))
+    fb, gb, sb = (_breakpoints(h, q) for h in hulls)
+    grid = _comparison_grid([fb, gb, sb], q * scale)
+    return q * scale, grid, _values(fs, fb, q, grid), _values(gs, gb, q, grid)
 
 
 def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
@@ -346,8 +400,10 @@ def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     that decides the comparison exactly.  This is the functional
     counterpart of poly_ghost_surpasses and is strictly weaker than it.
     """
-    _, fv, gv = _grid_values(essential(f), essential(g))
-    return all(ghost_surpasses(a, b) for a, b in zip(fv, gv))
+    _, _, fv, gv = _grid_values(essential(f), essential(g))
+    # ghost_surpasses on (kind, magnitude): equal, or a ghost at least as large
+    return all(a == b or a[0] == GHOST_KIND and (b[1] is None or a[1] >= b[1])
+               for a, b in zip(fv, gv))
 
 
 def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
@@ -368,10 +424,12 @@ def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     comparison grid each is one monomial of fixed kind, so whether a point
     is a root of either is constant there: evaluating them at -inf and on
     the grid, on scaled ints, decides containment of the root sets exactly.
+    Only the points returned become rationals.
     """
-    points, fv, gv = _grid_values(essential(f), essential(g))
-    return [x for x, fx, gx in zip(points, fv, gv)
-            if gx.kind != TANGIBLE_KIND and fx.kind == TANGIBLE_KIND]
+    unit, grid, fv, gv = _grid_values(essential(f), essential(g))
+    return [NEG_INF if x is None else Element(TANGIBLE_KIND, rational(x, unit))
+            for x, fx, gx in zip([None, *grid], fv, gv)
+            if gx[0] != TANGIBLE_KIND and fx[0] == TANGIBLE_KIND]
 
 
 # -- text form ---------------------------------------------------------------

@@ -26,8 +26,15 @@ integer ties and no Fraction is added or compared inside a kernel, a
 product or a power sum.
 A result becomes Elements once, at the end, and each distinct
 (magnitude, ghost) pair of it is built once and shared by the entries
-that hold it.  There is no floating point and no assignment-problem
-shortcut, because such shortcuts do not report tied optima.
+that hold it.  There is no floating point.  An exact assignment solve on
+the same ints would also decide ties: one optimal track gives det's
+magnitude, and a second one exists exactly when A, rescaled onto that
+track, fails the closure's cycle test.  The fold is kept at the orders the
+kernels accept (n <= 16) because one table serves the determinant, the
+adjoint, the pseudo-inverse, the definite form's track and, with the
+degree in the key, the characteristic coefficients, and up to n = 6 a
+prototype solve was no faster.  ROADMAP.md, open item 2, has the numbers
+and plans the solve above a measured crossover order.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
@@ -40,9 +47,9 @@ coefficients and the definiteness closure.  So det, adj, A^inv, f_A and the
 eigenvalues of one matrix cost one fold each, and adj and A^inv of a
 definite matrix none.  The adjoint's fold also leaves A's kernel rows in
 the memo until the characteristic coefficients take them.  The memo keeps
-returned results and O(n^2) ints only, never a 2^n fold table.  A Matrix
-must therefore never be mutated: change its entries and the memo answers
-for the old ones.
+returned results and O(n^2) ints only, never a 2^n fold table.  So a
+Matrix refuses every attribute assignment after construction: were its
+entries changed, the memo would answer for the old ones.
 
 The last determinant fold (of determinant or definite_form) is handed on
 in one private slot, keyed by the identity of its matrix: the next
@@ -109,9 +116,10 @@ class PseudoIdentityClass(enum.Enum):
 
 
 class Matrix:
-    """Dense row-major matrix of Elements; immutable.  `_memo` keeps the
-    kernels' results (see the module docstring); it is None until a kernel
-    first writes to it and takes no part in equality, hashing or printing."""
+    """Dense row-major matrix of Elements; immutable: once built, no
+    attribute can be assigned or deleted.  `_memo` keeps the kernels'
+    results (see the module docstring); it is None until a kernel first
+    writes to it and takes no part in equality, hashing or printing."""
 
     __slots__ = ("rows", "cols", "entries", "_memo")
 
@@ -128,10 +136,16 @@ class Matrix:
             raise DimensionMismatchError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = es
-        self._memo = None
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, es)
+        _set_memo(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Matrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Matrix is immutable: cannot delete {name!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Element]]) -> "Matrix":
@@ -176,6 +190,13 @@ class Matrix:
         except SupertropicalError:  # an entry past the int-to-str digit limit
             text = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {text})"
+
+
+# The constructor and the memo's first write go around Matrix's refusal of
+# assignment through the slots' own setters, at half the cost of
+# object.__setattr__.
+_set_rows, _set_cols, _set_entries, _set_memo = (
+    Matrix.rows.__set__, Matrix.cols.__set__, Matrix.entries.__set__, Matrix._memo.__set__)
 
 
 def format_matrix(a: Matrix) -> str:
@@ -380,7 +401,8 @@ def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
         raise SizeCapExceededError(f"subset-fold kernels capped at n <= {cap}, got n = {a.rows}")
     memo = a._memo
     if memo is None:
-        memo = a._memo = {}
+        memo = {}
+        _set_memo(a, memo)
     return memo
 
 

@@ -5,11 +5,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from supertrop import (
+    DegeneratePolynomialError,
     DimensionMismatchError,
+    Element,
+    Interval,
     Matrix,
     NEG_INF,
     ONE,
     Polynomial,
+    RootSet,
     add,
     ghost,
     ghost_surpasses,
@@ -17,8 +21,16 @@ from supertrop import (
     mat_add,
     mul,
     parse_scalar,
+    poly_add,
     tangible,
 )
+from supertrop.semiring import GHOST_KIND, TANGIBLE_KIND, rational
+
+# The arithmetic and order operators of Fraction.  A guard test replaces
+# them with a raising stub to show that a layer works on scaled ints only.
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                "__lt__", "__le__", "__gt__", "__ge__")
 
 
 def rebind_everywhere(monkeypatch, module, name, wrap) -> None:
@@ -174,3 +186,90 @@ def naive_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
 def naive_value_equal(f: Polynomial, g: Polynomial) -> bool:
     """Pointwise equality oracle, sampled on the all-pairs grid."""
     return all(naive_eval(f, x) == naive_eval(g, x) for x in _all_pairs_grid(f, g))
+
+
+# -- maxpolynomial oracles: the Element-level map functions ---------------------
+
+
+def typed_element(e) -> tuple:
+    """An Element as (kind, value, value type), so that a comparison also
+    tells an int from an equal Fraction."""
+    return (e.kind, e.value, type(e.value))
+
+
+def typed_roots(rs: RootSet) -> tuple:
+    """A RootSet with every Element typed."""
+    return ([(typed_element(v), m) for v, m in rs.corner],
+            [(typed_element(iv.lo), iv.hi and typed_element(iv.hi)) for iv in rs.noncorner])
+
+
+def naive_essential_exponents(f: Polynomial) -> list[int]:
+    """Exponents of the strict vertices of the upper concave envelope of
+    the points (exponent, value), by Fraction cross products."""
+    hull = []
+    for i, c in f.monomials():
+        v = c.value
+        while len(hull) >= 2:
+            i1, v1 = hull[-2]
+            i2, v2 = hull[-1]
+            if (v2 - v1) * (i - i1) > (v - v1) * (i2 - i1):
+                break
+            hull.pop()
+        hull.append((i, v))
+    return [i for i, _ in hull]
+
+
+def naive_essential(f: Polynomial) -> Polynomial:
+    keep = set(naive_essential_exponents(f))
+    return Polynomial(c if i in keep else NEG_INF for i, c in enumerate(f.coeffs))
+
+
+def naive_breakpoints(mons) -> list:
+    """Crossovers of consecutive monomials of an essential form, as
+    canonical rationals."""
+    return [rational(a.value - b.value, j - i) for (i, a), (j, b) in zip(mons, mons[1:])]
+
+
+def naive_roots(f: Polynomial) -> RootSet:
+    """Roots oracle: walk the essential monomials with every crossover an
+    Element, a corner between two tangible monomials and an interval over
+    each run of ghost ones."""
+    if f.is_neg_inf:
+        raise DegeneratePolynomialError("every point is a root of the -inf polynomial")
+    mons = naive_essential(f).monomials()
+    cross = [NEG_INF, *(Element(TANGIBLE_KIND, x) for x in naive_breakpoints(mons))]
+    corner, noncorner = [], []
+    if mons[0][0] > 0 and mons[0][1].kind == TANGIBLE_KIND:
+        noncorner.append(Interval(NEG_INF, NEG_INF))
+    lo = None
+    for t, (i, a) in enumerate(mons):
+        if a.kind == GHOST_KIND:
+            if lo is None:
+                lo = cross[t]
+        elif lo is not None:
+            noncorner.append(Interval(lo, cross[t]))
+            lo = None
+        elif t:
+            corner.append((cross[t], i - mons[t - 1][0]))
+    if lo is not None:
+        noncorner.append(Interval(lo, None))
+    return RootSet(tuple(corner), tuple(noncorner))
+
+
+def naive_comparison_grid(f: Polynomial, g: Polynomial) -> list:
+    """Comparison grid oracle for essential forms f and g: the breakpoints
+    of f, g and the essential form of poly_add(f, g), a Fraction midpoint
+    inside each cell and a margin of 1 on both unbounded sides."""
+    xs = set()
+    for h in (f, g, naive_essential(poly_add(f, g))):
+        xs.update(naive_breakpoints(h.monomials()))
+    if not xs:
+        return [tangible(0)]
+    pts = sorted(xs)
+    grid = [pts[0] - 1]
+    for k, x in enumerate(pts):
+        grid.append(x)
+        if k + 1 < len(pts):
+            grid.append(rational(x + pts[k + 1], 2))
+    grid.append(pts[-1] + 1)
+    return [Element(TANGIBLE_KIND, x) for x in grid]

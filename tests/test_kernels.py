@@ -51,14 +51,17 @@ from supertrop import (
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
 from conftest import (
+    FRACTION_OPS,
     mat,
     naive_adj,
     naive_char_poly,
     naive_det,
     naive_mat_mul,
     naive_power_sum,
+    naive_roots,
     naive_star,
     poly,
+    typed_roots,
 )
 
 # Matrices per order; the oracles enumerate n! tracks per minor.
@@ -131,6 +134,15 @@ def test_adjugate_matches_oracle_on_ties(n):
 def test_char_poly_matches_oracle_on_ties(n):
     for a in cases(n):
         assert char_poly(a).coeffs == naive_char_poly(a).coeffs
+
+
+@pytest.mark.parametrize("n", sorted(COUNTS))
+def test_eigenvalues_match_oracle_on_ties(n):
+    """The roots of f_A against the Element-level roots oracle of the
+    characteristic polynomial oracle, kind, value and value type, on
+    tie-heavy draws and on draws over denominators 1..3."""
+    for a in cases(n) + mixed_cases(n):
+        assert typed_roots(eigenvalues(a)) == typed_roots(naive_roots(naive_char_poly(a))), a
 
 
 @pytest.mark.parametrize("n", sorted(COUNTS))
@@ -520,10 +532,6 @@ def test_each_fold_returns_one_flat_table(monkeypatch):
 
 
 # Magnitudes inside the kernels are ints scaled by the common denominator.
-FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
-                "__lt__", "__le__", "__gt__", "__ge__")
-
-
 def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     a = mat("1/2 -1/3 -inf; 2/3g 0 -1/6; -inf 5/6 -1/2")
     d = mat("0 -1/2 -inf; -1/3 0 -2/3g; -5/6 -inf 0")

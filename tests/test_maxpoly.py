@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from supertrop import (
     NEG_INF,
     DegeneratePolynomialError,
+    Element,
     Interval,
     ParseError,
     Polynomial,
@@ -33,16 +35,25 @@ from supertrop import (
     tangible,
 )
 from supertrop import maxpoly
-from supertrop.maxpoly import _comparison_grid
+from supertrop.maxpoly import _breakpoints, _grid_values, _hull, _read
+from supertrop.semiring import rational
 
 from conftest import (
+    FRACTION_OPS,
     _all_pairs_grid,
     el,
     ghost_poly,
+    naive_breakpoints,
+    naive_comparison_grid,
+    naive_essential,
+    naive_essential_exponents,
     naive_eval,
+    naive_roots,
     naive_value_equal,
     naive_value_surpasses,
     poly,
+    typed_element,
+    typed_roots,
 )
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=4)
@@ -334,10 +345,45 @@ def _tie_heavy_pairs(count, seed):
             yield f, essential(f)
 
 
+# Fraction, ghost and -inf coefficients; a missing constant term; single
+# monomials; ghost runs at the low end, the high end and both; collinear
+# and tied coefficients; the -inf polynomial.
+EDGE_POLYS = [poly(s) for s in (
+    "5g", "3", "-1/2", "-inf, -inf, 2/3", "-inf, 0", "-inf, 0g, 0", "0, -inf, 0g",
+    "1g, 1/2g, 0, -1/3g, -2g", "1/2, 1/2g, 1/2, 1/2g", "0, 0, 0, 0", "2g, -3/2",
+    "-inf, 1, 0, -3/2, 2g", "-inf, -1/3g, 1/3g, 5/6", "4, -inf, -inf, -inf, 0g",
+    "-inf, 7/3, -inf, -1/6g, 1/4g", "-inf",
+)]
+
+
+def _oracle_polys(count, seed):
+    """EDGE_POLYS, then both sides of the seeded tie-heavy pairs."""
+    yield from EDGE_POLYS
+    for f, g in _tie_heavy_pairs(count, seed):
+        yield f
+        yield g
+
+
+def _edge_pairs():
+    """Every ordered pair of EDGE_POLYS."""
+    for f in EDGE_POLYS:
+        for g in EDGE_POLYS:
+            yield f, g
+
+
+def _oracle_pairs(count, seed):
+    """Every ordered pair of EDGE_POLYS, then the seeded tie-heavy pairs
+    both ways round."""
+    yield from _edge_pairs()
+    for f, g in _tie_heavy_pairs(count, seed):
+        yield f, g
+        yield g, f
+
+
 def test_value_comparisons_match_the_all_pairs_oracle():
     mismatches = []
     outcomes = {"surpasses": set(), "equal": set()}
-    for f, g in _tie_heavy_pairs(3200, seed=2013):
+    for f, g in [*_tie_heavy_pairs(3200, seed=2013), *_edge_pairs()]:
         for a, b in ((f, g), (g, f)):
             got = poly_value_surpasses(a, b)
             outcomes["surpasses"].add(got)
@@ -419,12 +465,13 @@ def test_map_comparisons_evaluate_only_essential_forms(monkeypatch):
     assert [str(f) for f in seen if essential(f) != f] == []
 
 
-def test_map_comparisons_take_three_essential_forms(monkeypatch):
-    """One for each operand and one for their sum: the comparison grid
-    takes the operands' essential forms as given."""
+def test_map_comparisons_take_three_hulls(monkeypatch):
+    """One for each operand's essential form and one for their sum: the
+    comparison grid takes the operands' essential forms as given, and the
+    sum's hull is taken on the operands' scaled ints."""
     calls = []
-    take = maxpoly.essential
-    monkeypatch.setattr(maxpoly, "essential", lambda f: calls.append(1) or take(f))
+    take = maxpoly._hull
+    monkeypatch.setattr(maxpoly, "_hull", lambda terms: calls.append(1) or take(terms))
     for f, g in _tie_heavy_pairs(50, seed=11):
         for compare in (poly_value_surpasses, roots_outside):
             calls.clear()
@@ -484,12 +531,15 @@ def test_adding_a_ghost_polynomial_keeps_the_roots():
 
 def test_grid_comparisons_match_poly_eval_on_the_same_grid():
     """poly_value_surpasses and roots_outside against poly_eval at -inf and
-    on the same comparison grid, on tie-heavy pairs over denominators 1..3.
+    on the same comparison grid, built by the Element-level oracle
+    (test_comparison_grid_matches_the_oracle shows it is the library's), on
+    tie-heavy pairs over denominators 1..3 and every pair of EDGE_POLYS;
+    the points outside match in value type too.
     Pairs f = g + h with h ghost or -inf, h over its own denominator, make
     the surpassing true and the outside roots empty often enough that both
     answers occur."""
     rng = random.Random(2043)
-    pairs = list(_tie_heavy_pairs(600, seed=2043))
+    pairs = [*_tie_heavy_pairs(600, seed=2043), *_edge_pairs()]
     for _ in range(300):
         g = _tie_heavy_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3))
         pairs.append((poly_add(g, ghost_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3))), g))
@@ -497,12 +547,13 @@ def test_grid_comparisons_match_poly_eval_on_the_same_grid():
     for f, g in pairs:
         for a, b in ((f, g), (g, f)):
             ea, eb = essential(a), essential(b)
-            points = [NEG_INF, *_comparison_grid(ea, eb)]
+            points = [NEG_INF, *naive_comparison_grid(ea, eb)]
             want = all(ghost_surpasses(poly_eval(ea, x), poly_eval(eb, x)) for x in points)
             assert poly_value_surpasses(a, b) == want, (str(a), str(b))
             outside = [x for x in points
                        if not poly_eval(ea, x).is_tangible and poly_eval(eb, x).is_tangible]
-            assert roots_outside(a, b) == outside, (str(a), str(b))
+            assert [typed_element(x) for x in roots_outside(a, b)] == \
+                [typed_element(x) for x in outside], (str(a), str(b))
             outcomes["surpasses"].add(want)
             outcomes["outside"].add(bool(outside))
     assert outcomes == {"surpasses": {True, False}, "outside": {True, False}}
@@ -517,7 +568,114 @@ def test_comparison_grid_is_linear_in_degree():
     shifted = Polynomial(tangible(-i * i + i % 3) for i in range(16))
     for f, g in [(squares, shifted), *_tie_heavy_pairs(400, seed=7)]:
         bound = 2 * (f.degree + g.degree + max(f.degree, g.degree)) + 1
-        assert len(_comparison_grid(essential(f), essential(g))) <= bound, (str(f), str(g))
+        assert len(_grid_values(essential(f), essential(g))[1]) <= bound, (str(f), str(g))
+
+
+# -- the int scale against the Element-level oracles ------------------------------
+
+def _typed_values(xs):
+    return [(x, type(x)) for x in xs]
+
+
+def test_essential_matches_the_oracle():
+    for f in _oracle_polys(800, seed=2047):
+        _, (terms,) = _read(f)
+        assert [i for i, _, _ in _hull(terms)] == naive_essential_exponents(f), str(f)
+        assert essential(f).coeffs == naive_essential(f).coeffs, str(f)
+
+
+def test_breakpoints_match_the_oracle():
+    """The crossovers on the grid's scale, read back as rationals, are the
+    oracle's, value and value type."""
+    lengths = set()
+    for f in _oracle_polys(800, seed=2053):
+        scale, (terms,) = _read(f)
+        hull = _hull(terms)
+        q = 2 * lcm(*(t[0] - s[0] for s, t in zip(hull, hull[1:])))
+        got = [rational(x, q * scale) for x in _breakpoints(hull, q)]
+        want = naive_breakpoints(naive_essential(f).monomials())
+        assert _typed_values(got) == _typed_values(want), str(f)
+        lengths.add(len(got))
+    assert {0, 1, 2, 3} <= lengths
+
+
+def test_roots_match_the_oracle():
+    kinds = set()
+    for f in _oracle_polys(1600, seed=2039):
+        if f.is_neg_inf:
+            with pytest.raises(DegeneratePolynomialError):
+                roots(f)
+            with pytest.raises(DegeneratePolynomialError):
+                naive_roots(f)
+            continue
+        got = roots(f)
+        assert typed_roots(got) == typed_roots(naive_roots(f)), str(f)
+        kinds.update(type(v.value).__name__ for v, _ in got.corner)
+        kinds.update("-inf point" if iv.hi is not None and iv.hi.is_neg_inf else "interval"
+                     for iv in got.noncorner)
+    assert kinds == {"int", "Fraction", "-inf point", "interval"}
+
+
+def test_comparison_grid_matches_the_oracle():
+    """The grid the comparisons evaluate, read back as rationals, is the
+    oracle's point for point, value type included, and each value on it
+    is poly_eval's there, kind, value and value type."""
+    for f, g in _oracle_pairs(600, seed=2063):
+        ef, eg = essential(f), essential(g)
+        unit, grid, fv, gv = _grid_values(ef, eg)
+        points = [NEG_INF] + [tangible(rational(x, unit)) for x in grid]
+        want = naive_comparison_grid(ef, eg)
+        assert [typed_element(x) for x in points[1:]] == [typed_element(x) for x in want]
+        for h, values in ((ef, fv), (eg, gv)):
+            got = [NEG_INF if v is None else Element(k, rational(v, unit)) for k, v in values]
+            assert [typed_element(x) for x in got] == \
+                [typed_element(poly_eval(h, x)) for x in points], (str(f), str(g))
+
+
+def test_poly_ghost_surpasses_matches_the_coefficient_oracle():
+    """On tie-heavy pairs and on sums g + h with h ghost or -inf, over
+    mixed denominators, so that both answers occur."""
+    rng = random.Random(2071)
+    pairs = list(_oracle_pairs(800, seed=2071))
+    for _ in range(400):
+        g = _tie_heavy_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3))
+        f = poly_add(g, ghost_poly(rng, rng.randint(0, 6), 3, rng.randint(1, 3)))
+        pairs += [(f, g), (g, f)]
+    outcomes = set()
+    for f, g in pairs:
+        n = max(len(f.coeffs), len(g.coeffs))
+        want = all(ghost_surpasses(f.coeff(i), g.coeff(i)) for i in range(n))
+        assert poly_ghost_surpasses(f, g) == want, (str(f), str(g))
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_maxpoly_maps_do_no_fraction_arithmetic(monkeypatch):
+    """Every map-level function, on Fraction and ghost polynomials, gives
+    the same result with Fraction's arithmetic and order replaced by a
+    raising stub: the work is on scaled ints."""
+    f = poly("1/4, -inf, 2/3g, -1/5, -7/6")
+    g = poly("-1/2g, 1/3, 1/6g, -inf, -1/3")
+    h = poly("-inf, 5/6g, -1/4, -inf, -2/3")
+    s = poly_add(g, poly("-1/2g, -inf, 1/6g, 1/2g"))
+    calls = [lambda: essential(f), lambda: essential(g), lambda: roots(f),
+             lambda: roots(g), lambda: roots(h), lambda: roots(s)]
+    for a, b in ((f, g), (g, f), (f, h), (h, g), (s, g), (g, s), (f, f)):
+        calls += [lambda a=a, b=b: poly_value_surpasses(a, b),
+                  lambda a=a, b=b: poly_value_equal(a, b),
+                  lambda a=a, b=b: roots_outside(a, b),
+                  lambda a=a, b=b: poly_ghost_surpasses(a, b)]
+    want = [call() for call in calls]
+    assert True in want and False in want and any(type(w) is list and w for w in want)
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic in a maxpolynomial map function")
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    got = [call() for call in calls]
+    monkeypatch.undo()
+    assert got == want
 
 
 # -- text form ---------------------------------------------------------------------------

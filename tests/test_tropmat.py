@@ -317,6 +317,21 @@ def test_mat_pow():
     assert mat_nu_equiv(mat_pow(d, 3), mat_pow(d, 1))
 
 
+def test_matrix_refuses_assignment_after_construction():
+    """A kept det answers for the entries it was computed from, so no
+    attribute can be assigned or deleted once the matrix is built."""
+    a = mat("3")
+    assert determinant(a) == el("3")
+    for name, value in (("entries", (el("5"),)), ("rows", 2), ("cols", 2), ("_memo", None)):
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == "Matrix(1x1: 3)"
+    assert determinant(a) == el("3")
+    assert determinant(Matrix(1, 1, (el("5"),))) == el("5")
+
+
 def test_format_matrix_is_the_repr_body():
     a = mat("0 -1/2g; -inf 3")
     assert format_matrix(a) == "0 -1/2g; -inf 3"
