@@ -9,7 +9,8 @@ reversal conjecture.
 stdout carries results only; diagnostics go to stderr.  Exit codes:
 0 success, 1 parse/usage error, 2 domain error (for example taking the
 pseudo-inverse of a strictly singular matrix, or any determinant kernel
-on a matrix of order above the fixed size cap, tropmat.DEFAULT_DET_CAP).
+on a matrix of order above the fixed size cap, tropmat.DEFAULT_DET_CAP)
+or a report that holds a failed law; counterexamples alone exit 0.
 Reports are byte deterministic for fixed flags; wall-clock times go to
 stderr only.
 """
@@ -189,6 +190,9 @@ def _cmd_explore(args) -> int:
     _emit_report(args, report.to_dict())
     print(f"counterexamples: {len(report.counterexamples)} "
           f"(n={args.n}, trials={args.trials}, seed={args.seed})", file=sys.stderr)
+    if report.failures:  # a proven coefficient failed: a library bug
+        print(f"failures: {len(report.failures)}", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

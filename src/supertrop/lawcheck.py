@@ -308,30 +308,32 @@ def chk_nabla_period(a: Matrix) -> TrialResult:
 
 def chk_definite_stabilization(a: Matrix) -> TrialResult:
     """For definite A, A^inv is definite and has the magnitude of its own
-    pseudo-inverse, the Kleene star, A^(n-1) and A^inv A; kleene_star
-    raises NotDefiniteError for any other A.  Nothing here folds: A^inv is
-    A's closure with its ghost flags and the star is its tangible
-    projection, so the star key holds by construction, and A^inv's own
-    pseudo-inverse is A^inv's closure; A^(n-1) and A^inv A are products.
-    The rest follows and is left to the test suite, which also compares
-    the closure's A^inv with the adjoint oracle: det(A) is tangible 0, and
-    rescaling by it changes no minor, so A^inv = adj(A); magnitudes
-    multiply in max-plus, so A^(k+1) = A^k A ~ A^inv A ~ A^inv for every
-    k >= n-1, and A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
+    pseudo-inverse and of A^inv A, and the Kleene star has that of A^(n-1);
+    kleene_star raises NotDefiniteError for any other A.  Nothing here
+    folds: A^inv is A's kept closure with its ghost flags and the star is
+    the same magnitudes, tangible, so A^inv ~ star entry by entry, hence
+    A^inv ~ A^(n-1), and that pair is not compared
+    (test_definite_inverse_matches_oracle_on_ties and
+    test_kleene_star_matches_power_sum_oracle pin both against their
+    oracles).  A^inv's own pseudo-inverse is A^inv's closure; A^(n-1) and
+    A^inv A are products.  The rest follows and is left to the test suite:
+    det(A) is tangible 0, and rescaling by it changes no minor, so
+    A^inv = adj(A); magnitudes multiply in max-plus, so
+    A^(k+1) = A^k A ~ A^inv A ~ A^inv for every k >= n-1, and
+    A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
     star = kleene_star(a)
     pinv = pseudo_inverse(a)
     bad = {}
     if not is_definite(pinv):
         bad["pseudo_inverse_definite"] = format_matrix(pinv)
-    chain = {
-        "double_pseudo_inverse": pseudo_inverse(pinv),
-        "kleene_star": star,
-        "power_n_minus_1": mat_pow(a, a.rows - 1),
-        "left_pseudo_identity": mat_mul(pinv, a),
-    }
-    for name, m in chain.items():
-        if not mat_nu_equiv(pinv, m):
-            bad[name] = f"{format_matrix(pinv)} | {format_matrix(m)}"
+    chain = [
+        ("double_pseudo_inverse", pinv, pseudo_inverse(pinv)),
+        ("power_n_minus_1", star, mat_pow(a, a.rows - 1)),
+        ("left_pseudo_identity", pinv, mat_mul(pinv, a)),
+    ]
+    for name, want, m in chain:
+        if not mat_nu_equiv(want, m):
+            bad[name] = f"{format_matrix(want)} | {format_matrix(m)}"
     return TrialResult(not bad, bad)
 
 

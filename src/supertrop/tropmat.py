@@ -15,9 +15,10 @@ definite form (backtracked over the table that gave its determinant) and
 the characteristic coefficients (the fold of xI + A, with the degree of x
 in the key bits above the columns).  Definiteness is decided without the
 fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
-that keeps a ghost flag beside each magnitude.  For a definite matrix that
-closure is the adjoint and the pseudo-inverse, ghosts included, and its
-tangible projection is the Kleene star, so none of the three folds.  All
+that starts from A's tangible-0 diagonal and keeps a ghost flag beside
+each magnitude.  For a definite matrix the kept closure is the finished
+adjoint and pseudo-inverse, ghosts included, and its magnitudes are the
+Kleene star, so none of the three folds or copies it.  All
 of these, the matrix product and the power routine `power_sum` (the sum
 of c_i A^i behind `mat_pow` and `spectral.eval_at_matrix`, one product
 step per further power) work on magnitudes scaled to ints by the common
@@ -607,9 +608,9 @@ def _minors(a: Matrix, memo: dict) -> tuple[int, int | None, bool, list, list]:
 
 
 def _definite_inverse(a: Matrix, memo: dict) -> Matrix | None:
-    """adj(A) of a definite A, from its closure with tangible 0 written on
-    the diagonal, kept as the adjoint and as the pseudo-inverse with
-    det = 0; None, with nothing kept but the closure, for any other A.
+    """adj(A) of a definite A, built from its kept closure and kept as the
+    adjoint and as the pseudo-inverse with det = 0; None, with nothing kept
+    but the closure, for any other A.
 
     Every non-identity cycle of a definite A is strictly negative and
     det(A) is tangible 0.  A track of the minor deleting row j and column
@@ -617,17 +618,15 @@ def _definite_inverse(a: Matrix, memo: dict) -> Matrix | None:
     tracks that attain its permanent are the heaviest paths from i to j
     with the identity on every other row, and the permanent is the
     closure's supertropical sum of those paths, ghosts included.  A
-    principal minor's permanent is the identity's tangible 0.  Rescaling
-    by det = 0 changes nothing, so A^inv = adj(A).
+    principal minor's permanent is the identity's tangible 0, which the
+    closure holds on its diagonal.  Rescaling by det = 0 changes nothing,
+    so A^inv = adj(A).
     """
     closure = _kept_closure(a, memo)
     if closure is None:
         return None
-    d, dg, scale = closure
-    n = a.rows
     memo["det"] = ONE
-    inverse = memo["adj"] = memo["pinv"] = Matrix(
-        n, n, _elements(*_with_unit_diagonal(d, dg, n), scale))
+    inverse = memo["adj"] = memo["pinv"] = Matrix(a.rows, a.cols, _elements(*closure))
     return inverse
 
 
@@ -757,38 +756,35 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
 
 
 def _closure(a: Matrix) -> tuple[list, list, int] | None:
-    """The supertropical closure of A's off-diagonal entries, as scaled
-    ints (None for -inf) and ghost flags, with their scale; None if A is
-    not definite.
+    """The supertropical closure of A, as scaled ints (None for -inf) and
+    ghost flags, with their scale; None if A is not definite.  For a
+    definite A it is adj(A) = A^inv with its ghost flags, and its
+    magnitudes are the Kleene star.
 
     With a tangible-0 diagonal, A is definite iff every cycle of length >= 2
     is strictly negative: a zero-weight cycle ties the identity track and
     ghosts det, a positive one beats it, and ghosts on negative cycles lose.
-    After Floyd-Warshall, d[i][i] is the heaviest cycle through i, and for
-    i != j d[i][j] is the supertropical sum of the paths from i to j: a
+    Floyd-Warshall starts from A itself, so d[i][i] starts at the
+    identity's tangible 0 and ends above 0, or ghost at 0, exactly when
+    some cycle through i weighs 0 or more; else it stays tangible 0.  For
+    i != j, d[i][j] is the supertropical sum of the paths from i to j: a
     strictly larger d[i][k] + d[k][j] takes the ghost flag of either half,
     an equal one ghosts the entry.  When the cycle test passes, that sum
     is exact over the simple paths.  Each simple path is counted once, at
     its highest intermediate vertex; a walk that repeats a vertex holds a
     strictly negative cycle, and the same walk without it is strictly
     heavier, so it never ties the maximum.  Pass k leaves row k and column
-    k alone: they could change only through d[k][k], which is negative in
-    a definite A and so absorbed, while a d[k][k] >= 0 already fails the
-    cycle test, as no entry ever decreases.
+    k alone: in a definite A they could change only through d[k][k], the
+    identity's 0, which adds no path and would only ghost them by a tie; a
+    d[k][k] above 0 or ghost has already failed the cycle test, as no
+    entry ever decreases and a ghost 0 only rises.
     """
     n = a.rows
     for e in a.entries[::n + 1]:
         if e.kind != TANGIBLE_KIND or e.value:
             return None  # a diagonal entry other than tangible 0
-    rows, scale = _kernel_rows(a)
-    d: list = [None] * (n * n)
-    dg = [False] * (n * n)
-    for i, row in enumerate(rows):
-        for bit, _, w, g in row:
-            j = bit.bit_length() - 1
-            if j != i:
-                d[i * n + j] = w
-                dg[i * n + j] = g
+    scale = _scale(a)
+    d, dg = _ints(a, scale)
     for k in range(n):
         lo = k * n
         dk = [(j, d[lo + j], dg[lo + j]) for j in range(n)
@@ -807,7 +803,7 @@ def _closure(a: Matrix) -> tuple[list, list, int] | None:
                     dg[at] = gik or gkj
                 elif v == cur:
                     dg[at] = True
-    if any(d[at] is not None and d[at] >= 0 for at in range(0, n * n, n + 1)):
+    if any(d[at] or dg[at] for at in range(0, n * n, n + 1)):
         return None
     return d, dg, scale
 
@@ -817,16 +813,6 @@ def _kept_closure(a: Matrix, memo: dict) -> tuple[list, list, int] | None:
     if "closure" not in memo:
         memo["closure"] = _closure(a)
     return memo["closure"]
-
-
-def _with_unit_diagonal(mag: list, gh: list, n: int) -> tuple[list, list]:
-    """Copies of a closure's magnitudes and ghost flags with tangible 0 on
-    the diagonal; the kept closure itself is left as _closure made it."""
-    mag, gh = mag.copy(), gh.copy()
-    for at in range(0, n * n, n + 1):
-        mag[at] = 0
-        gh[at] = False
-    return mag, gh
 
 
 def is_definite(a: Matrix) -> bool:
@@ -967,22 +953,19 @@ def is_invertible(a: Matrix) -> bool:
 def kleene_star(a: Matrix) -> Matrix:
     """Tropical closure I + A + A^2 + ... of a definite matrix.
 
-    This is the closure that decides definiteness, with 0 written back on
-    its diagonal: every non-identity cycle of a definite matrix is strictly
+    These are the magnitudes of the kept closure that decides
+    definiteness: every non-identity cycle of a definite matrix is strictly
     negative, so the closure is exactly I + A + ... + A^(n-1), where the
     power sum stabilizes.  The star is the tropical-side object: it is
     returned with tangible entries.  It is exactly the tangible projection
-    of pseudo_inverse(A) = adjugate(A), which is built from the same
-    closure with its ghost flags, and magnitude-equivalent to
-    mat_pow(A, n-1).
+    of pseudo_inverse(A) = adjugate(A), which is the same closure with its
+    ghost flags, and magnitude-equivalent to mat_pow(A, n-1).
     """
     closure = _kept_closure(a, _memo_of(a))
     if closure is None:
         raise NotDefiniteError("kleene star requires a definite matrix")
-    d, dg, scale = closure
-    n = a.rows
-    mag, _ = _with_unit_diagonal(d, dg, n)
-    return Matrix(n, n, _elements(mag, [False] * (n * n), scale))
+    d, _, scale = closure
+    return Matrix(a.rows, a.cols, _elements(d, [False] * len(d), scale))
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:

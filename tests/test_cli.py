@@ -267,6 +267,23 @@ def test_explore_cli(tmp_path, capsys):
     assert main(["explore", "--n", "1"]) == 1
 
 
+def test_a_failed_proven_coefficient_exits_2(tmp_path, capsys, monkeypatch):
+    """With every coefficient comparison answering no, each n = 5 trial
+    fails a proven coefficient: explore exits 2 and counts the failures on
+    stderr, and check also reports the flagged counterexamples there."""
+    monkeypatch.setattr(lawcheck, "ghost_surpasses", lambda *args: False)
+    out = str(tmp_path / "e.json")
+    assert main(["explore", "--n", "5", "--trials", "3", "--out", out]) == 2
+    report = json.loads(open(out).read())
+    assert len(report["failures"]) == 3
+    assert "failures: 3" in capsys.readouterr().err
+    assert main(["check", "--suite", "reversal_conjecture", "--n", "5", "--trials", "3",
+                 "--out", out]) == 2
+    flagged = len(json.loads(open(out).read())["reports"][0]["counterexamples"])
+    assert flagged > 0
+    assert f"flagged {flagged} conjecture counterexample(s)" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "supertrop", "demo", "6.1"],

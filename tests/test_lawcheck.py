@@ -10,6 +10,7 @@ from supertrop import (
     DEFAULT_DET_CAP,
     NEG_INF,
     ConstraintUnsatisfiableError,
+    Matrix,
     NotDefiniteError,
     NotNonSingularError,
     SingularityClass,
@@ -31,6 +32,7 @@ from supertrop.lawcheck import (
     Constraint,
     GenConfig,
     TrialResult,
+    chk_adj_product,
     chk_adj_rules,
     chk_charpoly_power,
     chk_reversal_conjecture,
@@ -269,14 +271,20 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     assert corollaries == []
     # with every comparison in lawcheck answering no, the keys are the kept laws'
     for name in ("poly_ghost_surpasses", "ghost_surpasses", "is_ghost_matrix",
-                 "mat_nu_equiv", "is_definite"):
+                 "mat_ghost_surpasses", "mat_nu_equiv", "is_definite"):
         monkeypatch.setattr(lawcheck, name, lambda *args: False)
+    monkeypatch.setattr(lawcheck, "power", lambda *args: NEG_INF)
     for call, keys in [
+        (lambda: chk_det_product(mat(a), mat(b)), ["det_ab", "det_a_det_b"]),
+        (lambda: chk_adj_rules(mat(a)),
+         ["det_a_adj", "det_pow_n", "det_adj", "det_pow_n_minus_1"]),
+        (lambda: chk_adj_product(mat(a), mat(b)), ["adj_ab", "adj_b_adj_a"]),
         (lambda: chk_similarity(mat(a), mat(b)), ["charpoly"]),
         (lambda: chk_nabla_period(mat(a)), ["iterate_1_vs_3", "conductor_sandwich"]),
         (lambda: chk_definite_stabilization(mat(d)),
-         ["pseudo_inverse_definite", "double_pseudo_inverse", "kleene_star",
-          "power_n_minus_1", "left_pseudo_identity"]),
+         ["pseudo_inverse_definite", "double_pseudo_inverse", "power_n_minus_1",
+          "left_pseudo_identity"]),
+        (lambda: chk_hamilton_cayley(mat(a)), ["char_poly_at_a"]),
     ]:
         res = call()
         assert not res.ok
@@ -465,6 +473,31 @@ def test_chk_conjecture_on_pinned_instances():
     assert chk_reversal_conjecture(identity(5)).ok
     with pytest.raises(NotNonSingularError):
         chk_reversal_conjecture(mat("0 0; 0 0"))
+
+
+def test_reversal_check_splits_failures_from_counterexamples(monkeypatch):
+    """With every coefficient comparison answering no, a non-singular,
+    non-triangular A at n = 5 fails the proven coefficients 0, 3, 4 and 5
+    and flags the open ones, 1 and 2, with the open-range note.  At n <= 4,
+    and for a triangular A, every coefficient is proven, so all fail and
+    nothing is flagged."""
+    monkeypatch.setattr(lawcheck, "ghost_surpasses", lambda *args: False)
+    r = chk_reversal_conjecture(mat(
+        "0 -1 -inf -inf -inf; -2 0 -inf -inf -inf; -inf -inf 0 -inf -inf;"
+        " -inf -inf -inf 0 -inf; -inf -inf -inf -inf 0"))
+    assert not r.ok
+    assert list(r.details) == [f"coefficient_{k}" for k in (0, 3, 4, 5)]
+    assert list(r.counterexample) == ["coefficient_1", "coefficient_2", "note"]
+    assert r.counterexample["note"] == lawcheck._OPEN_RANGE_NOTE
+    upper = mat("1 2 -inf -inf -inf; -inf 0 -inf 3 -inf; -inf -inf 0 -inf -inf;"
+                " -inf -inf -inf 0 -1; -inf -inf -inf -inf 2")
+    lower = Matrix(5, 5, [upper.at(j, i) for i in range(5) for j in range(5)])
+    for a in (mat("1 0; 3 4"), mat("0 -1 -inf; -2 0 1; -inf -3 0"),
+              mat("0 -1 -inf -inf; -2 0 -inf -inf; -inf -inf 0 -inf; -inf -inf -inf 0"),
+              upper, lower):
+        r = chk_reversal_conjecture(a)
+        assert not r.ok and r.counterexample is None
+        assert list(r.details) == [f"coefficient_{k}" for k in range(a.rows + 1)]
 
 
 # -- runner ---------------------------------------------------------------------------

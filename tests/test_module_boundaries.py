@@ -1,6 +1,8 @@
-"""Each supertrop module uses only the public names of the others."""
+"""Each supertrop module uses only the public names of the others, imports
+only what it uses, and defines no private helper that nothing reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import supertrop
@@ -61,3 +63,36 @@ def test_no_module_imports_a_name_it_does_not_use():
     unused = {path.name: unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """'module.name' for every module-level private function or class of
+    the modules in sources (name to source) that no module reads, as a name
+    or an attribute, outside the definition's own body."""
+    def reads(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, ast.Load))
+
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((reads(tree) for tree in trees.values()), Counter())
+    return [f"{name}.{node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and used[node.name] == reads(node)[node.name]]
+
+
+def test_guard_sees_unreferenced_private_defs():
+    sources = {
+        "a": "def _called(): pass\ndef _recursive(): return _recursive()\n"
+             "class _Unused: pass\ndef __getattr__(name): pass\n_called()\n"
+             "_Unused = None\n",
+        "b": "from . import a\ndef _kept_by_a(): pass\na._elsewhere = _kept_by_a\n",
+        "c": "import a\ndef f(): return a._remote()\ndef _remote(): pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._recursive", "a._Unused"]
+
+
+def test_every_private_helper_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []
