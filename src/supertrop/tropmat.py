@@ -39,12 +39,11 @@ and plans the solve above a measured crossover order.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
-that computes it: det (also written by the adjoint's and the
-pseudo-inverse's forward fold, by the characteristic coefficients as
-coefficient 0, by definite_form and, as tangible 0, by the closure of a
-definite matrix), the adjoint, the pseudo-inverse (the kept adjoint
-rescaled by the kept det, when both are held), the characteristic
-coefficients and the definiteness closure.  So det, adj, A^inv, f_A and the
+that computes it: det (written by every forward fold of A, by the
+characteristic coefficients as coefficient 0 and, as tangible 0, by the
+closure of a definite matrix), the adjoint, the pseudo-inverse (the kept
+adjoint rescaled by the kept det, when the adjoint is held), the
+characteristic coefficients and the definiteness closure.  So det, adj, A^inv, f_A and the
 eigenvalues of one matrix cost one fold each, and adj and A^inv of a
 definite matrix none.  The adjoint's fold also leaves A's kernel rows in
 the memo until the characteristic coefficients take them.  The memo keeps
@@ -52,12 +51,16 @@ returned results and O(n^2) ints only, never a 2^n fold table.  So a
 Matrix refuses every attribute assignment after construction: were its
 entries changed, the memo would answer for the old ones.
 
-The last determinant fold (of determinant or definite_form) is handed on
-in one private slot, keyed by the identity of its matrix: the next
-adjugate or pseudo-inverse of that matrix takes its table as the forward
-half and folds only backward (the table leaves the slot; the rows stay
-in the memo, as above), definite_form backtracks over it, and
-char_poly_coefficients reads its kernel rows.  So a det fold followed by
+One private function, _forward, gives every kernel its forward fold of A
+and keeps det from it.  The fold of determinant or definite_form is left
+in one private slot, keyed by the identity of its matrix, and only
+_forward stores it there: the next adjugate or pseudo-inverse of that
+matrix takes its table as the forward half and folds only backward (the
+slot is emptied and the rows go to the memo, as above), definite_form
+backtracks over it, and char_poly_coefficients reads its kernel rows.  A
+second one, _rows, is the one source of A's kernel rows for any fold of
+A: the slot's, the memo's, or A read now when neither holds them.  Any
+fold of another matrix empties the slot first.  So a det fold followed by
 the adjoint, the pseudo-inverse or the definite form of the same matrix
 folds it forward once, and at most one 2^n table outlives its fold.
 definite_form verifies the factors it returns on their scaled ints, not
@@ -490,42 +493,55 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     return mag, gh
 
 
-# The last determinant fold, handed to the next kernel on the same matrix:
+# The last forward fold kept for the next kernel on the same matrix:
 # (matrix, kernel rows, scale, mag, gh), or None.  It is keyed by identity,
 # so it answers only for the matrix object that made it, and it holds the
-# one 2^n table that outlives its fold: a fold of any other matrix drops it
-# first, and the adjoint's fold of the same matrix takes it.
+# one 2^n table that outlives its fold.  _forward is the only writer and
+# _rows the only other reader: any fold of another matrix drops it first.
 _handoff: tuple | None = None
 
 
-def _handed(a: Matrix, take: bool) -> tuple | None:
-    """(kernel rows, scale, mag, gh) of A's determinant fold from the
-    handoff slot, or None.  Another matrix's fold is dropped from the slot,
-    so that its table is freed before the caller folds; A's own is dropped
-    too when the caller takes it."""
+def _rows(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int]:
+    """A's kernel rows and their scale, for a fold of A: the handoff slot's
+    when it holds A's fold.  Otherwise the slot is emptied first, so that
+    another matrix's table is freed before the caller folds, and the rows
+    are taken out of the memo, where _forward left them for the
+    characteristic coefficients, or read from A now."""
     global _handoff
     slot = _handoff
-    if slot is None or slot[0] is not a:
-        _handoff = None
-        return None
-    if take:
-        _handoff = None
-    return slot[1:]
+    if slot is not None and slot[0] is a:
+        return slot[1], slot[2]
+    _handoff = slot = None  # no reference to another matrix's table is left
+    return memo.pop("rows", None) or _kernel_rows(a)
 
 
-def _det_fold(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int, list, list]:
-    """A's kernel rows, their scale and A's fold table (magnitudes and ghost
-    flags).  They are read from the handoff slot when it holds A's; else A
-    is folded now, det is kept in the memo and the table in the slot."""
+def _forward(a: Matrix, memo: dict, keep: bool) -> tuple[list[list[tuple]], int, list, list]:
+    """A's kernel rows (from _rows), their scale and A's forward fold table
+    (magnitudes and ghost flags); det, from the table's full-set slot, is
+    kept in the memo.
+
+    The table is the handoff slot's when it holds A's fold, else A's rows
+    are folded now.  The slot's matrix is checked again after _rows: a
+    thread sharing the slot may have filled it in between.  With keep, A's
+    fold is then left in the slot for the next kernel on A; without, the
+    slot is emptied and A's rows are left in the memo for
+    char_poly_coefficients, unless the coefficients are already kept.
+    """
     global _handoff
-    handed = _handed(a, take=False)
-    if handed is not None:
-        return handed
-    rows, scale = _kernel_rows(a)
+    rows, scale = _rows(a, memo)
     full = (1 << a.rows) - 1
-    mag, gh = _fold(rows, full + 1)
+    slot = _handoff
+    if slot is not None and slot[0] is a:
+        mag, gh = slot[3], slot[4]
+    else:
+        mag, gh = _fold(rows, full + 1)
     memo["det"] = _element(mag[full], gh[full], scale)
-    _handoff = (a, rows, scale, mag, gh)
+    if keep:
+        _handoff = a, rows, scale, mag, gh
+    else:
+        _handoff = None
+        if "coeffs" not in memo:
+            memo["rows"] = rows, scale
     return rows, scale, mag, gh
 
 
@@ -533,15 +549,14 @@ def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     """Tropical permanent, by the subset fold over the 2^n column sets
     (n <= cap), or kept from an earlier kernel on the same matrix.
 
-    A fold here leaves A's table (2^n slots) alive in the handoff slot
-    until A's next adjoint or pseudo-inverse takes it, or until another
-    matrix's determinant, adjoint, pseudo-inverse, definite form or
-    characteristic coefficients are folded.
+    A fold here (by _forward) leaves A's table (2^n slots) alive in the
+    handoff slot until A's next adjoint or pseudo-inverse folds backward
+    over it, or until a kernel folds another matrix.
     """
     memo = _memo_of(a, cap)
     det = memo.get("det")
     if det is None:
-        _det_fold(a, memo)
+        _forward(a, memo, keep=True)
         det = memo["det"]
     return det
 
@@ -555,27 +570,17 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(a: Matrix, memo: dict) -> tuple[int, int | None, bool, list, list]:
-    """A's scale, det (the forward table's full-set slot, as magnitude and
-    ghost flag) and the n^2 minors, as a list of magnitudes and a list of
+def _minors(a: Matrix, memo: dict) -> tuple[int, list, list]:
+    """A's scale and the n^2 minors, as a list of magnitudes and a list of
     ghost flags.
 
     Minor i * n + j is the permanent of the minor deleting row j and column
     i: the sum, over column sets S of size j without i, of the forward slot
     at S times the backward slot at the columns left over.  The forward
-    table is taken from the handoff slot when it holds A's determinant
-    fold; the slot is emptied either way.  A's kernel rows and their scale
-    are left in the memo, under "rows", for char_poly_coefficients, unless
-    the coefficients are already kept.
+    table and det come from _forward, which empties the handoff slot and
+    leaves A's kernel rows in the memo for char_poly_coefficients.
     """
-    handed = _handed(a, take=True)
-    if handed is not None:
-        rows, scale, fm, fg = handed
-    else:
-        rows, scale = _kernel_rows(a)
-        fm, fg = _fold(rows, 1 << a.rows)
-    if "coeffs" not in memo:
-        memo["rows"] = rows, scale
+    rows, scale, fm, fg = _forward(a, memo, keep=False)
     n = len(rows)
     full = (1 << n) - 1
     bm, bg = _fold(rows[::-1], full + 1)
@@ -604,7 +609,7 @@ def _minors(a: Matrix, memo: dict) -> tuple[int, int | None, bool, list, list]:
                 ag[k] = g or bg[rest]
             elif v == cur:
                 ag[k] = True
-    return scale, fm[full], fg[full], am, ag
+    return scale, am, ag
 
 
 def _definite_inverse(a: Matrix, memo: dict) -> Matrix | None:
@@ -636,9 +641,8 @@ def adjugate(a: Matrix) -> Matrix:
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
     adjugate([[a]]) = [[0]].  A definite A is not folded: its adjoint is
     its closure (see _definite_inverse).  Otherwise all n^2 minors come
-    from one forward fold over the rows (handed over by the last
-    determinant fold of A, if any) and one backward fold, joined; the
-    forward fold's full set gives det, which is kept with the adjoint.
+    from one forward fold over the rows (the slot's, when the last kernel
+    on A left it there) and one backward fold, joined (see _minors).
     """
     memo = _memo_of(a)
     adj = memo.get("adj")
@@ -646,8 +650,7 @@ def adjugate(a: Matrix) -> Matrix:
         adj = _definite_inverse(a, memo)
     if adj is None:
         n = a.rows
-        scale, dm, dg, am, ag = _minors(a, memo)
-        memo["det"] = _element(dm, dg, scale)
+        scale, am, ag = _minors(a, memo)
         adj = memo["adj"] = Matrix(n, n, _elements(am, ag, scale))
     return adj
 
@@ -659,19 +662,17 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     row r may also take x from the diagonal.  Expanding the product, the
     coefficient of x^k is the supertropical sum of the determinants of the
     (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
-    det, and is kept as such.  A's kernel rows are read from the handoff
-    slot when it holds A's, else taken from the memo when the adjoint's
-    fold left them there; each row is copied with the x entry added, so
-    the slot's rows stay A's.  The coefficients are kept on the matrix and
-    each call returns a new list of them.
+    det, and is kept as such.  A's kernel rows come from _rows (the handoff
+    slot's or the memo's, when a fold of A left them there); each row is
+    copied with the x entry added, so the slot's rows stay A's.  The
+    coefficients are kept on the matrix and each call returns a new list
+    of them.
     """
     memo = _memo_of(a)
     coeffs = memo.get("coeffs")
     if coeffs is None:
         n = a.rows
-        handed = _handed(a, take=False)
-        kept = memo.pop("rows", None)
-        base, scale = handed[:2] if handed is not None else kept or _kernel_rows(a)
+        base, scale = _rows(a, memo)
         rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
@@ -687,13 +688,11 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     for strictly singular matrices.
 
     A definite A is not folded: det(A) is tangible 0, so A^inv = adj(A),
-    and both are its closure (see _definite_inverse).  Otherwise the
-    adjoint's forward and backward folds give both (the forward one handed
-    over by the last determinant fold of A, if any): det is the forward
-    table's full-set slot, and each minor is rescaled on the scaled ints
-    (magnitude minus det's, ghost if either is ghost).  When the adjoint
-    and det are already kept on the matrix, the kept adjoint is rescaled
-    instead, on the same scaled ints, and nothing is folded.
+    and both are its closure (see _definite_inverse).  Otherwise the minors
+    are the kept adjoint's, read back onto A's scaled ints, or the
+    adjoint's forward and backward folds (see _minors), which keep det;
+    either way det is the memo's, and each minor is rescaled on the scaled
+    ints (magnitude minus det's, ghost if either is ghost).
     """
     memo = _memo_of(a)
     pinv = memo.get("pinv")
@@ -702,15 +701,13 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     if pinv is not None:
         return pinv
     adj = memo.get("adj")
-    if adj is not None:  # adjugate keeps det with it
+    if adj is not None:  # det was kept before the adjoint
         scale = _scale(a)
-        det = memo["det"]
-        dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
         am, ag = _ints(adj, scale)
     else:
-        scale, dm, dg, am, ag = _minors(a, memo)
-        if "det" not in memo:
-            memo["det"] = _element(dm, dg, scale)
+        scale, am, ag = _minors(a, memo)
+    det = memo["det"]
+    dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
     if dm is None:
         raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
     n = a.rows
@@ -854,17 +851,17 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     conductor is a generalized permutation matrix carrying det(A): it holds
     the entries of the unique dominant permutation track, and the definite
     factor is A with that track rescaled onto a tangible-0 diagonal.  A's
-    fold is the determinant's (handed over when it was the last one, and
-    kept in the handoff slot for the next kernel on A).  The returned
-    factors are verified on A's scaled ints before returning: their product
-    is A, the conductor's fold carries det(A), and the definite factor is
-    definite.
+    forward fold comes from _forward (the slot's, when the last kernel on A
+    left it there) and is kept in the slot for the next kernel on A.  The
+    returned factors are verified on A's scaled ints before returning:
+    their product is A, the conductor's fold carries det(A), and the
+    definite factor is definite.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     left = side == "left"
     n = a.rows
-    rows, scale, mag, gh = _det_fold(a, _memo_of(a))
+    rows, scale, mag, gh = _forward(a, _memo_of(a), keep=True)
     full = (1 << n) - 1
     if mag[full] is None or gh[full]:
         raise NotNonSingularError("definite form needs a tangible determinant")

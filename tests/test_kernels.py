@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -892,6 +894,87 @@ def test_handed_rows_are_never_mutated(monkeypatch):
             assert len(folds) == 1
 
 
+def test_no_fold_runs_beside_another_matrix_table(monkeypatch):
+    """With det(A)'s 12x12 table in the slot, each folding kernel on a fresh
+    B drops it before its first fold: no other table (two lists of 2^n
+    slots) is alive while B is folded."""
+    n = 12
+    size = 1 << n
+
+    def tables():
+        gc.collect()
+        return sum(1 for x in gc.get_objects() if type(x) is list and len(x) == size)
+
+    determinant(identity(2))  # drops any table an earlier test left in the slot
+    before = tables()
+    a, b = [gen_matrix(GenConfig(n=n, numerator_range=(-4, 4), denominator=2, seed=s))
+            for s in (0, 1)]
+    seen = []
+    fold = tropmat._fold
+
+    def spy(*args):
+        if not seen:
+            seen.append(tables() - before)
+        return fold(*args)
+
+    monkeypatch.setattr(tropmat, "_fold", spy)
+    for kernel in (determinant, adjugate, pseudo_inverse, definite_form,
+                   tropmat.char_poly_coefficients):
+        x = fresh(a)
+        determinant(x)
+        assert tropmat._handoff[0] is x and tables() - before == 2
+        seen.clear()
+        outcome(kernel, fresh(b))
+        assert seen == [0], kernel
+
+
+def test_two_threads_sharing_the_slot_get_single_thread_results(monkeypatch):
+    """Two threads run the five folding kernels in opposite orders on the
+    same fresh matrices.  Each fold and each read of a matrix's rows ends by
+    yielding to the other thread, so their kernels interleave inside each
+    other's calls: every read of the slot checks its matrix, so each result
+    equals the one a lone caller gets from a fresh copy."""
+    kernels = [determinant, adjugate, pseudo_inverse, definite_form,
+               tropmat.char_poly_coefficients]
+    mats = [a for n in (3, 4, 5) for a in mixed_cases(n)]
+    want = [[outcome(k, fresh(a)) for k in kernels] for a in mats]
+    shared = [fresh(a) for a in mats]
+
+    def yielding(f):
+        def call(*args):
+            out = f(*args)
+            time.sleep(0)  # releases the interpreter to the other thread
+            return out
+        return call
+
+    monkeypatch.setattr(tropmat, "_fold", yielding(tropmat._fold))
+    monkeypatch.setattr(tropmat, "_kernel_rows", yielding(tropmat._kernel_rows))
+    wrong, errors = [], []
+
+    def run(order):
+        try:
+            for t, m in enumerate(shared):
+                for k in order:
+                    if outcome(kernels[k], m) != want[t][k]:
+                        wrong.append((mats[t], kernels[k].__name__))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(order,))
+               for order in (range(5), range(4, -1, -1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+
+
 def test_adjoint_leaves_the_rows_for_char_poly(monkeypatch):
     """The adjoint's fold, handed over by det or its own, leaves A's kernel
     rows in the memo: char_poly then reads A's rows no second time, takes
@@ -902,7 +985,8 @@ def test_adjoint_leaves_the_rows_for_char_poly(monkeypatch):
                         lambda m: reads.append(m) or kernel_rows(m))
     for a in mixed_cases(5)[:10]:
         want = exact(tropmat.char_poly_coefficients(fresh(a)))
-        for first in ([determinant, adjugate], [adjugate], [pseudo_inverse]):
+        for first in ([determinant, adjugate], [adjugate], [pseudo_inverse],
+                      [adjugate, definite_form], [pseudo_inverse, definite_form]):
             x = fresh(a)
             reads.clear()
             for kernel in first:

@@ -1,5 +1,6 @@
 """Each supertrop module uses only the public names of the others, imports
-only what it uses, and defines no private helper that nothing reads."""
+only what it uses, and defines no private helper that nothing reads; and
+tropmat's handoff slot has one owner."""
 
 import ast
 from collections import Counter
@@ -96,3 +97,29 @@ def test_guard_sees_unreferenced_private_defs():
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def functions_naming(source: str, name: str) -> list[str]:
+    """The functions of source, nested ones included, whose bodies name
+    `name`: as a read, a write or a global declaration."""
+    return sorted({f.name for f in ast.walk(ast.parse(source))
+                   if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and any(isinstance(n, ast.Name) and n.id == name
+                           or isinstance(n, ast.Global) and name in n.names
+                           for n in ast.walk(f))})
+
+
+def test_guard_sees_functions_naming_the_slot():
+    source = ("_slot = None\n"
+              "def _rows(a):\n    return _slot[1] if _slot else a\n"
+              "def _forward():\n    global _slot\n    _slot = ()\n"
+              "def outer():\n    def inner():\n        return _slot\n    return inner\n"
+              "def clean(slot):\n    return slot._slot\n")
+    assert functions_naming(source, "_slot") == ["_forward", "_rows", "inner", "outer"]
+
+
+def test_the_handoff_slot_has_one_owner():
+    """_forward alone stores a fold in the slot and _rows alone reads it
+    besides: no other tropmat function names it."""
+    source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
+    assert functions_naming(source, "_handoff") == ["_forward", "_rows"]
