@@ -206,10 +206,11 @@ def kth_root(a: Element, k: int) -> Element:
 # -- text form ---------------------------------------------------------------
 #
 # Grammar:  '-inf'  |  RATIONAL  |  RATIONAL 'g'
-# where RATIONAL is an optional '-', digits, and an optional '/' digits part.
+# where RATIONAL is an optional '-', ASCII digits, and an optional '/' digits
+# part.
 # parse_scalar(format_scalar(e)) == e, bit-exact.
 
-_SCALAR_RE = re.compile(r"^(-?\d+(?:/\d+)?)(g?)$")
+_SCALAR_RE = re.compile(r"^(-?[0-9]+(?:/[0-9]+)?)(g?)$")
 
 
 def parse_scalar(text: str) -> Element:

@@ -43,28 +43,27 @@ that computes it: det (written by every forward fold of A, by the
 characteristic coefficients as coefficient 0 and, as tangible 0, by the
 closure of a definite matrix), the adjoint, the pseudo-inverse (the kept
 adjoint rescaled by the kept det, when the adjoint is held), the
-characteristic coefficients and the definiteness closure.  So det, adj, A^inv, f_A and the
-eigenvalues of one matrix cost one fold each, and adj and A^inv of a
-definite matrix none.  The adjoint's fold also leaves A's kernel rows in
-the memo until the characteristic coefficients take them.  The memo keeps
-returned results and O(n^2) ints only, never a 2^n fold table.  So a
-Matrix refuses every attribute assignment after construction: were its
-entries changed, the memo would answer for the old ones.
+characteristic coefficients and the definiteness closure.  So det, adj,
+A^inv, f_A and the eigenvalues of one matrix cost one fold each, and adj
+and A^inv of a definite matrix none.  The memo keeps returned results and
+O(n^2) ints only, never a 2^n fold table.  So a Matrix refuses every
+attribute assignment after construction: were its entries changed, the
+memo would answer for the old ones.
 
 One private function, _forward, gives every kernel its forward fold of A
-and keeps det from it.  The fold of determinant or definite_form is left
-in one private slot, keyed by the identity of its matrix, and only
-_forward stores it there: the next adjugate or pseudo-inverse of that
-matrix takes its table as the forward half and folds only backward (the
-slot is emptied and the rows go to the memo, as above), definite_form
-backtracks over it, and char_poly_coefficients reads its kernel rows.  A
-second one, _rows, is the one source of A's kernel rows for any fold of
-A: the slot's, the memo's, or A read now when neither holds them.  Any
-fold of another matrix empties the slot first.  So a det fold followed by
-the adjoint, the pseudo-inverse or the definite form of the same matrix
-folds it forward once, and at most one 2^n table outlives its fold.
-definite_form verifies the factors it returns on their scaled ints, not
-on a product of Elements.
+and keeps det from it.  It reads one private slot, keyed by the identity
+of its matrix, once: when the slot holds A's fold, that fold is used;
+otherwise the slot is emptied and A's rows are folded now.  Either way
+A's fold is left in the slot, and only _forward stores it there.  So
+while the slot holds A's fold, none of determinant, adjugate,
+pseudo_inverse and definite_form folds A forward again: the adjoint and
+the pseudo-inverse fold only backward over the slot's table, and
+definite_form backtracks over it.  A second one, _rows, gives
+char_poly_coefficients A's kernel rows: the slot's when it holds A's
+fold, else A read now, after emptying the slot.  So any fold of another
+matrix empties the slot first, and at most one 2^n table outlives its
+fold.  definite_form verifies the factors it returns on their scaled
+ints, not on a product of Elements.
 """
 
 from __future__ import annotations
@@ -493,55 +492,45 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     return mag, gh
 
 
-# The last forward fold kept for the next kernel on the same matrix:
+# The last forward fold, kept for the next kernel on the same matrix:
 # (matrix, kernel rows, scale, mag, gh), or None.  It is keyed by identity,
 # so it answers only for the matrix object that made it, and it holds the
 # one 2^n table that outlives its fold.  _forward is the only writer and
-# _rows the only other reader: any fold of another matrix drops it first.
+# _rows the only other reader; each reads the slot once, and a fold of
+# another matrix empties it first.
 _handoff: tuple | None = None
 
 
-def _rows(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int]:
-    """A's kernel rows and their scale, for a fold of A: the handoff slot's
-    when it holds A's fold.  Otherwise the slot is emptied first, so that
-    another matrix's table is freed before the caller folds, and the rows
-    are taken out of the memo, where _forward left them for the
-    characteristic coefficients, or read from A now."""
+def _rows(a: Matrix) -> tuple[list[list[tuple]], int]:
+    """A's kernel rows and their scale: the handoff slot's when it holds
+    A's fold.  Otherwise the slot is emptied first, so that another
+    matrix's table is freed before the caller folds, and A is read now."""
     global _handoff
     slot = _handoff
     if slot is not None and slot[0] is a:
         return slot[1], slot[2]
     _handoff = slot = None  # no reference to another matrix's table is left
-    return memo.pop("rows", None) or _kernel_rows(a)
+    return _kernel_rows(a)
 
 
-def _forward(a: Matrix, memo: dict, keep: bool) -> tuple[list[list[tuple]], int, list, list]:
-    """A's kernel rows (from _rows), their scale and A's forward fold table
-    (magnitudes and ghost flags); det, from the table's full-set slot, is
-    kept in the memo.
+def _forward(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int, list, list]:
+    """A's kernel rows, their scale and A's forward fold table (magnitudes
+    and ghost flags); det, from the table's full-set slot, is kept in the
+    memo.
 
-    The table is the handoff slot's when it holds A's fold, else A's rows
-    are folded now.  The slot's matrix is checked again after _rows: a
-    thread sharing the slot may have filled it in between.  With keep, A's
-    fold is then left in the slot for the next kernel on A; without, the
-    slot is emptied and A's rows are left in the memo for
-    char_poly_coefficients, unless the coefficients are already kept.
+    The slot is read once.  When it holds A's fold, that fold is used;
+    otherwise the slot is emptied and A's rows are read and folded.  Either
+    way A's fold is left in the slot for the next kernel on A.
     """
     global _handoff
-    rows, scale = _rows(a, memo)
-    full = (1 << a.rows) - 1
     slot = _handoff
-    if slot is not None and slot[0] is a:
-        mag, gh = slot[3], slot[4]
-    else:
-        mag, gh = _fold(rows, full + 1)
+    if slot is None or slot[0] is not a:
+        _handoff = slot = None  # no reference to another matrix's table is left
+        rows, scale = _kernel_rows(a)
+        slot = _handoff = (a, rows, scale, *_fold(rows, 1 << a.rows))
+    _, rows, scale, mag, gh = slot
+    full = (1 << a.rows) - 1
     memo["det"] = _element(mag[full], gh[full], scale)
-    if keep:
-        _handoff = a, rows, scale, mag, gh
-    else:
-        _handoff = None
-        if "coeffs" not in memo:
-            memo["rows"] = rows, scale
     return rows, scale, mag, gh
 
 
@@ -550,13 +539,13 @@ def determinant(a: Matrix, cap: int = DEFAULT_DET_CAP) -> Element:
     (n <= cap), or kept from an earlier kernel on the same matrix.
 
     A fold here (by _forward) leaves A's table (2^n slots) alive in the
-    handoff slot until A's next adjoint or pseudo-inverse folds backward
-    over it, or until a kernel folds another matrix.
+    handoff slot, for A's next adjoint, pseudo-inverse or definite form,
+    until a kernel folds another matrix.
     """
     memo = _memo_of(a, cap)
     det = memo.get("det")
     if det is None:
-        _forward(a, memo, keep=True)
+        _forward(a, memo)
         det = memo["det"]
     return det
 
@@ -577,10 +566,10 @@ def _minors(a: Matrix, memo: dict) -> tuple[int, list, list]:
     Minor i * n + j is the permanent of the minor deleting row j and column
     i: the sum, over column sets S of size j without i, of the forward slot
     at S times the backward slot at the columns left over.  The forward
-    table and det come from _forward, which empties the handoff slot and
-    leaves A's kernel rows in the memo for char_poly_coefficients.
+    table and det come from _forward, which leaves A's fold in the handoff
+    slot for the next kernel on A.
     """
-    rows, scale, fm, fg = _forward(a, memo, keep=False)
+    rows, scale, fm, fg = _forward(a, memo)
     n = len(rows)
     full = (1 << n) - 1
     bm, bg = _fold(rows[::-1], full + 1)
@@ -641,8 +630,9 @@ def adjugate(a: Matrix) -> Matrix:
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
     adjugate([[a]]) = [[0]].  A definite A is not folded: its adjoint is
     its closure (see _definite_inverse).  Otherwise all n^2 minors come
-    from one forward fold over the rows (the slot's, when the last kernel
-    on A left it there) and one backward fold, joined (see _minors).
+    from one forward fold over the rows (the slot's, when a kernel on A
+    left it there; it stays there for the next) and one backward fold,
+    joined (see _minors).
     """
     memo = _memo_of(a)
     adj = memo.get("adj")
@@ -663,8 +653,8 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     coefficient of x^k is the supertropical sum of the determinants of the
     (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
     det, and is kept as such.  A's kernel rows come from _rows (the handoff
-    slot's or the memo's, when a fold of A left them there); each row is
-    copied with the x entry added, so the slot's rows stay A's.  The
+    slot's, when a forward fold of A left them there); each row is copied
+    with the x entry added, so the slot's rows stay A's.  The
     coefficients are kept on the matrix and each call returns a new list
     of them.
     """
@@ -672,7 +662,7 @@ def char_poly_coefficients(a: Matrix) -> list[Element]:
     coeffs = memo.get("coeffs")
     if coeffs is None:
         n = a.rows
-        base, scale = _rows(a, memo)
+        base, scale = _rows(a)
         rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
@@ -690,8 +680,9 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     A definite A is not folded: det(A) is tangible 0, so A^inv = adj(A),
     and both are its closure (see _definite_inverse).  Otherwise the minors
     are the kept adjoint's, read back onto A's scaled ints, or the
-    adjoint's forward and backward folds (see _minors), which keep det;
-    either way det is the memo's, and each minor is rescaled on the scaled
+    adjoint's forward and backward folds (see _minors), which keep det and
+    leave A's forward fold in the handoff slot; either way det is the
+    memo's, and each minor is rescaled on the scaled
     ints (magnitude minus det's, ghost if either is ghost).
     """
     memo = _memo_of(a)
@@ -851,8 +842,8 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     conductor is a generalized permutation matrix carrying det(A): it holds
     the entries of the unique dominant permutation track, and the definite
     factor is A with that track rescaled onto a tangible-0 diagonal.  A's
-    forward fold comes from _forward (the slot's, when the last kernel on A
-    left it there) and is kept in the slot for the next kernel on A.  The
+    forward fold comes from _forward (the slot's, when a kernel on A left
+    it there) and is left in the slot for the next kernel on A.  The
     returned factors are verified on A's scaled ints before returning:
     their product is A, the conductor's fold carries det(A), and the
     definite factor is definite.
@@ -861,7 +852,7 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     left = side == "left"
     n = a.rows
-    rows, scale, mag, gh = _forward(a, _memo_of(a), keep=True)
+    rows, scale, mag, gh = _forward(a, _memo_of(a))
     full = (1 << n) - 1
     if mag[full] is None or gh[full]:
         raise NotNonSingularError("definite form needs a tangible determinant")

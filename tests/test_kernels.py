@@ -368,7 +368,7 @@ def test_kernels_fold_their_input_once(monkeypatch):
     a = mat("1 0 -1; 3 4 -inf; 0 -2 2")
     d = mat("0 -1 -3; -2 0 -1; -inf -2 0")
     for call, want in [(lambda: pseudo_inverse(a), 2),
-                       (lambda: definite_form(a), 2),
+                       (lambda: definite_form(fresh(a)), 2),
                        (lambda: kleene_star(d), 0),
                        (lambda: adjugate(fresh(d)), 0),
                        (lambda: pseudo_inverse(fresh(d)), 0)]:
@@ -764,25 +764,28 @@ def test_returned_results_do_not_write_back_into_the_memo():
 
 
 def test_memo_holds_no_fold_table_at_order_twelve():
-    """After every kernel has run on a definite 12x12 matrix, its memo holds
-    the kept results and n^2-sized lists only: no dict (no 2^n fold table)
+    """After every kernel has run on a definite 12x12 matrix, and on a
+    non-singular one that is not definite (so that its adjoint and
+    pseudo-inverse come from the fold), each memo holds the kept results
+    and n^2-sized lists only: no dict (no 2^n fold table), no kernel rows
     and no container longer than n^2."""
     n = 12
     rng = random.Random(12)
-    entries = []
+    definite = []
     for i in range(n):
         for j in range(n):
             if i == j:
-                entries.append(ONE)
+                definite.append(ONE)
             elif rng.randrange(5) == 0:
-                entries.append(NEG_INF)
+                definite.append(NEG_INF)
             else:
                 v = Fraction(-rng.randint(1, 8), rng.randint(1, 2))
-                entries.append(ghost(v) if rng.randrange(10) == 0 else tangible(v))
-    d = Matrix(n, n, entries)
-    for kernel in MEMO_KERNELS.values():
-        kernel(d)
-    assert set(d._memo) == {"det", "adj", "pinv", "coeffs", "closure"}
+                definite.append(ghost(v) if rng.randrange(10) == 0 else tangible(v))
+    # The same entries with a track of 20..30 laid over them: every other
+    # track is 20 or more lighter, so det is tangible and far above 0.
+    perm = rng.sample(range(n), n)
+    folded = [tangible(rng.randint(20, 30)) if at % n == perm[at // n] else e
+              for at, e in enumerate(definite)]
 
     def walk(x):
         assert not isinstance(x, dict)
@@ -794,11 +797,18 @@ def test_memo_holds_no_fold_table_at_order_twelve():
             for y in x:
                 walk(y)
 
-    for value in d._memo.values():
-        walk(value)
+    for entries, closed in ((definite, True), (folded, False)):
+        a = Matrix(n, n, entries)
+        for kernel in MEMO_KERNELS.values():
+            outcome(kernel, a)
+        assert set(a._memo) == {"det", "adj", "pinv", "coeffs", "closure"}
+        assert (a._memo["closure"] is not None) == closed
+        assert determinant(a).is_tangible
+        for value in a._memo.values():
+            walk(value)
 
 
-# -- the handoff slot: the last determinant fold goes to the next kernel ----------
+# -- the handoff slot: the last forward fold goes to the next kernel --------------
 
 
 def test_handoff_keeps_one_table_at_order_twelve():
@@ -823,20 +833,24 @@ def test_handoff_keeps_one_table_at_order_twelve():
     for a in mats:
         assert set(a._memo) == {"det"}
         assert not isinstance(a._memo["det"], (list, tuple, dict))
-    adjugate(mats[-1])  # takes the table
-    assert tropmat._handoff is None
+    adjugate(mats[-1])  # folds backward over the table and leaves it in the slot
+    assert tropmat._handoff[0] is mats[-1]
+    assert tables() - before <= 2
+    determinant(identity(2))  # a fold of another matrix frees it
     assert tables() == before
 
 
 def test_handed_table_is_dropped_by_another_matrix():
     """No table outlives the adjoint or the pseudo-inverse of a different
-    matrix: its fold drops the slot's table before it runs."""
+    matrix: its fold drops the slot's table and leaves its own there."""
     for kernel in (adjugate, pseudo_inverse):
         a, b = mat("1 0 -1; 3 4 -inf; 0 -2 2"), mat("0 1; 2 0")
         determinant(a)
         assert tropmat._handoff[0] is a
+        table = tropmat._handoff[3]
         kernel(b)
-        assert tropmat._handoff is None
+        assert tropmat._handoff[0] is b
+        assert sys.getrefcount(table) == 2  # the local and the call's argument
 
 
 def test_handed_table_answers_only_its_own_matrix(monkeypatch):
@@ -872,6 +886,28 @@ def test_handed_table_answers_only_its_own_matrix(monkeypatch):
             folds.clear()
             assert exact(kernel(x)) == want
             assert len(folds) == cost - 1, kernel  # the backward half, or the conductor
+    assert seen >= 5
+
+
+def test_definite_form_after_the_adjoint_folds_only_its_conductor(monkeypatch):
+    """The forward fold behind adj(A) or A^inv stays in the slot: a later
+    definite_form(A) backtracks over it, folds only its conductor and
+    equals the form of a fresh copy."""
+    folds = []
+    fold = tropmat._fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    seen = 0
+    for a in mixed_cases(5):
+        if not determinant(fresh(a)).is_tangible or is_definite(fresh(a)):
+            continue
+        seen += 1
+        want = exact(definite_form(fresh(a)))
+        for first in (adjugate, pseudo_inverse):
+            x = fresh(a)
+            first(x)
+            folds.clear()
+            assert exact(definite_form(x)) == want
+            assert len(folds) == 1, first
     assert seen >= 5
 
 
@@ -975,17 +1011,18 @@ def test_two_threads_sharing_the_slot_get_single_thread_results(monkeypatch):
     assert errors == [] and wrong == []
 
 
-def test_adjoint_leaves_the_rows_for_char_poly(monkeypatch):
-    """The adjoint's fold, handed over by det or its own, leaves A's kernel
-    rows in the memo: char_poly then reads A's rows no second time, takes
-    them out of the memo and equals a fresh copy's coefficients."""
+def test_every_forward_fold_leaves_the_rows_for_char_poly(monkeypatch):
+    """Every forward fold of A, det's, the adjoint's, the pseudo-inverse's
+    or the definite form's, leaves A's kernel rows in the handoff slot:
+    char_poly then reads A's rows no second time, keeps none in the memo
+    and equals a fresh copy's coefficients."""
     reads = []
     kernel_rows = tropmat._kernel_rows
     monkeypatch.setattr(tropmat, "_kernel_rows",
                         lambda m: reads.append(m) or kernel_rows(m))
     for a in mixed_cases(5)[:10]:
         want = exact(tropmat.char_poly_coefficients(fresh(a)))
-        for first in ([determinant, adjugate], [adjugate], [pseudo_inverse],
+        for first in ([determinant, adjugate], [adjugate], [pseudo_inverse], [definite_form],
                       [adjugate, definite_form], [pseudo_inverse, definite_form]):
             x = fresh(a)
             reads.clear()

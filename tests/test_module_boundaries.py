@@ -109,17 +109,42 @@ def functions_naming(source: str, name: str) -> list[str]:
                            for n in ast.walk(f))})
 
 
+def functions_storing(source: str, name: str) -> list[str]:
+    """The functions of source, nested ones included, that bind `name` to
+    anything but None: any binding of it that is not a target of an
+    assignment of the constant None."""
+    found = set()
+    for f in ast.walk(ast.parse(source)):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(f))
+        cleared = {id(t) for n in nodes if isinstance(n, ast.Assign)
+                   and isinstance(n.value, ast.Constant) and n.value.value is None
+                   for t in n.targets}
+        if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Store)
+               and id(n) not in cleared for n in nodes):
+            found.add(f.name)
+    return sorted(found)
+
+
 def test_guard_sees_functions_naming_the_slot():
     source = ("_slot = None\n"
               "def _rows(a):\n    return _slot[1] if _slot else a\n"
               "def _forward():\n    global _slot\n    _slot = ()\n"
               "def outer():\n    def inner():\n        return _slot\n    return inner\n"
-              "def clean(slot):\n    return slot._slot\n")
-    assert functions_naming(source, "_slot") == ["_forward", "_rows", "inner", "outer"]
+              "def clean(slot):\n    return slot._slot\n"
+              "def drop():\n    global _slot\n    _slot = slot = None\n"
+              "def unpack(a):\n    global _slot\n    _slot, b = a\n"
+              "def loop(a):\n    global _slot\n    for _slot in a:\n        pass\n")
+    assert functions_naming(source, "_slot") == ["_forward", "_rows", "drop", "inner",
+                                                 "loop", "outer", "unpack"]
+    assert functions_storing(source, "_slot") == ["_forward", "loop", "unpack"]
 
 
 def test_the_handoff_slot_has_one_owner():
     """_forward alone stores a fold in the slot and _rows alone reads it
-    besides: no other tropmat function names it."""
+    besides: no other tropmat function names it, and every assignment to it
+    outside _forward assigns None."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
     assert functions_naming(source, "_handoff") == ["_forward", "_rows"]
+    assert functions_storing(source, "_handoff") == ["_forward"]

@@ -255,7 +255,7 @@ def test_parse_normalizes():
     assert format_scalar(parse_scalar("4/2")) == "2"
 
 
-@pytest.mark.parametrize("bad", ["", "x", "3.5", "1/0", "inf", "--2", "3 g", "g",
+@pytest.mark.parametrize("bad", ["", "x", "3.5", "1/0", "inf", "--2", "3 g", "g", "３", "١/٢",
                                  pytest.param("1" * 5000, id="5000-digits")])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
