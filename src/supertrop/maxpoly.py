@@ -370,37 +370,38 @@ def _values(hull: list[Term], breakpoints: list[int], q: int,
 
 
 def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], list, list]:
-    """The comparison grid of the essential forms f and g, with the values
-    of f and of g at -inf and at each grid point.
+    """The comparison grid of the maps of f and g, with the values of f
+    and of g at -inf and at each grid point.
 
-    Both are read once onto one int scale; essential(f + g) is taken on
-    those ints, and the grid's scale is q times theirs, q twice the lcm of
-    the exponent gaps of the three forms, so that every breakpoint and
-    every midpoint is an int.  Returns that scale, the grid and the two
+    Both are read once onto one int scale, and the hulls of f, of g and of
+    f + g are taken on those ints: the essential forms, which are the same
+    maps.  The grid's scale is q times theirs, q twice the lcm of the
+    exponent gaps of the three hulls, so that every breakpoint and every
+    midpoint is an int.  Returns that scale, the grid and the two
     (kind, magnitude) lists, -inf first.
     """
     scale, (fs, gs) = _read(f, g)
+    fhull, ghull = _hull(fs), _hull(gs)
     top: dict[int, int] = {}
-    for i, v, _ in fs + gs:
+    for i, v, _ in fhull + ghull:
         if i not in top or v > top[i]:
             top[i] = v
-    # f and g are essential forms, so their terms are their own hulls
-    hulls = (fs, gs, _hull([(i, top[i], TANGIBLE_KIND) for i in sorted(top)]))
+    hulls = (fhull, ghull, _hull([(i, top[i], TANGIBLE_KIND) for i in sorted(top)]))
     q = 2 * lcm(*(t[0] - s[0] for h in hulls for s, t in zip(h, h[1:])))
     fb, gb, sb = (_breakpoints(h, q) for h in hulls)
     grid = _comparison_grid([fb, gb, sb], q * scale)
-    return q * scale, grid, _values(fs, fb, q, grid), _values(gs, gb, q, grid)
+    return q * scale, grid, _values(fhull, fb, q, grid), _values(ghull, gb, q, grid)
 
 
 def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     """True iff eval(f, x) ghost-surpasses eval(g, x) at every point.
 
-    f and g are replaced by their essential forms (the same maps), which
-    are then evaluated at -inf and on the comparison grid, on scaled ints:
-    that decides the comparison exactly.  This is the functional
-    counterpart of poly_ghost_surpasses and is strictly weaker than it.
+    The essential terms of f and g (the same maps) are evaluated at -inf
+    and on the comparison grid, on scaled ints: that decides the
+    comparison exactly.  This is the functional counterpart of
+    poly_ghost_surpasses and is strictly weaker than it.
     """
-    _, _, fv, gv = _grid_values(essential(f), essential(g))
+    _, _, fv, gv = _grid_values(f, g)
     # ghost_surpasses on (kind, magnitude): equal, or a ghost at least as large
     return all(a == b or a[0] == GHOST_KIND and (b[1] is None or a[1] >= b[1])
                for a, b in zip(fv, gv))
@@ -420,13 +421,13 @@ def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     """Points that are roots of g but not of f, one per place they occur.
 
     A root is a point where the value is not tangible.  g and f are
-    replaced by their essential forms (the same maps).  On each cell of the
-    comparison grid each is one monomial of fixed kind, so whether a point
-    is a root of either is constant there: evaluating them at -inf and on
-    the grid, on scaled ints, decides containment of the root sets exactly.
-    Only the points returned become rationals.
+    evaluated by their essential terms (the same maps).  On each cell of
+    the comparison grid each is one monomial of fixed kind, so whether a
+    point is a root of either is constant there: evaluating them at -inf
+    and on the grid, on scaled ints, decides containment of the root sets
+    exactly.  Only the points returned become rationals.
     """
-    unit, grid, fv, gv = _grid_values(essential(f), essential(g))
+    unit, grid, fv, gv = _grid_values(f, g)
     return [NEG_INF if x is None else Element(TANGIBLE_KIND, rational(x, unit))
             for x, fx, gx in zip([None, *grid], fv, gv)
             if gx[0] != TANGIBLE_KIND and fx[0] == TANGIBLE_KIND]

@@ -16,15 +16,17 @@ the characteristic coefficients (the fold of xI + A, with the degree of x
 in the key bits above the columns).  Definiteness is decided without the
 fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
 that starts from A's tangible-0 diagonal and keeps a ghost flag beside
-each magnitude.  For a definite matrix the kept closure is the finished
-adjoint and pseudo-inverse, ghosts included, and its magnitudes are the
-Kleene star, so none of the three folds or copies it.  All
-of these, the matrix product and the power routine `power_sum` (the sum
-of c_i A^i behind `mat_pow` and `spectral.eval_at_matrix`, one product
-step per further power) work on magnitudes scaled to ints by the common
-denominator of the matrices and coefficients they read, so ties are exact
-integer ties and no Fraction is added or compared inside a kernel, a
-product or a power sum.
+each magnitude.  For a definite matrix the kept closure holds the
+adjoint's minors, ghosts included, and its magnitudes are the Kleene
+star, so none of the three folds: one private function, _minors, gives
+the adjoint and the pseudo-inverse their minors from that closure, from
+a kept adjoint or from the fold, and each builds its own Elements from
+them.  All of these, the matrix product and the power routine
+`power_sum` (the sum of c_i A^i behind `mat_pow` and
+`spectral.eval_at_matrix`, one product step per further power) work on
+magnitudes scaled to ints by the common denominator of the matrices and
+coefficients they read, so ties are exact integer ties and no Fraction
+is added or compared inside a kernel, a product or a power sum.
 A result becomes Elements once, at the end, and each distinct
 (magnitude, ghost) pair of it is built once and shared by the entries
 that hold it.  There is no floating point.  An exact assignment solve on
@@ -559,16 +561,38 @@ def classify(a: Matrix) -> SingularityClass:
     return SingularityClass.STRICTLY_SINGULAR
 
 
-def _minors(a: Matrix, memo: dict) -> tuple[int, list, list]:
-    """A's scale and the n^2 minors, as a list of magnitudes and a list of
-    ghost flags.
+def _minors(a: Matrix, memo: dict) -> tuple[list, list, int]:
+    """A's n^2 minors, as a list of magnitudes and a list of ghost flags,
+    and their scale; det is in the memo afterwards.  Minor i * n + j is the
+    permanent of the minor deleting row j and column i.  The minors come
+    from the first of three sources that applies.
 
-    Minor i * n + j is the permanent of the minor deleting row j and column
-    i: the sum, over column sets S of size j without i, of the forward slot
-    at S times the backward slot at the columns left over.  The forward
-    table and det come from _forward, which leaves A's fold in the handoff
-    slot for the next kernel on A.
+    A definite A's kept closure, ghosts included, with det kept as
+    tangible 0.  Every non-identity cycle of a definite A is strictly
+    negative and det(A) is tangible 0.  A track of the minor deleting row j
+    and column i (i != j) is a path from i to j plus cycles on the other
+    rows, so the tracks that attain its permanent are the heaviest paths
+    from i to j with the identity on every other row, and the permanent is
+    the closure's supertropical sum of those paths, ghosts included.  A
+    principal minor's permanent is the identity's tangible 0, which the
+    closure holds on its diagonal.
+
+    The adjoint kept by an earlier adjugate, read back onto A's scale; det
+    was kept with it.
+
+    The fold: minor i * n + j is the sum, over column sets S of size j
+    without i, of the forward slot at S times the backward slot at the
+    columns left over.  The forward table and det come from _forward,
+    which leaves A's fold in the handoff slot for the next kernel on A.
     """
+    closure = _kept_closure(a, memo)
+    if closure is not None:
+        memo["det"] = ONE
+        return closure
+    adj = memo.get("adj")
+    if adj is not None:
+        scale = _scale(a)
+        return (*_ints(adj, scale), scale)
     rows, scale, fm, fg = _forward(a, memo)
     n = len(rows)
     full = (1 << n) - 1
@@ -598,50 +622,22 @@ def _minors(a: Matrix, memo: dict) -> tuple[int, list, list]:
                 ag[k] = g or bg[rest]
             elif v == cur:
                 ag[k] = True
-    return scale, am, ag
-
-
-def _definite_inverse(a: Matrix, memo: dict) -> Matrix | None:
-    """adj(A) of a definite A, built from its kept closure and kept as the
-    adjoint and as the pseudo-inverse with det = 0; None, with nothing kept
-    but the closure, for any other A.
-
-    Every non-identity cycle of a definite A is strictly negative and
-    det(A) is tangible 0.  A track of the minor deleting row j and column
-    i (i != j) is a path from i to j plus cycles on the other rows, so the
-    tracks that attain its permanent are the heaviest paths from i to j
-    with the identity on every other row, and the permanent is the
-    closure's supertropical sum of those paths, ghosts included.  A
-    principal minor's permanent is the identity's tangible 0, which the
-    closure holds on its diagonal.  Rescaling by det = 0 changes nothing,
-    so A^inv = adj(A).
-    """
-    closure = _kept_closure(a, memo)
-    if closure is None:
-        return None
-    memo["det"] = ONE
-    inverse = memo["adj"] = memo["pinv"] = Matrix(a.rows, a.cols, _elements(*closure))
-    return inverse
+    return am, ag, scale
 
 
 def adjugate(a: Matrix) -> Matrix:
     """Entry (i, j) is the determinant of the minor deleting row j, column i.
 
     The minor of a 1x1 matrix is empty and its determinant is the unit, so
-    adjugate([[a]]) = [[0]].  A definite A is not folded: its adjoint is
-    its closure (see _definite_inverse).  Otherwise all n^2 minors come
-    from one forward fold over the rows (the slot's, when a kernel on A
-    left it there; it stays there for the next) and one backward fold,
-    joined (see _minors).
+    adjugate([[a]]) = [[0]].  The minors come from _minors: a definite A's
+    closure, with no fold; otherwise one forward fold over the rows (the
+    slot's, when a kernel on A left it there; it stays there for the next)
+    and one backward fold, joined.
     """
     memo = _memo_of(a)
     adj = memo.get("adj")
     if adj is None:
-        adj = _definite_inverse(a, memo)
-    if adj is None:
-        n = a.rows
-        scale, am, ag = _minors(a, memo)
-        adj = memo["adj"] = Matrix(n, n, _elements(am, ag, scale))
+        adj = memo["adj"] = Matrix(a.rows, a.cols, _elements(*_minors(a, memo)))
     return adj
 
 
@@ -677,33 +673,26 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     tangible, and the ghost of that scaling when det is ghost.  Undefined
     for strictly singular matrices.
 
-    A definite A is not folded: det(A) is tangible 0, so A^inv = adj(A),
-    and both are its closure (see _definite_inverse).  Otherwise the minors
-    are the kept adjoint's, read back onto A's scaled ints, or the
-    adjoint's forward and backward folds (see _minors), which keep det and
-    leave A's forward fold in the handoff slot; either way det is the
-    memo's, and each minor is rescaled on the scaled
-    ints (magnitude minus det's, ghost if either is ghost).
+    The minors and det come from _minors: a definite A's closure with
+    det = 0, the kept adjoint with the kept det, or the adjoint's forward
+    and backward folds, which keep det and leave A's forward fold in the
+    handoff slot.  Each minor is rescaled on the scaled ints (magnitude
+    minus det's, ghost if either is ghost), so a definite A's
+    pseudo-inverse is its closure rescaled by 0, equal to its adjoint and
+    made with no fold.
     """
     memo = _memo_of(a)
     pinv = memo.get("pinv")
     if pinv is None:
-        pinv = _definite_inverse(a, memo)
-    if pinv is not None:
-        return pinv
-    adj = memo.get("adj")
-    if adj is not None:  # det was kept before the adjoint
-        scale = _scale(a)
-        am, ag = _ints(adj, scale)
-    else:
-        scale, am, ag = _minors(a, memo)
-    det = memo["det"]
-    dm, dg = _magnitude(det, scale), det.kind == GHOST_KIND
-    if dm is None:
-        raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
-    n = a.rows
-    pinv = memo["pinv"] = Matrix(n, n, _elements(
-        [None if m is None else m - dm for m in am], [True] * (n * n) if dg else ag, scale))
+        am, ag, scale = _minors(a, memo)
+        det = memo["det"]
+        dm = _magnitude(det, scale)
+        if dm is None:
+            raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
+        n = a.rows
+        pinv = memo["pinv"] = Matrix(n, n, _elements(
+            [None if m is None else m - dm for m in am],
+            [True] * (n * n) if det.kind == GHOST_KIND else ag, scale))
     return pinv
 
 
@@ -811,8 +800,8 @@ def is_definite(a: Matrix) -> bool:
 
 def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
     """The unique permutation track attaining a tangible determinant, as
-    (column, magnitude, ghost) of its entry in each row, backtracked over
-    the magnitudes of rows' fold table, the same fold that gave the
+    (column, magnitude) of its entry in each row, backtracked over the
+    magnitudes of rows' fold table, the same fold that gave the
     determinant: with a tangible determinant, exactly one column of each
     row extends the track optimally."""
     n = len(rows)
@@ -820,13 +809,13 @@ def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
     track: list = [None] * n
     for r in reversed(range(n)):
         best = mag[mask]
-        for bit, _, w, g in rows[r]:
+        for bit, _, w, _ in rows[r]:
             prev = mag[mask ^ bit] if mask & bit else None
             if best is not None and prev is not None and prev + w == best:
                 break
         else:
             raise VerificationError("no permutation track attains the determinant")
-        track[r] = (bit.bit_length() - 1, w, g)
+        track[r] = (bit.bit_length() - 1, w)
         mask ^= bit
     return track
 
@@ -859,7 +848,7 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     track = _dominant_track(rows, mag)
     cond = [NEG_INF] * (n * n)
     row_of = [0] * n
-    for i, (c, _, _) in enumerate(track):
+    for i, (c, _) in enumerate(track):
         cond[i * n + c] = a.at(i, c)
         row_of[c] = i
     conductor = Matrix(n, n, cond)

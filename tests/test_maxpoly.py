@@ -447,22 +447,24 @@ def test_eval_matches_the_dense_walk():
 
 def test_map_comparisons_evaluate_only_essential_forms(monkeypatch):
     """poly_value_surpasses and roots_outside read the maps off the essential
-    forms: every polynomial their grid evaluator takes is its own essential
-    form."""
+    terms: every term list the grid evaluator walks is its own hull, though
+    the operands are passed as they are."""
     seen = []
-    evaluate = maxpoly._grid_values
+    walk = maxpoly._values
 
-    def recorded(f, g):
-        seen.extend((f, g))
-        return evaluate(f, g)
+    def recorded(hull, breakpoints, q, grid):
+        seen.append(hull)
+        return walk(hull, breakpoints, q, grid)
 
-    monkeypatch.setattr(maxpoly, "_grid_values", recorded)
+    monkeypatch.setattr(maxpoly, "_values", recorded)
+    inessential = 0
     for f, g in _tie_heavy_pairs(400, seed=2023):
+        inessential += essential(f) != f
         for a, b in ((f, g), (g, f)):
             poly_value_surpasses(a, b)
             roots_outside(a, b)
-    assert seen
-    assert [str(f) for f in seen if essential(f) != f] == []
+    assert inessential and seen
+    assert [h for h in seen if _hull(h) != h] == []
 
 
 def test_map_comparisons_take_three_hulls(monkeypatch):

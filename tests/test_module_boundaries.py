@@ -148,3 +148,13 @@ def test_the_handoff_slot_has_one_owner():
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
     assert functions_naming(source, "_handoff") == ["_forward", "_rows"]
     assert functions_storing(source, "_handoff") == ["_forward"]
+
+
+def test_the_minors_have_one_source():
+    """_minors alone picks where A's minors come from (the kept closure,
+    the kept adjoint or the fold): only adjugate and pseudo_inverse call
+    it, and only _minors, is_definite and kleene_star read the closure."""
+    source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
+    assert functions_naming(source, "_minors") == ["adjugate", "pseudo_inverse"]
+    assert functions_naming(source, "_kept_closure") == ["_minors", "is_definite",
+                                                         "kleene_star"]
