@@ -19,8 +19,8 @@ class SizeCapExceededError(SupertropicalError):
     fixed and not set per call; every kernel checks it once before any work,
     the Floyd-Warshall closure included (it decides is_definite and is
     kleene_star, and for a definite matrix the adjoint and the
-    pseudo-inverse), and lawcheck.run_check checks it before drawing any
-    matrix."""
+    pseudo-inverse), and lawcheck.run_check and run_suite check it before
+    drawing any matrix."""
 
 
 class StrictlySingularError(SupertropicalError):

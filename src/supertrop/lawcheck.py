@@ -8,6 +8,10 @@ violations are recorded as counterexample findings rather than failures.
 
 All randomness flows from a single 64-bit seed; trial t uses a sub-seed
 mixed from (seed, t), so reports are reproducible and trials independent.
+Within a trial, every check with the same constraint gets the same drawn
+matrices: a Matrix is immutable and keeps its kernel results, so det,
+adj, A^inv, f_A and the closure of a shared draw are computed once for
+the whole suite.
 """
 
 from __future__ import annotations
@@ -501,50 +505,87 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _inputs(drawn: dict, seed: int, cfg: GenConfig, defn: CheckDef) -> list[Matrix]:
+    """The trial's matrices for defn, drawn on first use and kept in drawn.
+
+    A is drawn with defn's constraint from a generator seeded with the
+    trial's sub-seed, once per constraint; B, unconstrained, from that
+    generator after A, the first time a two-matrix check of that
+    constraint asks for it.  So each check sees the matrices it would draw
+    alone, and checks of one constraint share them.
+    """
+    got = drawn.get(defn.constraint)
+    if got is None:
+        rng = random.Random(seed)
+        got = drawn[defn.constraint] = (rng, [_gen_with_rng(rng, cfg, defn.constraint)])
+    rng, mats = got
+    if not defn.two_matrices:
+        return mats[:1]
+    if len(mats) == 1:
+        mats.append(_gen_with_rng(rng, cfg, Constraint.NONE))
+    return mats
+
+
+def _run(ids: tuple[str, ...], cfg: GenConfig, trials: int) -> list[CheckReport]:
+    """The trial loop behind run_check and run_suite: for each trial, run
+    the checks named by ids in order on the trial's shared draws."""
+    for check_id in ids:
+        if check_id not in CHECKS:
+            raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    if cfg.n > DEFAULT_DET_CAP:
+        raise SizeCapExceededError(
+            f"subset-fold kernels capped at n <= {DEFAULT_DET_CAP}, got n = {cfg.n}")
+    runs = [(CHECKS[check_id], CheckReport(check_id, cfg.seed, cfg, trials, 0, [], [], 0.0))
+            for check_id in ids]
+    clock = time.perf_counter
+    for t in range(trials):
+        seed = _sub_seed(cfg.seed, t)
+        drawn: dict = {}
+        for defn, report in runs:
+            t0 = clock()
+            args = _inputs(drawn, seed, cfg, defn)
+            res = defn.fn(*args)
+            if res.ok:
+                report.passes += 1
+            if not res.ok or res.counterexample is not None:
+                inputs = {name: matrix_to_dict(m) for name, m in zip("AB", args)}
+                if not res.ok:
+                    report.failures.append({"trial": t, "inputs": inputs, "details": res.details})
+                if res.counterexample is not None:
+                    report.counterexamples.append(
+                        {"trial": t, "inputs": inputs, "details": res.counterexample})
+            report.elapsed_ms += (clock() - t0) * 1000.0
+    return [report for _, report in runs]
+
+
 def run_check(check_id: str, cfg: GenConfig, trials: int) -> CheckReport:
     """Run one checker over seeded random instances.
 
     Trial t draws its inputs from a sub-seed of (cfg.seed, t); the first
     matrix honours the checker's constraint, a second one (where used) is
-    unconstrained.  Only a trial that fails or flags a counterexample
-    serializes its inputs as a witness.  The report is a deterministic
-    function of (check_id, cfg, trials).  Every check folds its matrices,
-    so an order above the kernels' size cap is refused before any draw.
+    unconstrained and drawn after it.  Only a trial that fails or flags a
+    counterexample serializes its inputs as a witness.  The report is a
+    deterministic function of (check_id, cfg, trials), and is the report
+    run_suite gives for check_id.  Every check folds its matrices, so an
+    order above the kernels' size cap is refused before any draw.
+    elapsed_ms is the time spent drawing, checking and serializing.
     """
-    if check_id not in CHECKS:
-        raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    if cfg.n > DEFAULT_DET_CAP:
-        raise SizeCapExceededError(
-            f"subset-fold kernels capped at n <= {DEFAULT_DET_CAP}, got n = {cfg.n}")
-    defn = CHECKS[check_id]
-    t0 = time.perf_counter()
-    passes = 0
-    failures: list[dict] = []
-    counterexamples: list[dict] = []
-    for t in range(trials):
-        rng = random.Random(_sub_seed(cfg.seed, t))
-        args = [_gen_with_rng(rng, cfg, defn.constraint)]
-        if defn.two_matrices:
-            args.append(_gen_with_rng(rng, cfg, Constraint.NONE))
-        res = defn.fn(*args)
-        if res.ok:
-            passes += 1
-            if res.counterexample is None:
-                continue
-        inputs = {name: matrix_to_dict(m) for name, m in zip("AB", args)}
-        if not res.ok:
-            failures.append({"trial": t, "inputs": inputs, "details": res.details})
-        if res.counterexample is not None:
-            counterexamples.append({"trial": t, "inputs": inputs, "details": res.counterexample})
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return CheckReport(check_id, cfg.seed, cfg, trials, passes, failures,
-                       counterexamples, elapsed)
+    return _run((check_id,), cfg, trials)[0]
 
 
 def run_suite(cfg: GenConfig, trials: int, suite: str = "all") -> list[CheckReport]:
-    """Run every check, in CHECK_IDS order ("all"), or the one named."""
-    ids = CHECK_IDS if suite == "all" else (suite,)
-    return [run_check(cid, cfg, trials) for cid in ids]
+    """Run every check, in CHECK_IDS order ("all"), or the one named.
+
+    The loop is over trials, and each trial runs every check in order on
+    draws shared by constraint: the checks of one constraint get the same
+    A, and the two-matrix ones among them the same B (see run_check), so
+    each report is byte-identical to run_check's for its id.  A shared
+    draw's time goes to the elapsed_ms of the first check that uses it.
+    An error surfaces from the first (trial, check) pair that raises in
+    that order: a later check that raises at trial 0 wins over an earlier
+    one that raises at trial 1.
+    """
+    return _run(CHECK_IDS if suite == "all" else (suite,), cfg, trials)
 
 
 def explore_conjecture(cfg: GenConfig, trials: int) -> CheckReport:

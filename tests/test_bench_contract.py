@@ -47,15 +47,18 @@ def test_tracer_check_ids_match():
 
 
 # Spanned functions that no `check --suite all` call reaches: poly_pow has
-# no caller in the library, and only `compute eigen` calls eigenvalues.
-OFF_THE_SWEEP = {"maxpoly.poly_pow", "spectral.eigenvalues"}
+# no caller in the library, only `compute eigen` calls eigenvalues, and
+# only `explore` and one-check callers call run_check (the suite runs its
+# own trial loop).
+OFF_THE_SWEEP = {"maxpoly.poly_pow", "spectral.eigenvalues", "lawcheck.run_check"}
 
 
 def test_a_sweep_reaches_every_other_spanned_function(monkeypatch, tmp_path):
     """A span that reads 0 on working code shows nothing, so every spanned
     function but those in OFF_THE_SWEEP is called by one pinned
     `check --suite all --n 5` call.  Its flags make some f_{A^m} ghost-free,
-    so the charpoly-power check compares value equality as well."""
+    so the charpoly-power check compares value equality as well.  One
+    `explore --n 4` call reaches run_check."""
     calls = Counter()
 
     def counting(name):
@@ -70,3 +73,6 @@ def test_a_sweep_reaches_every_other_spanned_function(monkeypatch, tmp_path):
                      "--range", "-1000", "1000", "--neginf-prob", "1/2",
                      "--out", str(tmp_path / "report.json")]) == 0
     assert {name for name in spanned if not calls[name]} == OFF_THE_SWEEP
+    assert cli.main(["explore", "--n", "4", "--trials", "2", "--seed", "1",
+                     "--out", str(tmp_path / "found.json")]) == 0
+    assert calls["lawcheck.run_check"] == 1

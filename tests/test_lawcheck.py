@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -576,6 +577,91 @@ def test_run_suite_order_and_shape():
     assert [r.check_id for r in reports] == list(CHECK_IDS)
     reports = run_suite(GenConfig(n=2, seed=3), 10, "det_product")
     assert len(reports) == 1 and reports[0].check_id == "det_product"
+
+
+# Tie-heavy sampling: many ghost and -inf entries and tied magnitudes, so
+# draws are often rejected and the checks' kernels meet ties.
+TIE_HEAVY = {"numerator_range": (-1, 1), "denominator": 2,
+             "neginf_prob": Fraction(1, 4), "ghost_prob": Fraction(1, 4)}
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (3, 17), (5, 3)])
+def test_run_suite_reports_are_run_checks_reports(n, seed):
+    """The suite's trial loop shares each trial's draws among its checks,
+    and every report is still the one run_check gives for that id."""
+    cfg = GenConfig(n=n, seed=seed, **TIE_HEAVY)
+    for report in run_suite(cfg, 4, "all"):
+        assert report.to_json() == run_check(report.check_id, cfg, 4).to_json()
+
+
+def test_run_suite_hands_each_check_the_draws_it_takes_alone(monkeypatch):
+    """With every check failing, every trial's inputs are in the reports,
+    so they match run_check's only if each check in the suite reads the
+    very matrices it draws alone."""
+    for check_id, defn in list(CHECKS.items()):
+        monkeypatch.setitem(CHECKS, check_id,
+                            CheckDef(defn.constraint, defn.two_matrices, lambda *m: TrialResult(False)))
+    cfg = GenConfig(n=3, seed=6, **TIE_HEAVY)
+    for report in run_suite(cfg, 5, "all"):
+        assert len(report.failures) == 5
+        assert report.to_json() == run_check(report.check_id, cfg, 5).to_json()
+
+
+def test_run_suite_witnesses_of_shared_draws_replay(monkeypatch):
+    """With every scalar surpassing answering no, det_product fails and the
+    reversal check fails and flags counterexamples on the suite's shared
+    draws; each witness is the one run_check records, and replays to the
+    verdict it records."""
+    monkeypatch.setattr(lawcheck, "ghost_surpasses", lambda *args: False)
+    cfg = GenConfig(n=5, seed=8, **TIE_HEAVY)
+    reports = {r.check_id: r for r in run_suite(cfg, 3, "all")}
+    for check_id in ("det_product", "reversal_conjecture"):
+        report = reports[check_id]
+        assert report.to_json() == run_check(check_id, cfg, 3).to_json()
+        assert report.failures
+        for witness in report.failures:
+            assert replay(check_id, witness["inputs"]).details == witness["details"]
+        for witness in report.counterexamples:
+            assert replay(check_id, witness["inputs"]).counterexample == witness["details"]
+    assert reports["reversal_conjecture"].counterexamples
+
+
+def test_run_suite_draws_each_constraint_once_a_trial(monkeypatch):
+    """A trial of the whole suite draws A once for each of the three
+    constraints and B once for each constraint with a two-matrix check:
+    5 draws, against the 12 that the checks make one by one."""
+    drawn = []
+    gen = lawcheck._gen_with_rng
+    monkeypatch.setattr(lawcheck, "_gen_with_rng",
+                        lambda rng, cfg, c: drawn.append(c) or gen(rng, cfg, c))
+    cfg, trials = GenConfig(n=3, seed=4), 6
+    run_suite(cfg, trials, "all")
+    assert len(drawn) == 5 * trials
+    assert Counter(drawn) == {Constraint.NONE: 3 * trials, Constraint.NON_SINGULAR: trials,
+                              Constraint.DEFINITE: trials}
+    drawn.clear()
+    for check_id in CHECK_IDS:
+        run_check(check_id, cfg, trials)
+    assert len(drawn) == 12 * trials
+
+
+def test_run_suite_raises_the_first_error_in_trial_order(monkeypatch):
+    """The suite runs trial by trial, so a later check that raises at
+    trial 0 surfaces before an earlier check that raises at trial 1."""
+    def raises_at(trial, name):
+        calls = []
+
+        def check(a):
+            calls.append(a)
+            if len(calls) == trial + 1:
+                raise NotNonSingularError(name)
+            return TrialResult(True)
+        return CheckDef(Constraint.NONE, False, check)
+
+    monkeypatch.setitem(CHECKS, "adj_rules", raises_at(1, "adj_rules"))
+    monkeypatch.setitem(CHECKS, "hamilton_cayley", raises_at(0, "hamilton_cayley"))
+    with pytest.raises(NotNonSingularError, match="hamilton_cayley"):
+        run_suite(GenConfig(n=2, seed=0), 3, "all")
 
 
 def test_report_json_schema():
