@@ -11,7 +11,9 @@ mixed from (seed, t), so reports are reproducible and trials independent.
 Within a trial, every check with the same constraint gets the same drawn
 matrices: a Matrix is immutable and keeps its kernel results, so det,
 adj, A^inv, f_A and the closure of a shared draw are computed once for
-the whole suite.
+the whole suite.  A draw is built from its ints (Matrix.from_ints), as
+every kernel result is, so a trial builds a matrix's Elements only to
+serialize a witness.
 """
 
 from __future__ import annotations
@@ -33,18 +35,7 @@ from .maxpoly import (
     poly_value_surpasses,
     roots,
 )
-from .semiring import (
-    GHOST_KIND,
-    NEG_INF,
-    ONE,
-    TANGIBLE_KIND,
-    Element,
-    format_scalar,
-    ghost_surpasses,
-    mul,
-    power,
-    rational,
-)
+from .semiring import format_scalar, ghost_surpasses, mul, power
 from .spectral import char_poly, conjugate, eval_at_matrix
 from .tropmat import (
     DEFAULT_DET_CAP,
@@ -57,6 +48,7 @@ from .tropmat import (
     format_matrix,
     is_definite,
     is_ghost_matrix,
+    is_triangular,
     kleene_star,
     mat_ghost_surpasses,
     mat_mul,
@@ -150,11 +142,12 @@ def _sub_seed(seed: int, trial: int) -> int:
     return (seed * _MIX + trial + 1) & _MASK
 
 
-def _entry_drawer(rng: random.Random, cfg: GenConfig) -> Callable[[bool], Element]:
-    """draw(kinds) -> one entry drawn as cfg says; draw(False) is a tangible
-    value only.
+def _entry_drawer(rng: random.Random, cfg: GenConfig) -> Callable[..., tuple[list, list]]:
+    """draw(count, kinds=True) -> count entries drawn in turn as cfg says,
+    as their numerators over cfg.denominator (None for -inf) and their
+    ghost flags; with kinds false, tangible values only.
 
-    Each draw takes the bits of rng.getrandbits that randrange(d) and
+    Each entry takes the bits of rng.getrandbits that randrange(d) and
     randint(lo, hi) take, for d the denominator of a probability and for
     the width of the numerator range: k = d.bit_length() bits, drawn again
     while they read >= d.  So a seed gives the matrices it gave through
@@ -164,69 +157,71 @@ def _entry_drawer(rng: random.Random, cfg: GenConfig) -> Callable[[bool], Elemen
     lo, hi = cfg.numerator_range
     width = hi - lo + 1
     kw = width.bit_length()
-    den = cfg.denominator
     n_num, n_den = cfg.neginf_prob.numerator, cfg.neginf_prob.denominator
     g_num, g_den = cfg.ghost_prob.numerator, cfg.ghost_prob.denominator
     kn, kg = n_den.bit_length(), g_den.bit_length()
 
-    def draw(kinds: bool = True) -> Element:
-        if kinds:
-            r = bits(kn)
-            while r >= n_den:
+    def draw(count: int, kinds: bool = True) -> tuple[list, list]:
+        mag: list = []
+        gh = []
+        for _ in range(count):
+            if kinds:
                 r = bits(kn)
-            if r < n_num:
-                return NEG_INF
-        r = bits(kw)
-        while r >= width:
+                while r >= n_den:
+                    r = bits(kn)
+                if r < n_num:
+                    mag.append(None)
+                    gh.append(False)
+                    continue
             r = bits(kw)
-        v = lo + r if den == 1 else rational(lo + r, den)
-        if kinds:
-            r = bits(kg)
-            while r >= g_den:
+            while r >= width:
+                r = bits(kw)
+            mag.append(lo + r)
+            if kinds:
                 r = bits(kg)
-            if r < g_num:
-                return Element(GHOST_KIND, v)
-        return Element(TANGIBLE_KIND, v)
+                while r >= g_den:
+                    r = bits(kg)
+                gh.append(r < g_num)
+            else:
+                gh.append(False)
+        return mag, gh
 
     return draw
 
 
 def _gen_with_rng(rng: random.Random, cfg: GenConfig, constraint: Constraint) -> Matrix:
-    n = cfg.n
+    """A draw, built from its ints: numerators over cfg.denominator."""
+    n, den = cfg.n, cfg.denominator
     draw = _entry_drawer(rng, cfg)
     for _ in range(MAX_GEN_ATTEMPTS):
         if constraint is Constraint.INVERTIBLE:
             perm = list(range(n))
             rng.shuffle(perm)
-            entries = [NEG_INF] * (n * n)
-            for i in range(n):
-                entries[i * n + perm[i]] = draw(False)
-            return Matrix(n, n, entries)
+            mag: list = [None] * (n * n)
+            for i, m in enumerate(draw(n, False)[0]):
+                mag[i * n + perm[i]] = m
+            return Matrix.from_ints(n, n, mag, [False] * (n * n), den)
         if constraint is Constraint.TRIANGULAR:
-            # Upper triangular with a tangible diagonal, hence non-singular.
-            entries = []
+            # Upper triangular with a tangible diagonal, hence non-singular:
+            # row i is i -inf entries, its tangible diagonal entry, then the rest.
+            mag, gh = [], []
             for i in range(n):
-                for j in range(n):
-                    if j < i:
-                        entries.append(NEG_INF)
-                    elif j == i:
-                        entries.append(draw(False))
-                    else:
-                        entries.append(draw())
-            return Matrix(n, n, entries)
+                diag, rest = draw(1, False), draw(n - 1 - i)
+                mag += [None] * i + diag[0] + rest[0]
+                gh += [False] * (i + 1) + rest[1]
+            return Matrix.from_ints(n, n, mag, gh, den)
         if constraint is Constraint.DEFINITE:
             # The definite factor of a non-singular draw with a tangible-0
             # diagonal (A = P D); with no finite entry off it, A = I = D.
-            entries = [
-                ONE if i == j else draw()
-                for i in range(n)
-                for j in range(n)
-            ]
-            a = Matrix(n, n, entries)
+            mag, gh = draw(n * n - n)
+            for at in range(0, n * n, n + 1):
+                mag.insert(at, 0)
+                gh.insert(at, False)
+            a = Matrix.from_ints(n, n, mag, gh, den)
             if classify(a) is SingularityClass.NON_SINGULAR:
                 return definite_form(a)[1]
             continue
-        a = Matrix(n, n, [draw() for _ in range(n * n)])
+        a = Matrix.from_ints(n, n, *draw(n * n), den)
         if constraint is Constraint.NONE:
             return a
         if constraint is Constraint.NON_SINGULAR \
@@ -430,9 +425,7 @@ def chk_reversal_conjecture(a: Matrix) -> TrialResult:
         raise NotNonSingularError("conjecture check needs a non-singular matrix")
     n = a.rows
     f_inv = char_poly(pseudo_inverse(a))
-    upper = all(a.at(i, j).is_neg_inf for i in range(n) for j in range(i))
-    lower = all(a.at(i, j).is_neg_inf for i in range(n) for j in range(i + 1, n))
-    all_asserted = n <= 4 or upper or lower
+    all_asserted = n <= 4 or is_triangular(a)
     asserted_bad = {}
     open_bad = {}
     for k in range(n + 1):

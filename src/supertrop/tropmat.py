@@ -20,16 +20,24 @@ each magnitude.  For a definite matrix the kept closure holds the
 adjoint's minors, ghosts included, and its magnitudes are the Kleene
 star, so none of the three folds: one private function, _minors, gives
 the adjoint and the pseudo-inverse their minors from that closure, from
-a kept adjoint or from the fold, and each builds its own Elements from
+a kept adjoint or from the fold, and each builds its own result from
 them.  All of these, the matrix product and the power routine
 `power_sum` (the sum of c_i A^i behind `mat_pow` and
 `spectral.eval_at_matrix`, one product step per further power) work on
 magnitudes scaled to ints by the common denominator of the matrices and
 coefficients they read, so ties are exact integer ties and no Fraction
 is added or compared inside a kernel, a product or a power sum.
-A result becomes Elements once, at the end, and each distinct
-(magnitude, ghost) pair of it is built once and shared by the entries
-that hold it.  There is no floating point.  An exact assignment solve on
+A matrix built from ints (every kernel result, and each law-check draw,
+through Matrix.from_ints) holds only its view: magnitudes (None for -inf),
+ghost flags and their scale, the least common denominator of its
+entries.  Its Elements are built once, when `entries` is first read, with
+each distinct (magnitude, ghost) pair built once and shared by the
+entries that hold it, and the view is dropped then, so no matrix holds
+both; a matrix built from Elements is read onto ints afresh by each
+kernel and keeps no view.  The next kernel, a product and the
+comparisons mat_nu_equiv, mat_ghost_surpasses and is_ghost_matrix read
+the view, so a chain of kernels builds no Element it is not asked for.
+There is no floating point.  An exact assignment solve on
 the same ints would also decide ties: one optimal track gives det's
 magnitude, and a second one exists exactly when A, rescaled onto that
 track, fails the closure's cycle test.  The fold is kept at the orders the
@@ -73,7 +81,7 @@ from __future__ import annotations
 import enum
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
@@ -97,9 +105,7 @@ from .semiring import (
     Element,
     add,
     format_scalar,
-    ghost_surpasses,
     mul,
-    nu_equiv,
     parse_scalar,
     rational,
     to_tangible,
@@ -122,29 +128,57 @@ class PseudoIdentityClass(enum.Enum):
 
 class Matrix:
     """Dense row-major matrix of Elements; immutable: once built, no
-    attribute can be assigned or deleted.  `_memo` keeps the kernels'
-    results (see the module docstring); it is None until a kernel first
-    writes to it and takes no part in equality, hashing or printing."""
+    attribute can be assigned or deleted.  A matrix built by from_ints
+    holds its view (magnitudes, ghost flags and scale, see the module
+    docstring) in `_view` until `entries` is first read; then `entries`
+    is built from it and `_view` is None, as it is from the start for a
+    matrix built from Elements.  `_memo` keeps the kernels' results (see
+    the module docstring); it is None until a kernel first writes to it.
+    Neither takes part in equality, hashing or printing, which read
+    `entries`."""
 
-    __slots__ = ("rows", "cols", "entries", "_memo")
+    __slots__ = ("rows", "cols", "entries", "_view", "_memo")
 
     rows: int
     cols: int
     entries: tuple[Element, ...]
+    _view: tuple | None
     _memo: dict | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Element]):
         es = tuple(entries)
-        if rows < 1 or cols < 1:
-            raise DimensionMismatchError("matrix dimensions must be positive")
-        if len(es) != rows * cols:
-            raise DimensionMismatchError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
-            )
-        _set_rows(self, rows)
-        _set_cols(self, cols)
+        _init(self, rows, cols, len(es), None)
         _set_entries(self, es)
-        _set_memo(self, None)
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, mag: Sequence, gh: Sequence, scale: int) -> "Matrix":
+        """The matrix whose entry k (row-major) is -inf where mag[k] is
+        None, else mag[k] / scale, ghost where gh[k] is true; gh[k] must be
+        false where mag[k] is None.  It keeps these ints, moved onto the
+        least common denominator of its entries, and builds no Element
+        until `entries` is read."""
+        mag, gh = tuple(mag), tuple(gh)
+        if len(gh) != len(mag):
+            raise DimensionMismatchError(f"{len(mag)} magnitudes but {len(gh)} ghost flags")
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale must be a positive int, got {scale!r}")
+        if scale != 1:
+            g = gcd(scale, *[m for m in mag if m is not None])
+            if g != 1:
+                mag, scale = tuple([None if m is None else m // g for m in mag]), scale // g
+        a = cls.__new__(cls)
+        _init(a, rows, cols, len(mag), (mag, gh, scale))
+        return a
+
+    def __getattr__(self, name: str) -> tuple[Element, ...]:
+        # Reached only for an unset slot, so for the entries of a matrix
+        # built from ints: made here once from its view, which is then
+        # dropped.  Any other name raises AttributeError below.
+        view = self._view if name == "entries" else None
+        if view is not None:
+            _set_entries(self, tuple(_elements(*view)))
+            _set_view(self, None)
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Matrix is immutable: cannot assign {name!r}")
@@ -180,11 +214,7 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
@@ -197,11 +227,26 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {text})"
 
 
-# The constructor and the memo's first write go around Matrix's refusal of
+# The constructors and the memo's first write go around Matrix's refusal of
 # assignment through the slots' own setters, at half the cost of
 # object.__setattr__.
-_set_rows, _set_cols, _set_entries, _set_memo = (
-    Matrix.rows.__set__, Matrix.cols.__set__, Matrix.entries.__set__, Matrix._memo.__set__)
+_set_rows, _set_cols, _set_entries, _set_view, _set_memo = (
+    Matrix.rows.__set__, Matrix.cols.__set__, Matrix.entries.__set__, Matrix._view.__set__,
+    Matrix._memo.__set__)
+
+
+def _init(a: Matrix, rows: int, cols: int, size: int, view: tuple | None) -> None:
+    """Give a new matrix of `size` entries its shape, its view (None for
+    one built from Elements) and an empty memo."""
+    if rows < 1 or cols < 1:
+        raise DimensionMismatchError("matrix dimensions must be positive")
+    if size != rows * cols:
+        raise DimensionMismatchError(
+            f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {size}")
+    _set_rows(a, rows)
+    _set_cols(a, cols)
+    _set_view(a, view)
+    _set_memo(a, None)
 
 
 def format_matrix(a: Matrix) -> str:
@@ -233,49 +278,65 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, a.cols, (add(x, y) for x, y in zip(a.entries, b.entries)))
 
 
-# -- scaled rows --------------------------------------------------------------
+# -- views and scaled rows ------------------------------------------------------
 #
-# Products read a matrix as rows of its finite entries, (column, magnitude,
-# ghost); kernels read it as the kernel rows below.  Magnitudes are ints,
-# scaled by the common denominator of every matrix read together, so ties
-# are exact integer ties and no Fraction is added.  A result is two flat
-# row-major lists, magnitudes (None for -inf) and ghost flags, until
-# _elements turns it into scalars.
+# A matrix's view is its flat row-major ints: magnitudes (None for -inf)
+# and ghost flags, as tuples, with their scale.  Products read a matrix as
+# rows of its finite entries, (column, magnitude, ghost); kernels read it
+# as the kernel rows below.  Magnitudes are scaled by the common
+# denominator of every matrix read together, so ties are exact integer
+# ties and no Fraction is added.  A result is two flat row-major lists,
+# magnitudes and ghost flags, that Matrix.from_ints takes as its view.
 
 
-def _scale(*mats: Matrix) -> int:
-    """The common denominator of every entry of the matrices."""
-    scale = 1
-    for a in mats:
-        for e in a.entries:
-            if type(e.value) is Fraction and scale % e.value.denominator:
-                scale = lcm(scale, e.value.denominator)
-    return scale
+def _magnitude(e: Element, scale: int) -> int | None:
+    """The scaled magnitude of a scalar whose denominator divides scale, or
+    None for -inf."""
+    if e.kind == NEG_INF_KIND:
+        return None
+    v = e.value
+    return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
 
 
-def _scaled_rows(*mats: Matrix) -> tuple[list[list[list[tuple]]], int]:
-    """The rows of each matrix as lists of (column, magnitude, ghost) over
-    its finite entries, and the one scale of all their magnitudes."""
-    scale = _scale(*mats)
-    out = []
-    for a in mats:
-        rows = []
-        for i in range(a.rows):
-            row = []
-            for j, e in enumerate(a.row(i)):
-                if e.kind != NEG_INF_KIND:
-                    v = e.value
-                    m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-                    row.append((j, m, e.kind == GHOST_KIND))
-            rows.append(row)
-        out.append(rows)
-    return out, scale
+def _view(a: Matrix) -> tuple[tuple, tuple, int]:
+    """A's magnitudes, ghost flags and their scale, the least common
+    denominator of A's entries: A's own view while it holds one, else read
+    from A's entries now and not kept."""
+    view = a._view
+    if view is not None:
+        return view
+    es = a.entries
+    scale = lcm(*{e.value.denominator for e in es if type(e.value) is Fraction})
+    return (tuple([_magnitude(e, scale) for e in es]), tuple([e.kind == GHOST_KIND for e in es]),
+            scale)
 
 
-def _rows_of(mag: list, gh: list, cols: int) -> list[list[tuple]]:
-    """The scaled rows of a flat result with `cols` columns."""
-    return [[(j, mag[base + j], gh[base + j]) for j in range(cols) if mag[base + j] is not None]
-            for base in range(0, len(mag), cols)]
+def _scale(a: Matrix) -> int:
+    """The scale of A's view."""
+    return _view(a)[2]
+
+
+def _ints(view: tuple[tuple, tuple, int], scale: int) -> tuple[tuple, tuple]:
+    """A view's magnitudes moved onto scale, a multiple of its own, and its
+    ghost flags."""
+    mag, gh, own = view
+    if own != scale:
+        mag = tuple([None if m is None else m * (scale // own) for m in mag])
+    return mag, gh
+
+
+def _flat(*mats: Matrix) -> tuple[list[tuple[tuple, tuple]], int]:
+    """The views of the matrices on their common scale, and that scale."""
+    views = [_view(a) for a in mats]
+    scale = lcm(*[v[2] for v in views])
+    return [_ints(v, scale) for v in views], scale
+
+
+def _rows_of(mag: Sequence, gh: Sequence, cols: int) -> list[list[tuple]]:
+    """The scaled rows of flat magnitudes and ghost flags with `cols` columns."""
+    js = range(cols)
+    return [[(j, m, g) for j, m, g in zip(js, mag[base:base + cols], gh[base:base + cols])
+             if m is not None] for base in range(0, len(mag), cols)]
 
 
 def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> tuple[list, list]:
@@ -306,9 +367,10 @@ def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> t
 
 
 def _elements(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
-    """The scalars of a flat result on `scale`.  Each distinct (magnitude,
-    ghost) pair becomes one Element, shared by every entry that holds it,
-    so a value's Fraction is built once per result."""
+    """The entries of a view: the scalars of its magnitudes on `scale`.
+    Each distinct (magnitude, ghost) pair becomes one Element, shared by
+    every entry that holds it, so a value's Fraction is built once per
+    matrix."""
     built: dict = {}
     out = []
     for m, g in zip(mag, gh):
@@ -325,11 +387,12 @@ def _elements(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product AB: entry (i, j) is the supertropical sum of a_ik b_kj,
-    one product step on the scaled ints of both factors."""
+    one product step on the views of both factors."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    (arows, brows), scale = _scaled_rows(a, b)
-    return Matrix(a.rows, b.cols, _elements(*_product(arows, brows, b.cols), scale))
+    [fa, fb], scale = _flat(a, b)
+    return Matrix.from_ints(a.rows, b.cols, *_product(
+        _rows_of(*fa, a.cols), _rows_of(*fb, b.cols), b.cols), scale)
 
 
 def scalar_mul(c: Element, a: Matrix) -> Matrix:
@@ -345,14 +408,15 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
     scaled ints, up to the last finite coefficient.  Each c_i A^i is added
     entrywise: the larger magnitude wins, and a tie, a ghost coefficient or
     a ghost entry gives a ghost.  c_0 goes on the diagonal only.  The
-    result becomes Elements once, at the end.
+    result is built from its ints.
     """
     require_square(a)
     n = a.rows
     top = max((i for i, c in enumerate(coeffs) if c.kind != NEG_INF_KIND), default=-1)
     if top < 0:
         return neg_inf_matrix(n, n)
-    (arows, [crow]), scale = _scaled_rows(a, Matrix(1, top + 1, coeffs[:top + 1]))
+    [fa, fc], scale = _flat(a, Matrix(1, top + 1, coeffs[:top + 1]))
+    arows, [crow] = _rows_of(*fa, n), _rows_of(*fc, top + 1)
     mag: list = [None] * (n * n)
     gh = [False] * (n * n)
     power, k = arows, 1
@@ -376,7 +440,7 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
                     gh[at] = cg or g
                 elif v == cur:
                     gh[at] = True
-    return Matrix(n, n, _elements(mag, gh, scale))
+    return Matrix.from_ints(n, n, mag, gh, scale)
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -412,20 +476,12 @@ def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
 
 
 def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
-    """The kernel rows of a square matrix and the scale of their magnitudes."""
-    scale = _scale(a)
-    rows = []
-    for i in range(a.rows):
-        row = []
-        bit = 1
-        for e in a.row(i):
-            if e.kind != NEG_INF_KIND:
-                v = e.value
-                m = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-                row.append((bit, bit, m, e.kind == GHOST_KIND))
-            bit <<= 1
-        rows.append(row)
-    return rows, scale
+    """The kernel rows of a square matrix, from its view, and their scale."""
+    mag, gh, scale = _view(a)
+    n = a.cols
+    bits = [1 << j for j in range(n)]
+    return [[(bit, bit, m, g) for bit, m, g in zip(bits, mag[base:base + n], gh[base:base + n])
+             if m is not None] for base in range(0, len(mag), n)], scale
 
 
 def _element(m: int | None, g: bool, scale: int) -> Element:
@@ -435,21 +491,6 @@ def _element(m: int | None, g: bool, scale: int) -> Element:
     if scale != 1:
         m = rational(m, scale)
     return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
-
-
-def _magnitude(e: Element, scale: int) -> int | None:
-    """The scaled magnitude of a scalar whose denominator divides scale, or
-    None for -inf."""
-    if e.kind == NEG_INF_KIND:
-        return None
-    v = e.value
-    return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-
-
-def _ints(a: Matrix, scale: int) -> tuple[list, list]:
-    """A matrix whose denominators divide scale as a flat result: scaled
-    magnitudes (None for -inf) and ghost flags, row-major."""
-    return [_magnitude(e, scale) for e in a.entries], [e.kind == GHOST_KIND for e in a.entries]
 
 
 def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
@@ -592,7 +633,7 @@ def _minors(a: Matrix, memo: dict) -> tuple[list, list, int]:
     adj = memo.get("adj")
     if adj is not None:
         scale = _scale(a)
-        return (*_ints(adj, scale), scale)
+        return (*_ints(_view(adj), scale), scale)
     rows, scale, fm, fg = _forward(a, memo)
     n = len(rows)
     full = (1 << n) - 1
@@ -637,7 +678,7 @@ def adjugate(a: Matrix) -> Matrix:
     memo = _memo_of(a)
     adj = memo.get("adj")
     if adj is None:
-        adj = memo["adj"] = Matrix(a.rows, a.cols, _elements(*_minors(a, memo)))
+        adj = memo["adj"] = Matrix.from_ints(a.rows, a.cols, *_minors(a, memo))
     return adj
 
 
@@ -690,9 +731,9 @@ def pseudo_inverse(a: Matrix) -> Matrix:
         if dm is None:
             raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
         n = a.rows
-        pinv = memo["pinv"] = Matrix(n, n, _elements(
-            [None if m is None else m - dm for m in am],
-            [True] * (n * n) if det.kind == GHOST_KIND else ag, scale))
+        pinv = memo["pinv"] = Matrix.from_ints(
+            n, n, [None if m is None else m - dm for m in am],
+            [m is not None for m in am] if det.kind == GHOST_KIND else ag, scale)
     return pinv
 
 
@@ -711,25 +752,18 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     -inf off the diagonal, and multiplicative idempotence."""
     require_square(m)
     n = m.rows
-    diag_entries = [m.at(i, i) for i in range(n)]
-    if all(e == ONE for e in diag_entries):
-        want = PseudoIdentityClass.PSEUDO_IDENTITY
-    elif all(e.kind == GHOST_KIND and e.value == 0 for e in diag_entries):
-        want = PseudoIdentityClass.GHOST_PSEUDO_IDENTITY
-    else:
+    mag, gh, _ = _view(m)
+    ghost_diag = gh[0]
+    # Entry k of the flat view is on the diagonal exactly when n + 1 divides k.
+    if mag[::n + 1] != (0,) * n or gh[::n + 1] != (ghost_diag,) * n or any(
+            x is not None and not g for k, (x, g) in enumerate(zip(mag, gh)) if k % (n + 1)):
         return PseudoIdentityClass.NEITHER
-    for i in range(n):
-        for j in range(n):
-            if i != j and m.at(i, j).kind == TANGIBLE_KIND:
-                return PseudoIdentityClass.NEITHER
-    if mat_mul(m, m) != m:
+    want, cls = ((PseudoIdentityClass.GHOST_PSEUDO_IDENTITY, SingularityClass.SINGULAR)
+                 if ghost_diag else
+                 (PseudoIdentityClass.PSEUDO_IDENTITY, SingularityClass.NON_SINGULAR))
+    if mat_mul(m, m) != m or classify(m) is not cls:
         return PseudoIdentityClass.NEITHER
-    cls = classify(m)
-    if want is PseudoIdentityClass.PSEUDO_IDENTITY and cls is SingularityClass.NON_SINGULAR:
-        return want
-    if want is PseudoIdentityClass.GHOST_PSEUDO_IDENTITY and cls is SingularityClass.SINGULAR:
-        return want
-    return PseudoIdentityClass.NEITHER
+    return want
 
 
 def _closure(a: Matrix) -> tuple[list, list, int] | None:
@@ -757,11 +791,10 @@ def _closure(a: Matrix) -> tuple[list, list, int] | None:
     entry ever decreases and a ghost 0 only rises.
     """
     n = a.rows
-    for e in a.entries[::n + 1]:
-        if e.kind != TANGIBLE_KIND or e.value:
-            return None  # a diagonal entry other than tangible 0
-    scale = _scale(a)
-    d, dg = _ints(a, scale)
+    mag, gh, scale = _view(a)
+    if mag[::n + 1] != (0,) * n or any(gh[::n + 1]):
+        return None  # a diagonal entry other than tangible 0
+    d, dg = list(mag), list(gh)  # a copy: the view stays A's
     for k in range(n):
         lo = k * n
         dk = [(j, d[lo + j], dg[lo + j]) for j in range(n)
@@ -846,37 +879,35 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     if mag[full] is None or gh[full]:
         raise NotNonSingularError("definite form needs a tangible determinant")
     track = _dominant_track(rows, mag)
-    cond = [NEG_INF] * (n * n)
     row_of = [0] * n
     for i, (c, _) in enumerate(track):
-        cond[i * n + c] = a.at(i, c)
         row_of[c] = i
-    conductor = Matrix(n, n, cond)
     # With pi(i) the track's column in row i.  Left: row pi(i) of the
     # definite factor is row i of A less its track entry.  Right: column i
     # is column pi(i) of A less the track entry of row i.  Either way entry
-    # (r, c) of A moves to one place, less the track entry of one row.
-    am: list = [None] * (n * n)
-    ag = [False] * (n * n)
+    # (r, c) of A moves to one place, less the track entry of one row.  The
+    # conductor keeps the track's entries where A has them.
+    cm: list = [None] * (n * n)
     dm: list = [None] * (n * n)
     dg = [False] * (n * n)
     for r, row in enumerate(rows):
         pr = track[r][0]
         for bit, _, w, g in row:
             c = bit.bit_length() - 1
-            am[r * n + c] = w
-            ag[r * n + c] = g
+            if c == pr:
+                cm[r * n + c] = w
             i = r if left else row_of[c]
             at = pr * n + c if left else r * n + i
             dm[at] = w - track[i][1]
             dg[at] = g
-    definite = Matrix(n, n, _elements(dm, dg, scale))
+    conductor = Matrix.from_ints(n, n, cm, [False] * (n * n), scale)
+    definite = Matrix.from_ints(n, n, dm, dg, scale)
 
     # The checks read the returned factors back onto A's scale.
-    crows = _rows_of(*_ints(conductor, scale), n)
-    drows = _rows_of(*_ints(definite, scale), n)
+    crows = _rows_of(*_ints(_view(conductor), scale), n)
+    drows = _rows_of(*_ints(_view(definite), scale), n)
     product = _product(crows, drows, n) if left else _product(drows, crows, n)
-    if product != (am, ag):
+    if tuple(map(tuple, product)) != _view(a)[:2]:
         raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
@@ -915,16 +946,11 @@ def gaussian_matrix(n: int, i: int, j: int, r: Element) -> Matrix:
 def is_invertible(a: Matrix) -> bool:
     """True iff the matrix is a generalized permutation matrix: exactly one
     entry per row and per column is not -inf, and that entry is tangible."""
-    if not a.is_square:
-        return False
-    n = a.rows
-    col_seen = [0] * n
-    for i in range(n):
-        hits = [j for j in range(n) if a.at(i, j).kind != NEG_INF_KIND]
-        if len(hits) != 1 or a.at(i, hits[0]).kind != TANGIBLE_KIND:
-            return False
-        col_seen[hits[0]] += 1
-    return all(c == 1 for c in col_seen)
+    mag, gh, _ = _view(a)
+    n, order = a.rows, list(range(a.rows))
+    finite = [at for at, m in enumerate(mag) if m is not None]
+    return (a.is_square and [at // n for at in finite] == order
+            and sorted(at % n for at in finite) == order and not any(gh[at] for at in finite))
 
 
 def kleene_star(a: Matrix) -> Matrix:
@@ -942,24 +968,38 @@ def kleene_star(a: Matrix) -> Matrix:
     if closure is None:
         raise NotDefiniteError("kleene star requires a definite matrix")
     d, _, scale = closure
-    return Matrix(a.rows, a.cols, _elements(d, [False] * len(d), scale))
+    return Matrix.from_ints(a.rows, a.cols, d, [False] * len(d), scale)
 
 
 def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:
+    """True iff every entry of A ghost-surpasses that of B: they are equal,
+    or A's is a ghost at least B's magnitude (or B's is -inf)."""
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("ghost surpassing needs equal shapes")
-    return all(ghost_surpasses(x, y) for x, y in zip(a.entries, b.entries))
+    [(am, ag), (bm, bg)], _ = _flat(a, b)
+    return all((y is None or x >= y) if gx and x is not None else x == y and (x is None or not gy)
+               for x, gx, y, gy in zip(am, ag, bm, bg))
 
 
 def mat_nu_equiv(a: Matrix, b: Matrix) -> bool:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("magnitude comparison needs equal shapes")
-    return all(nu_equiv(x, y) for x, y in zip(a.entries, b.entries))
+    [(am, _), (bm, _)], _ = _flat(a, b)
+    return am == bm
 
 
 def is_ghost_matrix(a: Matrix) -> bool:
     """True iff every entry is ghost or -inf."""
-    return all(e.kind != TANGIBLE_KIND for e in a.entries)
+    mag, gh, _ = _view(a)
+    return all(g or m is None for m, g in zip(mag, gh))
+
+
+def is_triangular(a: Matrix) -> bool:
+    """True iff A is square and every entry below its diagonal, or every
+    entry above it, is -inf."""
+    mag, n = _view(a)[0], a.rows
+    return a.is_square and (all(mag[i * n + j] is None for i in range(n) for j in range(i))
+                            or all(mag[j * n + i] is None for i in range(n) for j in range(i)))
 
 
 def hat_matrix(a: Matrix) -> Matrix:

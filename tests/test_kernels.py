@@ -726,6 +726,33 @@ def test_kept_results_equal_fresh_ones_in_any_order():
     assert raised == {StrictlySingularError, NotDefiniteError, NotNonSingularError}
 
 
+def test_kernels_on_int_built_draws_equal_fresh_ones_in_two_orders():
+    """On tie-heavy draws over 2, 3 and 6, with ghosts and -inf (so their
+    scales are rarely 1 and often reducible), each kept kernel, the
+    product and the power sum run in both orders, twice, on a matrix built
+    from the draw's ints equal the same kernel on a copy built from its
+    Elements.  Every kernel reads the draw's own ints (the closure writes
+    into a copy of them), so afterwards the draw still holds its entries."""
+    extra = {"square": lambda m: mat_mul(m, m), "power_sum": lambda m: power_sum(
+        [tangible(Fraction(1, 6)), NEG_INF, ghost(0), ONE], m)}
+    kernels = {**MEMO_KERNELS, **extra}
+    names = list(kernels)
+    scales = set()
+    for t in range(90):
+        cfg = GenConfig(n=1 + t % 5, numerator_range=(-2, 2), denominator=(2, 3, 6)[t % 3],
+                        neginf_prob=Fraction(1, 5), ghost_prob=Fraction(1, 5), seed=4000 + t)
+        constraint = (Constraint.NONE, Constraint.NON_SINGULAR, Constraint.DEFINITE)[t // 3 % 3]
+        a = fresh(gen_matrix(cfg, constraint))
+        scales.add(tropmat._scale(a))
+        want = {name: outcome(k, fresh(a)) for name, k in kernels.items()}
+        for order in (names, names[::-1]):
+            m = gen_matrix(cfg, constraint)
+            for name in order + order:
+                assert outcome(kernels[name], m) == want[name], (a, name)
+            assert m == a
+    assert scales == {1, 2, 3, 6}
+
+
 def test_kept_adjoint_keeps_strict_singularity():
     for text in ("0 1; -inf -inf", "1 -inf 2g; 0 -inf 1/2; -1 -inf 3", "-inf"):
         a = mat(text)
@@ -1090,6 +1117,9 @@ def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
         return x if isinstance(x, tuple) else (x,)
 
     got = [results(f(fresh(a))) for f, a in cases_]
+    for out in got:
+        for m in out:
+            m.entries  # built now, by _elements, before the patch below
     element = tropmat._element
     monkeypatch.setattr(tropmat, "_elements", lambda mag, gh, s: [
         element(m, g, s) for m, g in zip(mag, gh)])

@@ -147,7 +147,10 @@ def test_gen_config_validation():
 def test_entry_draws_take_the_bits_of_randrange_and_randint(kwargs):
     """A draw takes the very bits randrange(d) < num and randint(lo, hi)
     take, so a seed keeps its matrices; with a probability of denominator 1,
-    randrange(1) still takes one bit."""
+    randrange(1) still takes one bit.  A draw of count entries gives
+    their numerators (None for -inf) and ghost flags; as a 1 x count
+    matrix over the denominator they are the entries the stdlib calls
+    give, value types included."""
     cfg = GenConfig(n=2, **kwargs)
     ours, stdlib = random.Random(2024), random.Random(2024)
     draw = _entry_drawer(ours, cfg)
@@ -162,10 +165,13 @@ def test_entry_draws_take_the_bits_of_randrange_and_randint(kwargs):
             return ghost(v)
         return tangible(v)
 
-    for i in range(2400):
-        kinds = i % 6 != 5
-        got, want = draw(kinds), reference(kinds)
-        assert got == want and type(got.value) is type(want.value)
+    for i in range(1000):
+        kinds, count = i % 6 != 5, 1 + i % 4
+        mag, gh = draw(count, kinds)
+        want = [reference(kinds) for _ in range(count)]
+        got = Matrix.from_ints(1, count, mag, gh, cfg.denominator).entries
+        assert [(e, type(e.value)) for e in got] == [(e, type(e.value)) for e in want]
+        assert all(type(g) is bool for g in gh)
     assert ours.getstate() == stdlib.getstate()
 
 
@@ -499,6 +505,26 @@ def test_reversal_check_splits_failures_from_counterexamples(monkeypatch):
         r = chk_reversal_conjecture(a)
         assert not r.ok and r.counterexample is None
         assert list(r.details) == [f"coefficient_{k}" for k in range(a.rows + 1)]
+
+
+def test_passing_explore_trials_build_no_matrix_elements(monkeypatch):
+    """An explore run whose every trial passes reads A and A^inv only as
+    ints: no matrix of the run builds its Elements (tropmat._elements, the
+    one builder of a matrix's entries, is never called), while the
+    characteristic coefficients and det are scalars built one by one.
+    Reading a drawn matrix's entries afterwards builds them, once."""
+    built = []
+    elements = tropmat._elements
+    monkeypatch.setattr(tropmat, "_elements", lambda *args: built.append(1) or elements(*args))
+    for n, den in ((4, 1), (5, 2), (6, 3)):
+        cfg = GenConfig(n=n, denominator=den, ghost_prob=Fraction(1, 4), seed=n)
+        r = explore_conjecture(cfg, 40)
+        assert r.passes == 40 and not r.failures and not r.counterexamples
+        a = gen_matrix(cfg, Constraint.NON_SINGULAR)
+        assert chk_reversal_conjecture(a).ok
+        assert built == []
+        assert a.entries == a.entries and built == [1]
+        built.clear()
 
 
 # -- runner ---------------------------------------------------------------------------

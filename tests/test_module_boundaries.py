@@ -1,6 +1,6 @@
 """Each supertrop module uses only the public names of the others, imports
 only what it uses, and defines no private helper that nothing reads; and
-tropmat's handoff slot has one owner."""
+tropmat's handoff slot, its minors and its Elements each have one source."""
 
 import ast
 from collections import Counter
@@ -158,3 +158,11 @@ def test_the_minors_have_one_source():
     assert functions_naming(source, "_minors") == ["adjugate", "pseudo_inverse"]
     assert functions_naming(source, "_kept_closure") == ["_minors", "is_definite",
                                                          "kleene_star"]
+
+
+def test_a_matrix_builds_its_elements_in_one_place():
+    """_elements, the builder of a result's Elements, has one caller: the
+    code that turns a matrix's view into its entries on their first read.
+    Every kernel builds its result from ints, never its Elements."""
+    source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
+    assert functions_naming(source, "_elements") == ["__getattr__"]

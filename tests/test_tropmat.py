@@ -34,6 +34,7 @@ from supertrop import (
     is_definite,
     is_ghost_matrix,
     is_invertible,
+    is_triangular,
     kleene_star,
     load_matrix,
     mat_add,
@@ -53,6 +54,7 @@ from supertrop import (
     tangible,
     transposition_matrix,
 )
+from supertrop import tropmat
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
 from conftest import el, mat, naive_det
@@ -332,6 +334,65 @@ def test_matrix_refuses_assignment_after_construction():
     assert determinant(Matrix(1, 1, (el("5"),))) == el("5")
 
 
+def random_ints(rng, rows, cols, scale):
+    """Flat magnitudes over scale, a fifth -inf, a fifth of the rest ghost,
+    often all even or all multiples of 3, so scale is often reducible."""
+    step = rng.choice((1, 2, 3, 6))
+    mag = [None if rng.randrange(5) == 0 else step * rng.randint(-4, 4)
+           for _ in range(rows * cols)]
+    return mag, [m is not None and rng.randrange(5) == 0 for m in mag]
+
+
+def test_matrix_from_ints_behaves_as_its_entries():
+    """A matrix built from ints equals, hashes, prints and serializes as the
+    matrix built from the same Elements, before and after its entries are
+    first read, and reads onto the same ints (the least common denominator
+    of its entries, whatever scale it was given).  Assigning `entries`
+    raises before and after that first read."""
+    rng = random.Random(5)
+    for t in range(200):
+        rows, cols, scale = 1 + t % 3, 1 + t % 4, rng.choice((1, 2, 3, 4, 6, 12))
+        mag, gh = random_ints(rng, rows, cols, scale)
+        want = Matrix(rows, cols, [NEG_INF if m is None
+                                   else (ghost if g else tangible)(Fraction(m, scale))
+                                   for m, g in zip(mag, gh)])
+        for reads in ("view", "dict", "hash", "eq", "repr"):
+            a = Matrix.from_ints(rows, cols, mag, gh, scale)
+            with pytest.raises(AttributeError):
+                a.entries = want.entries
+            assert tropmat._view(a) == tropmat._view(want)
+            got = {"view": lambda: tropmat._view(a), "dict": lambda: matrix_to_dict(a),
+                   "hash": lambda: hash(a), "eq": lambda: a == want, "repr": lambda: repr(a)}
+            expected = {"view": tropmat._view(want), "dict": matrix_to_dict(want),
+                        "hash": hash(want), "eq": True, "repr": repr(want)}
+            assert got[reads]() == expected[reads]
+            assert a.entries == want.entries
+            assert [type(e.value) for e in a.entries] == [type(e.value) for e in want.entries]
+            assert (a, hash(a), repr(a), matrix_to_dict(a), tropmat._view(a)) == \
+                (want, hash(want), repr(want), matrix_to_dict(want), tropmat._view(want))
+            with pytest.raises(AttributeError):
+                a.entries = want.entries
+            with pytest.raises(AttributeError):
+                del a.entries
+
+
+def test_matrix_from_ints_checks_its_shape_and_scale():
+    for args in ((2, 2, [1, 2, 3], [False] * 3, 1), (1, 2, [1, 2], [False], 1),
+                 (0, 1, [], [], 1)):
+        with pytest.raises(DimensionMismatchError):
+            Matrix.from_ints(*args)
+    for scale in (0, -2, 1.0, Fraction(1)):
+        with pytest.raises(ValueError):
+            Matrix.from_ints(1, 1, [1], [False], scale)
+
+
+def test_is_triangular():
+    assert is_triangular(mat("1 2; -inf 3")) and is_triangular(mat("1 -inf; 2 3"))
+    assert is_triangular(mat("5")) and is_triangular(mat("1 -inf; -inf 2g"))
+    assert not is_triangular(mat("1 2; 3 4")) and not is_triangular(mat("-inf -inf -inf"))
+    assert not is_triangular(mat("0 -inf 1; -inf 0 -inf; 2 -inf 0"))
+
+
 def test_format_matrix_is_the_repr_body():
     a = mat("0 -1/2g; -inf 3")
     assert format_matrix(a) == "0 -1/2g; -inf 3"
@@ -425,6 +486,33 @@ def test_mat_relations():
     assert not is_ghost_matrix(mat("1g 2; -inf 0g"))
     with pytest.raises(DimensionMismatchError):
         mat_ghost_surpasses(mat("0"), mat("0 0"))
+
+
+def test_mat_relations_on_ints_match_the_scalar_relations():
+    """mat_ghost_surpasses, mat_nu_equiv and is_ghost_matrix compare the
+    matrices' ints; on tie-heavy pairs at different scales, each built from
+    ints or from Elements, they agree with ghost_surpasses and equal
+    magnitudes entry by entry."""
+    rng = random.Random(9)
+    seen = {True: 0, False: 0}
+    for t in range(400):
+        n = 1 + t % 3
+        mag, gh = random_ints(rng, n, n, 2)
+        if t % 3:  # the same magnitudes, with each ghost flag redrawn
+            other = (mag, [m is not None and rng.randrange(2) == 0 for m in mag], 2)
+        else:
+            other = (*random_ints(rng, n, n, 3), 3)
+        for x, y in (((mag, gh, 2), other), (other, (mag, gh, 2))):
+            xs, ys = Matrix.from_ints(n, n, *x).entries, Matrix.from_ints(n, n, *y).entries
+            want = (all(ghost_surpasses(e, f) for e, f in zip(xs, ys)),
+                    all(e.value == f.value for e, f in zip(xs, ys)),
+                    all(not f.is_tangible for f in ys))
+            for a, b in ((Matrix.from_ints(n, n, *x), Matrix.from_ints(n, n, *y)),
+                         (Matrix(n, n, xs), Matrix.from_ints(n, n, *y)),
+                         (Matrix.from_ints(n, n, *x), Matrix(n, n, ys))):
+                assert (mat_ghost_surpasses(a, b), mat_nu_equiv(a, b), is_ghost_matrix(b)) == want
+            seen[want[0]] += 1
+    assert min(seen.values()) > 100
 
 
 # -- JSON format ---------------------------------------------------------------------------------
