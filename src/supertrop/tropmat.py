@@ -27,24 +27,24 @@ them.  All of these, the matrix product and the power routine
 magnitudes scaled to ints by the common denominator of the matrices and
 coefficients they read, so ties are exact integer ties and no Fraction
 is added or compared inside a kernel, a product or a power sum.
-A matrix built from ints (every kernel result, and each law-check draw,
-through Matrix.from_ints) holds only its view: magnitudes (None for -inf),
+A matrix is its ints: its view holds its magnitudes (None for -inf),
 ghost flags and their scale, the least common denominator of its
-entries.  Its Elements are built once, when `entries` is first read, with
-each distinct (magnitude, ghost) pair built once and shared by the
-entries that hold it, and the view is dropped then, so no matrix holds
-both; a matrix built from Elements is read onto ints afresh by each
-kernel and keeps no view.  The next kernel, a product and the
-comparisons mat_nu_equiv, mat_ghost_surpasses and is_ghost_matrix read
-the view, so a chain of kernels builds no Element it is not asked for.
-There is no floating point.  An exact assignment solve on
-the same ints would also decide ties: one optimal track gives det's
-magnitude, and a second one exists exactly when A, rescaled onto that
-track, fails the closure's cycle test.  The fold is kept at the orders the
-kernels accept (n <= 16) because one table serves the determinant, the
-adjoint, the pseudo-inverse, the definite form's track and, with the
-degree in the key, the characteristic coefficients, and up to n = 6 a
-prototype solve was no faster.  ROADMAP.md, open item 2, has the numbers
+entries, set once when it is built.  Every kernel result, and each
+law-check draw, is built from its ints (Matrix.from_ints); a matrix built
+from Elements reads them onto its view and keeps none of them.  Its
+Elements are built when read and not kept: each read of `entries` builds
+each distinct (magnitude, ghost) pair once, shared by the entries that
+hold it.  Every kernel, a product and the comparisons mat_nu_equiv,
+mat_ghost_surpasses and is_ghost_matrix read the view, so a chain of
+kernels builds no Element it is not asked for.  There is no floating
+point.  An exact assignment solve on the same ints would also decide
+ties: one optimal track gives det's magnitude, and a second one exists
+exactly when A, rescaled onto that track, fails the closure's cycle
+test.  The fold is kept at the orders the kernels accept (n <= 16)
+because one table serves the determinant, the adjoint, the
+pseudo-inverse, the definite form's track and, with the degree in the
+key, the characteristic coefficients, and up to n = 6 a prototype solve
+was no faster.  ROADMAP.md, open item 2, has the numbers
 and plans the solve above a measured crossover order.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
@@ -127,36 +127,36 @@ class PseudoIdentityClass(enum.Enum):
 
 
 class Matrix:
-    """Dense row-major matrix of Elements; immutable: once built, no
-    attribute can be assigned or deleted.  A matrix built by from_ints
-    holds its view (magnitudes, ghost flags and scale, see the module
-    docstring) in `_view` until `entries` is first read; then `entries`
-    is built from it and `_view` is None, as it is from the start for a
-    matrix built from Elements.  `_memo` keeps the kernels' results (see
-    the module docstring); it is None until a kernel first writes to it.
-    Neither takes part in equality, hashing or printing, which read
-    `entries`."""
+    """Dense row-major matrix of supertropical scalars; immutable: once
+    built, no attribute can be assigned or deleted.  A matrix is its view
+    (magnitudes, ghost flags and scale, see the module docstring), set
+    once when it is built and read by every kernel; built from Elements,
+    it reads them onto that view and keeps none of them.  `entries`, `at`
+    and `row` build the Elements they return on each read, and none is
+    kept.  `_memo` keeps the kernels' results (see the module docstring);
+    it is None until a kernel first writes to it.  Equality, hashing and
+    printing read `entries`, not the memo and not the view: two views may
+    differ only in a ghost flag at -inf, which from_ints does not check."""
 
-    __slots__ = ("rows", "cols", "entries", "_view", "_memo")
+    __slots__ = ("rows", "cols", "_view", "_memo")
 
     rows: int
     cols: int
-    entries: tuple[Element, ...]
-    _view: tuple | None
+    _view: tuple[tuple, tuple, int]
     _memo: dict | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Element]):
         es = tuple(entries)
-        _init(self, rows, cols, len(es), None)
-        _set_entries(self, es)
+        scale = lcm(*{e.value.denominator for e in es if type(e.value) is Fraction})
+        _init(self, rows, cols, len(es), (tuple([_magnitude(e, scale) for e in es]),
+                                          tuple([e.kind == GHOST_KIND for e in es]), scale))
 
     @classmethod
     def from_ints(cls, rows: int, cols: int, mag: Sequence, gh: Sequence, scale: int) -> "Matrix":
         """The matrix whose entry k (row-major) is -inf where mag[k] is
         None, else mag[k] / scale, ghost where gh[k] is true; gh[k] must be
-        false where mag[k] is None.  It keeps these ints, moved onto the
-        least common denominator of its entries, and builds no Element
-        until `entries` is read."""
+        false where mag[k] is None.  Its view is these ints, moved onto the
+        least common denominator of its entries; no Element is built."""
         mag, gh = tuple(mag), tuple(gh)
         if len(gh) != len(mag):
             raise DimensionMismatchError(f"{len(mag)} magnitudes but {len(gh)} ghost flags")
@@ -170,21 +170,16 @@ class Matrix:
         _init(a, rows, cols, len(mag), (mag, gh, scale))
         return a
 
-    def __getattr__(self, name: str) -> tuple[Element, ...]:
-        # Reached only for an unset slot, so for the entries of a matrix
-        # built from ints: made here once from its view, which is then
-        # dropped.  Any other name raises AttributeError below.
-        view = self._view if name == "entries" else None
-        if view is not None:
-            _set_entries(self, tuple(_elements(*view)))
-            _set_view(self, None)
-        return object.__getattribute__(self, name)
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Matrix is immutable: cannot assign {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"Matrix is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild the matrix from its view: restoring its
+        # slots one by one would go through __setattr__, which refuses.
+        return Matrix.from_ints, (self.rows, self.cols, *self._view)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Element]]) -> "Matrix":
@@ -195,18 +190,27 @@ class Matrix:
             raise DimensionMismatchError("ragged rows")
         return cls(len(rows), ncols, (e for r in rows for e in r))
 
+    @property
+    def entries(self) -> tuple[Element, ...]:
+        return tuple(_elements(*self._view))
+
     def at(self, i: int, j: int) -> Element:
-        return self.entries[i * self.cols + j]
+        mag, gh, scale = self._view
+        k = i * self.cols + j
+        return _element(mag[k], gh[k], scale)
 
     def row(self, i: int) -> tuple[Element, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        mag, gh, scale = self._view
+        lo, hi = i * self.cols, (i + 1) * self.cols
+        return tuple(_elements(mag[lo:hi], gh[lo:hi], scale))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def to_rows(self) -> list[list[Element]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        es, cols = self.entries, self.cols
+        return [list(es[k:k + cols]) for k in range(0, len(es), cols)]
 
     def map(self, fn: Callable[[Element], Element]) -> "Matrix":
         return Matrix(self.rows, self.cols, (fn(e) for e in self.entries))
@@ -223,21 +227,20 @@ class Matrix:
         try:
             text = format_matrix(self)
         except SupertropicalError:  # an entry past the int-to-str digit limit
-            text = "; ".join(" ".join(repr(e) for e in self.row(i)) for i in range(self.rows))
+            text = "; ".join(" ".join(repr(e) for e in row) for row in self.to_rows())
         return f"Matrix({self.rows}x{self.cols}: {text})"
 
 
 # The constructors and the memo's first write go around Matrix's refusal of
 # assignment through the slots' own setters, at half the cost of
 # object.__setattr__.
-_set_rows, _set_cols, _set_entries, _set_view, _set_memo = (
-    Matrix.rows.__set__, Matrix.cols.__set__, Matrix.entries.__set__, Matrix._view.__set__,
-    Matrix._memo.__set__)
+_set_rows, _set_cols, _set_view, _set_memo = (
+    Matrix.rows.__set__, Matrix.cols.__set__, Matrix._view.__set__, Matrix._memo.__set__)
 
 
-def _init(a: Matrix, rows: int, cols: int, size: int, view: tuple | None) -> None:
-    """Give a new matrix of `size` entries its shape, its view (None for
-    one built from Elements) and an empty memo."""
+def _init(a: Matrix, rows: int, cols: int, size: int, view: tuple[tuple, tuple, int]) -> None:
+    """Give a new matrix of `size` entries its shape, its view and an empty
+    memo."""
     if rows < 1 or cols < 1:
         raise DimensionMismatchError("matrix dimensions must be positive")
     if size != rows * cols:
@@ -251,7 +254,7 @@ def _init(a: Matrix, rows: int, cols: int, size: int, view: tuple | None) -> Non
 
 def format_matrix(a: Matrix) -> str:
     """Rows joined by '; ', entries in the scalar grammar joined by spaces."""
-    return "; ".join(" ".join(format_scalar(e) for e in a.row(i)) for i in range(a.rows))
+    return "; ".join(" ".join(format_scalar(e) for e in row) for row in a.to_rows())
 
 
 def identity(n: int) -> Matrix:
@@ -298,24 +301,6 @@ def _magnitude(e: Element, scale: int) -> int | None:
     return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
 
 
-def _view(a: Matrix) -> tuple[tuple, tuple, int]:
-    """A's magnitudes, ghost flags and their scale, the least common
-    denominator of A's entries: A's own view while it holds one, else read
-    from A's entries now and not kept."""
-    view = a._view
-    if view is not None:
-        return view
-    es = a.entries
-    scale = lcm(*{e.value.denominator for e in es if type(e.value) is Fraction})
-    return (tuple([_magnitude(e, scale) for e in es]), tuple([e.kind == GHOST_KIND for e in es]),
-            scale)
-
-
-def _scale(a: Matrix) -> int:
-    """The scale of A's view."""
-    return _view(a)[2]
-
-
 def _ints(view: tuple[tuple, tuple, int], scale: int) -> tuple[tuple, tuple]:
     """A view's magnitudes moved onto scale, a multiple of its own, and its
     ghost flags."""
@@ -327,7 +312,7 @@ def _ints(view: tuple[tuple, tuple, int], scale: int) -> tuple[tuple, tuple]:
 
 def _flat(*mats: Matrix) -> tuple[list[tuple[tuple, tuple]], int]:
     """The views of the matrices on their common scale, and that scale."""
-    views = [_view(a) for a in mats]
+    views = [a._view for a in mats]
     scale = lcm(*[v[2] for v in views])
     return [_ints(v, scale) for v in views], scale
 
@@ -370,7 +355,7 @@ def _elements(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
     """The entries of a view: the scalars of its magnitudes on `scale`.
     Each distinct (magnitude, ghost) pair becomes one Element, shared by
     every entry that holds it, so a value's Fraction is built once per
-    matrix."""
+    read."""
     built: dict = {}
     out = []
     for m, g in zip(mag, gh):
@@ -477,7 +462,7 @@ def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
 
 def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
     """The kernel rows of a square matrix, from its view, and their scale."""
-    mag, gh, scale = _view(a)
+    mag, gh, scale = a._view
     n = a.cols
     bits = [1 << j for j in range(n)]
     return [[(bit, bit, m, g) for bit, m, g in zip(bits, mag[base:base + n], gh[base:base + n])
@@ -632,8 +617,8 @@ def _minors(a: Matrix, memo: dict) -> tuple[list, list, int]:
         return closure
     adj = memo.get("adj")
     if adj is not None:
-        scale = _scale(a)
-        return (*_ints(_view(adj), scale), scale)
+        scale = a._view[2]
+        return (*_ints(adj._view, scale), scale)
     rows, scale, fm, fg = _forward(a, memo)
     n = len(rows)
     full = (1 << n) - 1
@@ -752,7 +737,7 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     -inf off the diagonal, and multiplicative idempotence."""
     require_square(m)
     n = m.rows
-    mag, gh, _ = _view(m)
+    mag, gh, _ = m._view
     ghost_diag = gh[0]
     # Entry k of the flat view is on the diagonal exactly when n + 1 divides k.
     if mag[::n + 1] != (0,) * n or gh[::n + 1] != (ghost_diag,) * n or any(
@@ -791,7 +776,7 @@ def _closure(a: Matrix) -> tuple[list, list, int] | None:
     entry ever decreases and a ghost 0 only rises.
     """
     n = a.rows
-    mag, gh, scale = _view(a)
+    mag, gh, scale = a._view
     if mag[::n + 1] != (0,) * n or any(gh[::n + 1]):
         return None  # a diagonal entry other than tangible 0
     d, dg = list(mag), list(gh)  # a copy: the view stays A's
@@ -904,10 +889,10 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     definite = Matrix.from_ints(n, n, dm, dg, scale)
 
     # The checks read the returned factors back onto A's scale.
-    crows = _rows_of(*_ints(_view(conductor), scale), n)
-    drows = _rows_of(*_ints(_view(definite), scale), n)
+    crows = _rows_of(*_ints(conductor._view, scale), n)
+    drows = _rows_of(*_ints(definite._view, scale), n)
     product = _product(crows, drows, n) if left else _product(drows, crows, n)
-    if tuple(map(tuple, product)) != _view(a)[:2]:
+    if tuple(map(tuple, product)) != a._view[:2]:
         raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
@@ -946,7 +931,7 @@ def gaussian_matrix(n: int, i: int, j: int, r: Element) -> Matrix:
 def is_invertible(a: Matrix) -> bool:
     """True iff the matrix is a generalized permutation matrix: exactly one
     entry per row and per column is not -inf, and that entry is tangible."""
-    mag, gh, _ = _view(a)
+    mag, gh, _ = a._view
     n, order = a.rows, list(range(a.rows))
     finite = [at for at, m in enumerate(mag) if m is not None]
     return (a.is_square and [at // n for at in finite] == order
@@ -990,14 +975,14 @@ def mat_nu_equiv(a: Matrix, b: Matrix) -> bool:
 
 def is_ghost_matrix(a: Matrix) -> bool:
     """True iff every entry is ghost or -inf."""
-    mag, gh, _ = _view(a)
+    mag, gh, _ = a._view
     return all(g or m is None for m, g in zip(mag, gh))
 
 
 def is_triangular(a: Matrix) -> bool:
     """True iff A is square and every entry below its diagonal, or every
     entry above it, is -inf."""
-    mag, n = _view(a)[0], a.rows
+    mag, n = a._view[0], a.rows
     return a.is_square and (all(mag[i * n + j] is None for i in range(n) for j in range(i))
                             or all(mag[j * n + i] is None for i in range(n) for j in range(i)))
 
@@ -1016,7 +1001,7 @@ def matrix_to_dict(a: Matrix) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "entries": [[format_scalar(e) for e in a.row(i)] for i in range(a.rows)],
+        "entries": [[format_scalar(e) for e in row] for row in a.to_rows()],
     }
 
 

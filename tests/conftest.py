@@ -79,11 +79,12 @@ def naive_det(a: Matrix, rows=None, cols=None):
     assert a.is_square
     rows = range(a.rows) if rows is None else rows
     cols = range(a.cols) if cols is None else cols
+    es, n = a.entries, a.cols
     acc = NEG_INF
     for perm in permutations(cols):
         track = ONE
         for r, c in zip(rows, perm):
-            track = mul(track, a.at(r, c))
+            track = mul(track, es[r * n + c])
         acc = add(acc, track)
     return acc
 
@@ -116,15 +117,15 @@ def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     every entry, -inf terms included."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    aes, bes, n, m = a.entries, b.entries, a.cols, b.cols
     out = []
     for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
+        for j in range(m):
             acc = NEG_INF
-            for k in range(a.cols):
-                acc = add(acc, mul(arow[k], b.at(k, j)))
+            for k in range(n):
+                acc = add(acc, mul(aes[i * n + k], bes[k * m + j]))
             out.append(acc)
-    return Matrix(a.rows, b.cols, out)
+    return Matrix(a.rows, m, out)
 
 
 def naive_power_sum(coeffs, a: Matrix) -> Matrix:

@@ -3,8 +3,10 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,9 +287,10 @@ def test_a_failed_proven_coefficient_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "supertrop", "demo", "6.1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "8/8 lines match" in proc.stdout

@@ -1,8 +1,10 @@
 """The subset-fold kernels against the enumeration oracles, on tie-heavy
 inputs, and their self-checks as typed errors."""
 
+import copy
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -491,7 +493,7 @@ def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
     full = (1 << n) - 1
     kinds, scales = set(), set()
     for a in cases(n)[:12] + mixed_cases(n)[:12]:
-        scale = tropmat._scale(a)
+        scale = a._view[2]
         scales.add(scale)
         seen.clear()
         determinant(fresh(a))
@@ -743,7 +745,7 @@ def test_kernels_on_int_built_draws_equal_fresh_ones_in_two_orders():
                         neginf_prob=Fraction(1, 5), ghost_prob=Fraction(1, 5), seed=4000 + t)
         constraint = (Constraint.NONE, Constraint.NON_SINGULAR, Constraint.DEFINITE)[t // 3 % 3]
         a = fresh(gen_matrix(cfg, constraint))
-        scales.add(tropmat._scale(a))
+        scales.add(a._view[2])
         want = {name: outcome(k, fresh(a)) for name, k in kernels.items()}
         for order in (names, names[::-1]):
             m = gen_matrix(cfg, constraint)
@@ -751,6 +753,29 @@ def test_kernels_on_int_built_draws_equal_fresh_ones_in_two_orders():
                 assert outcome(kernels[name], m) == want[name], (a, name)
             assert m == a
     assert scales == {1, 2, 3, 6}
+
+
+def test_pickled_and_copied_matrices_equal_the_original():
+    """pickle (every protocol), copy.copy and copy.deepcopy of a matrix
+    built from Elements or from ints, with Fractions, ghosts and -inf among
+    its entries, give an equal matrix on the same view, with an empty memo
+    even where the original's holds every kernel result, and with the
+    original's kernel results."""
+    cfg = GenConfig(n=4, numerator_range=(-2, 2), denominator=6, neginf_prob=Fraction(1, 5),
+                    ghost_prob=Fraction(1, 5), seed=11)
+    drawn = gen_matrix(cfg, Constraint.NON_SINGULAR)
+    a = mat("1/2 -inf 3g; 0g 1 -1/3; -inf 2 0")
+    sources = [a, Matrix.from_ints(3, 3, *a._view), drawn, fresh(drawn), mat("-inf"),
+               Matrix.from_ints(1, 1, [None], [False], 1)]
+    copiers = [lambda m, p=p: pickle.loads(pickle.dumps(m, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy]
+    for m in sources:
+        want = {name: outcome(k, m) for name, k in MEMO_KERNELS.items()}
+        assert m._memo
+        for copier in copiers:
+            c = copier(m)
+            assert (c, c._view, c._memo) == (m, m._view, None) and c is not m
+            assert {name: outcome(k, c) for name, k in MEMO_KERNELS.items()} == want
 
 
 def test_kept_adjoint_keeps_strict_singularity():
@@ -1097,9 +1122,10 @@ def definite_of(a):
 def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
     """Every result built from scaled ints equals, kind, value and value
     type, the same result with each entry built by its own _element call,
-    and each distinct scalar of a result is one object.  (A
-    star's scale may be 1 at dens (1, 2): definite_of drops the diagonal.)"""
-    mats = [a for a in scaled_cases(dens, 80, scale) if tropmat._scale(a) == scale]
+    and each distinct scalar of one read of a result's entries is one
+    object.  (A star's scale may be 1 at dens (1, 2): definite_of drops the
+    diagonal.)"""
+    mats = [a for a in scaled_cases(dens, 80, scale) if a._view[2] == scale]
     assert len(mats) >= 40
     coeffs = [tangible(Fraction(1, dens[-1])), NEG_INF, ghost(0), ONE]
     on_any = [lambda a: mat_mul(a, hat_matrix(a)), lambda a: power_sum(coeffs, a),
@@ -1113,23 +1139,21 @@ def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
     cases_ += [(lambda a: definite_form(a)[1], a) for a in formable]
     cases_ += [(lambda a: definite_form(a, "right")[1], a) for a in formable]
 
-    def results(x):
-        return x if isinstance(x, tuple) else (x,)
+    def entries(x):
+        """The entries of each result matrix, read once."""
+        return [m.entries for m in (x if isinstance(x, tuple) else (x,))]
 
-    got = [results(f(fresh(a))) for f, a in cases_]
-    for out in got:
-        for m in out:
-            m.entries  # built now, by _elements, before the patch below
+    got = [entries(f(fresh(a))) for f, a in cases_]  # built by _elements
     element = tropmat._element
     monkeypatch.setattr(tropmat, "_elements", lambda mag, gh, s: [
         element(m, g, s) for m, g in zip(mag, gh)])
-    want = [results(f(fresh(a))) for f, a in cases_]
-    assert [exact(x) for x in got] == [exact(x) for x in want]
+    want = [entries(f(fresh(a))) for f, a in cases_]
+    assert exact(got) == exact(want)
     kinds, types, tied = set(), set(), 0
     for out in got:
-        for m in out:
-            finite = [e for e in m.entries if not e.is_neg_inf]
-            kinds.update(e.kind for e in m.entries)
+        for es in out:
+            finite = [e for e in es if not e.is_neg_inf]
+            kinds.update(e.kind for e in es)
             types.update(type(e.value) for e in finite)
             values = {(e.kind, e.value) for e in finite}
             tied += len(values) < len(finite)

@@ -161,8 +161,8 @@ def test_the_minors_have_one_source():
 
 
 def test_a_matrix_builds_its_elements_in_one_place():
-    """_elements, the builder of a result's Elements, has one caller: the
-    code that turns a matrix's view into its entries on their first read.
-    Every kernel builds its result from ints, never its Elements."""
+    """_elements, the builder of a matrix's Elements, is called only by
+    Matrix's readers `entries` and `row`.  Every kernel builds its result
+    from ints, never its Elements."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
-    assert functions_naming(source, "_elements") == ["__getattr__"]
+    assert functions_naming(source, "_elements") == ["entries", "row"]

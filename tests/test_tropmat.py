@@ -54,10 +54,9 @@ from supertrop import (
     tangible,
     transposition_matrix,
 )
-from supertrop import tropmat
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
-from conftest import el, mat, naive_det
+from conftest import el, mat, naive_det, typed_element
 
 
 def _random_cfgs(count, sizes=(2, 3, 4), seed=0):
@@ -324,7 +323,8 @@ def test_matrix_refuses_assignment_after_construction():
     attribute can be assigned or deleted once the matrix is built."""
     a = mat("3")
     assert determinant(a) == el("3")
-    for name, value in (("entries", (el("5"),)), ("rows", 2), ("cols", 2), ("_memo", None)):
+    for name, value in (("entries", (el("5"),)), ("rows", 2), ("cols", 2), ("_memo", None),
+                        ("_view", ((5,), (False,), 1))):
         with pytest.raises(AttributeError):
             setattr(a, name, value)
         with pytest.raises(AttributeError):
@@ -343,12 +343,17 @@ def random_ints(rng, size):
     return mag, [m is not None and rng.randrange(5) == 0 for m in mag]
 
 
+def typed(es):
+    return [typed_element(e) for e in es]
+
+
 def test_matrix_from_ints_behaves_as_its_entries():
     """A matrix built from ints equals, hashes, prints and serializes as the
-    matrix built from the same Elements, before and after its entries are
-    first read, and reads onto the same ints (the least common denominator
-    of its entries, whatever scale it was given).  Assigning `entries`
-    raises before and after that first read."""
+    matrix built from the same Elements, whichever is read first and
+    however often, and reads onto the same ints (the least common
+    denominator of its entries, whatever scale it was given).  For both,
+    `at` and `row` give the entries `entries` gives.  Assigning or deleting
+    `entries` raises."""
     rng = random.Random(5)
     for t in range(200):
         rows, cols, scale = 1 + t % 3, 1 + t % 4, rng.choice((1, 2, 3, 4, 6, 12))
@@ -360,16 +365,19 @@ def test_matrix_from_ints_behaves_as_its_entries():
             a = Matrix.from_ints(rows, cols, mag, gh, scale)
             with pytest.raises(AttributeError):
                 a.entries = want.entries
-            assert tropmat._view(a) == tropmat._view(want)
+            assert a._view == want._view
             got = {"dict": lambda: matrix_to_dict(a), "hash": lambda: hash(a),
                    "eq": lambda: a == want, "repr": lambda: repr(a)}
             expected = {"dict": matrix_to_dict(want), "hash": hash(want), "eq": True,
                         "repr": repr(want)}
             assert got[reads]() == expected[reads]
-            assert a.entries == want.entries
-            assert [type(e.value) for e in a.entries] == [type(e.value) for e in want.entries]
-            assert (a, hash(a), repr(a), matrix_to_dict(a), tropmat._view(a)) == \
-                (want, hash(want), repr(want), matrix_to_dict(want), tropmat._view(want))
+            assert typed(a.entries) == typed(want.entries)
+            assert (a, hash(a), repr(a), matrix_to_dict(a), a._view) == \
+                (want, hash(want), repr(want), matrix_to_dict(want), want._view)
+            for m in (a, want):
+                assert typed(m.at(i, j) for i in range(rows) for j in range(cols)) == \
+                    typed(m.entries)
+                assert typed(e for i in range(rows) for e in m.row(i)) == typed(m.entries)
             with pytest.raises(AttributeError):
                 a.entries = want.entries
             with pytest.raises(AttributeError):
