@@ -66,9 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("input", help="path to a matrix JSON file")
     p_compute.add_argument("--side", choices=["left", "right"], default="left",
                            help="side for definite-form (default left)")
+    p_compute.set_defaults(run=_cmd_compute)
 
     p_demo = sub.add_parser("demo", help="replay a built-in worked example")
     p_demo.add_argument("example", help=f"one of: {', '.join(sorted(DEMOS))}")
+    p_demo.set_defaults(run=_cmd_demo)
 
     def sampling_flags(p):
         p.add_argument("--n", type=int, default=3, help="matrix order (default 3)")
@@ -88,9 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", default="all",
                          help=f"'all' or one of: {', '.join(CHECK_IDS)}")
     sampling_flags(p_check)
+    p_check.set_defaults(run=_cmd_check)
 
     p_explore = sub.add_parser("explore", help="search the open conjecture range")
     sampling_flags(p_explore)
+    p_explore.set_defaults(run=_cmd_explore)
     return parser
 
 
@@ -204,15 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; map to the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "explore":
-            return _cmd_explore(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -91,6 +91,11 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild the polynomial from its coefficients:
+        # protocols 0 and 1 cannot save a class with __slots__ by default.
+        return Polynomial, (self.coeffs,)
+
     def __repr__(self) -> str:
         return f"Polynomial({format_poly(self)!r})"
 

@@ -10,7 +10,9 @@ Values are exact rationals in canonical form: structural equality of
 elements coincides with semantic equality, and ghostification is decided by
 exact ties.  Integral values are stored as `int` and everything else as
 `fractions.Fraction` (the two interoperate and hash alike, so this is purely
-a fast path).  Elements are immutable and hashable.
+a fast path).  Elements are immutable and hashable: assigning or deleting
+an attribute raises, so the shared NEG_INF and ONE, and the entries that
+one read of a matrix shares, cannot be changed by any holder.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ def rational(num: Rational, den: int) -> Rational:
 
 
 class Element:
-    """One supertropical scalar: -inf, a tangible rational, or a ghost rational."""
+    """One supertropical scalar: -inf, a tangible rational, or a ghost
+    rational; immutable: once built, no attribute can be assigned or
+    deleted."""
 
     __slots__ = ("kind", "value")
 
@@ -50,8 +54,19 @@ class Element:
     value: Rational | None
 
     def __init__(self, kind: int, value: Rational | None):
-        self.kind = kind
-        self.value = value
+        _set_kind(self, kind)
+        _set_value(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Element is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Element is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild the scalar through its constructor:
+        # restoring its slots one by one would go through __setattr__.
+        return Element, (self.kind, self.value)
 
     # -- predicates ---------------------------------------------------------
 
@@ -99,6 +114,10 @@ class Element:
     def __str__(self) -> str:
         return format_scalar(self)
 
+
+# The constructor goes around Element's refusal of assignment through the
+# slots' own setters.
+_set_kind, _set_value = Element.kind.__set__, Element.value.__set__
 
 NEG_INF = Element(NEG_INF_KIND, None)
 ONE = Element(TANGIBLE_KIND, 0)

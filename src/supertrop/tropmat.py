@@ -28,8 +28,10 @@ magnitudes scaled to ints by the common denominator of the matrices and
 coefficients they read, so ties are exact integer ties and no Fraction
 is added or compared inside a kernel, a product or a power sum.
 A matrix is its ints: its view holds its magnitudes (None for -inf),
-ghost flags and their scale, the least common denominator of its
-entries, set once when it is built.  Every kernel result, and each
+ghost flags (false at -inf) and their scale, the least common
+denominator of its entries, set once when it is built.  So two matrices
+of one shape have equal entries exactly when their views are equal, and
+equality and hashing read the view.  Every kernel result, and each
 law-check draw, is built from its ints (Matrix.from_ints); a matrix built
 from Elements reads them onto its view and keeps none of them.  Its
 Elements are built when read and not kept: each read of `entries` builds
@@ -81,6 +83,7 @@ from __future__ import annotations
 import enum
 import json
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -134,9 +137,9 @@ class Matrix:
     it reads them onto that view and keeps none of them.  `entries`, `at`
     and `row` build the Elements they return on each read, and none is
     kept.  `_memo` keeps the kernels' results (see the module docstring);
-    it is None until a kernel first writes to it.  Equality, hashing and
-    printing read `entries`, not the memo and not the view: two views may
-    differ only in a ghost flag at -inf, which from_ints does not check."""
+    it is None until a kernel first writes to it.  Two matrices are equal
+    exactly when their shapes and views are, so equality and hashing read
+    those and build no Element; printing reads `entries`."""
 
     __slots__ = ("rows", "cols", "_view", "_memo")
 
@@ -154,12 +157,16 @@ class Matrix:
     @classmethod
     def from_ints(cls, rows: int, cols: int, mag: Sequence, gh: Sequence, scale: int) -> "Matrix":
         """The matrix whose entry k (row-major) is -inf where mag[k] is
-        None, else mag[k] / scale, ghost where gh[k] is true; gh[k] must be
-        false where mag[k] is None.  Its view is these ints, moved onto the
-        least common denominator of its entries; no Element is built."""
+        None, else mag[k] / scale, ghost where gh[k] is true.  Its view is
+        these ints, moved onto the least common denominator of its entries,
+        so it is the view of the same entries built from Elements; a ghost
+        flag where mag[k] is None (a ghost -inf) raises ValueError, as a
+        scale other than a positive int does.  No Element is built."""
         mag, gh = tuple(mag), tuple(gh)
         if len(gh) != len(mag):
             raise DimensionMismatchError(f"{len(mag)} magnitudes but {len(gh)} ghost flags")
+        if None in compress(mag, gh):  # the magnitudes whose ghost flag is set
+            raise ValueError("a ghost flag is set on a -inf entry")
         if type(scale) is not int or scale < 1:
             raise ValueError(f"scale must be a positive int, got {scale!r}")
         if scale != 1:
@@ -218,10 +225,10 @@ class Matrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self._view) == (other.rows, other.cols, other._view)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._view))
 
     def __repr__(self) -> str:
         try:

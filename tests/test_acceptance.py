@@ -161,16 +161,16 @@ def test_criterion_4_conjecture():
 
 def test_criterion_5_determinism(tmp_path):
     bad = []
-    paths = [str(tmp_path / f"r{i}.json") for i in range(4)]
+    paths = [tmp_path / f"r{i}.json" for i in range(4)]
     argv = ["check", "--n", "3", "--trials", "30", "--seed", "42", "--out"]
-    assert main(argv + [paths[0]]) == 0
-    assert main(argv + [paths[1]]) == 0
-    if open(paths[0], "rb").read() != open(paths[1], "rb").read():
+    assert main(argv + [str(paths[0])]) == 0
+    assert main(argv + [str(paths[1])]) == 0
+    if paths[0].read_bytes() != paths[1].read_bytes():
         bad.append("check reports differ")
     argv = ["explore", "--n", "4", "--trials", "300", "--seed", "9", "--out"]
-    assert main(argv + [paths[2]]) == 0
-    assert main(argv + [paths[3]]) == 0
-    if open(paths[2], "rb").read() != open(paths[3], "rb").read():
+    assert main(argv + [str(paths[2])]) == 0
+    assert main(argv + [str(paths[3])]) == 0
+    if paths[2].read_bytes() != paths[3].read_bytes():
         bad.append("explore reports differ")
     _report(5, "check/explore reports are byte-identical across runs", not bad,
             "; ".join(bad))

@@ -122,7 +122,7 @@ def test_check_report_and_determinism(tmp_path, capsys):
             "--seed", "1", "--out"]
     assert main(argv + [out1]) == 0
     assert main(argv + [out2]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     d = json.loads(b1)
     assert d["reports"][0]["passes"] == 10
@@ -260,8 +260,8 @@ def test_explore_cli(tmp_path, capsys):
     argv = ["explore", "--n", "2", "--trials", "40", "--seed", "7", "--out"]
     assert main(argv + [out1]) == 0
     assert main(argv + [out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    d = json.loads(open(out1).read())
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    d = json.loads(Path(out1).read_text())
     assert d["check_id"] == "reversal_conjecture"
     assert d["counterexamples"] == []
     err = capsys.readouterr().err
@@ -276,12 +276,12 @@ def test_a_failed_proven_coefficient_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lawcheck, "ghost_surpasses", lambda *args: False)
     out = str(tmp_path / "e.json")
     assert main(["explore", "--n", "5", "--trials", "3", "--out", out]) == 2
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert len(report["failures"]) == 3
     assert "failures: 3" in capsys.readouterr().err
     assert main(["check", "--suite", "reversal_conjecture", "--n", "5", "--trials", "3",
                  "--out", out]) == 2
-    flagged = len(json.loads(open(out).read())["reports"][0]["counterexamples"])
+    flagged = len(json.loads(Path(out).read_text())["reports"][0]["counterexamples"])
     assert flagged > 0
     assert f"flagged {flagged} conjecture counterexample(s)" in capsys.readouterr().err
 

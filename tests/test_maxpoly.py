@@ -1,5 +1,7 @@
 """Polynomial evaluation, essential forms, and root extraction."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -693,3 +695,18 @@ def test_poly_parse_rejects():
         parse_poly("")
     with pytest.raises(ParseError):
         parse_poly("1, x")
+
+
+def test_elements_and_polynomials_survive_pickle_and_copy():
+    """pickle at every protocol, copy.copy and copy.deepcopy give an equal
+    Element or Polynomial of the same value types."""
+    copiers = [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+               for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy]
+    items = [NEG_INF, tangible(3), ghost(Fraction(-1, 2)), poly("1, -inf, 1/3g"), poly("-inf")]
+    for x in items:
+        for copier in copiers:
+            c = copier(x)
+            assert c == x and type(c) is type(x)
+            es = c.coeffs if isinstance(c, Polynomial) else (c,)
+            want = x.coeffs if isinstance(x, Polynomial) else (x,)
+            assert [typed_element(e) for e in es] == [typed_element(e) for e in want]

@@ -266,3 +266,16 @@ def test_structural_equality_is_semantic():
     assert tangible("2/4") == tangible(Fraction(1, 2))
     assert hash(tangible(6)) == hash(Element(1, Fraction(6, 1)))
     assert tangible(3) != ghost(3)
+
+
+def test_elements_are_immutable():
+    """Assigning or deleting `kind` or `value` raises, so the shared NEG_INF
+    and ONE, and every entry a matrix read shares, keep their values."""
+    for e in (NEG_INF, ONE, ghost(Fraction(-1, 2))):
+        for name in ("kind", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(e, name)
+    assert (NEG_INF.kind, NEG_INF.value, ONE.kind, ONE.value) == (0, None, 1, 0)
+    assert format_scalar(NEG_INF) == "-inf" and format_scalar(ONE) == "0"

@@ -54,6 +54,7 @@ from supertrop import (
     tangible,
     transposition_matrix,
 )
+from supertrop import tropmat
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
 from conftest import el, mat, naive_det, typed_element
@@ -352,8 +353,9 @@ def test_matrix_from_ints_behaves_as_its_entries():
     matrix built from the same Elements, whichever is read first and
     however often, and reads onto the same ints (the least common
     denominator of its entries, whatever scale it was given).  For both,
-    `at` and `row` give the entries `entries` gives.  Assigning or deleting
-    `entries` raises."""
+    `at` and `row` give the entries `entries` gives, and the matrix rebuilt
+    from `entries` has the same view, equals it and hashes as it does.
+    Assigning or deleting `entries` raises."""
     rng = random.Random(5)
     for t in range(200):
         rows, cols, scale = 1 + t % 3, 1 + t % 4, rng.choice((1, 2, 3, 4, 6, 12))
@@ -375,6 +377,8 @@ def test_matrix_from_ints_behaves_as_its_entries():
             assert (a, hash(a), repr(a), matrix_to_dict(a), a._view) == \
                 (want, hash(want), repr(want), matrix_to_dict(want), want._view)
             for m in (a, want):
+                again = Matrix(rows, cols, m.entries)
+                assert (again._view, again, hash(again)) == (m._view, m, hash(m))
                 assert typed(m.at(i, j) for i in range(rows) for j in range(cols)) == \
                     typed(m.entries)
                 assert typed(e for i in range(rows) for e in m.row(i)) == typed(m.entries)
@@ -392,6 +396,28 @@ def test_matrix_from_ints_checks_its_shape_and_scale():
     for scale in (0, -2, 1.0, Fraction(1)):
         with pytest.raises(ValueError):
             Matrix.from_ints(1, 1, [1], [False], scale)
+    with pytest.raises(ValueError, match="-inf"):  # a ghost flag at -inf
+        Matrix.from_ints(2, 2, [0, None, None, 0], [False, True, False, False], 1)
+
+
+def test_equality_and_hash_read_the_view_and_build_no_element(monkeypatch):
+    """A 16x16 matrix from ints and the same matrix from Elements compare
+    and hash equal, and a copy with one ghost flag changed compares
+    unequal, with every builder of Elements patched to raise."""
+    rng = random.Random(16)
+    mag, gh = random_ints(rng, 256)
+    a = Matrix.from_ints(16, 16, mag, gh, 6)
+    b = Matrix(16, 16, a.entries)
+    k = next(i for i, m in enumerate(mag) if m is not None)
+    c = Matrix.from_ints(16, 16, mag, gh[:k] + [not gh[k]] + gh[k + 1:], 6)
+
+    def no_element(*args):
+        raise AssertionError("an Element was built")
+
+    monkeypatch.setattr(tropmat, "_elements", no_element)
+    monkeypatch.setattr(tropmat, "_element", no_element)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != c and c != b
 
 
 def test_is_triangular():
