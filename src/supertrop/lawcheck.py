@@ -27,14 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConstraintUnsatisfiableError, NotNonSingularError, SizeCapExceededError
-from .maxpoly import (
-    Polynomial,
-    format_poly,
-    poly_ghost_surpasses,
-    poly_value_equal,
-    poly_value_surpasses,
-    roots,
-)
+from .maxpoly import Polynomial, format_poly, poly_ghost_surpasses, poly_value_surpasses
 from .semiring import format_scalar, ghost_surpasses, mul, power
 from .spectral import char_poly, conjugate, eval_at_matrix
 from .tropmat import (
@@ -367,23 +360,34 @@ _CHARPOLY_POWER_MAX = 3
 
 
 def chk_charpoly_power(a: Matrix) -> TrialResult:
-    """f_{A^m} against f_A, for m = 2 and 3, at degree n.
+    """f_{A^m} ghost-surpasses f_A's m-th power as a map, for m = 2 and 3,
+    at degree n.
 
     The paper compares f_{A^m}(x^m) with f_A(x)^m.  The semiring has the
     Frobenius property (a + b)^m = a^m + b^m, so f_A(x)^m = g_m(x^m) as
     maps, for g_m the coefficient-wise m-th power of f_A; and y = x^m is a
     bijection of the tangible values that fixes -inf.  So f_{A^m} is
-    compared with g_m: it surpasses g_m as a function (pointwise ghost
-    surpassing, decided exactly on the essential-form breakpoints of both
-    and of their sum); when ghost-free it is the same map (equal essential
-    forms); and each of its corner roots is m times a corner root of f_A.
-    Corner roots of f_A power up into roots of f_{A^m}, which the test
-    suite checks: f_A(r) is ghost at a corner root r, hence so is
-    g_m(m r) = f_A(r)^m, and a value that ghost-surpasses a ghost is one.
+    compared with g_m, and the check asserts one law per m: f_{A^m}
+    surpasses g_m as a function (pointwise ghost surpassing, decided
+    exactly on the essential-form breakpoints of both and of their sum).
+    g_m's essential terms are f_A's, of the same kinds, with magnitudes
+    times m.  The consequences follow from the law, so the test suite
+    checks them as theorems and the report does not:
+    - each corner root r of f_{A^m} is m times a corner root of f_A: next
+      to r, on both sides, f_{A^m} is one tangible essential term, and a
+      tangible value surpasses another only by equalling it, so g_m
+      equals it there and kinks at r between two tangible essential
+      terms; as terms of f_A they cross at r / m, a corner root of f_A;
+    - a ghost-free f_{A^m} is the same map as g_m: it is tangible (or
+      -inf) off its breakpoints and at -inf, so it equals g_m there, and
+      two maps that agree off finitely many points have equal essential
+      forms;
+    - corner roots of f_A power up into roots of f_{A^m}: f_A(r) is ghost
+      at a corner root r, hence so is g_m(m r) = f_A(r)^m, and a value
+      that ghost-surpasses a ghost is one.
     A^m is a running product.
     """
     f_a = char_poly(a)
-    corner_values_a = [v.value for v, _ in roots(f_a).corner]
     a_m = a
     bad = {}
     for m in range(2, _CHARPOLY_POWER_MAX + 1):
@@ -392,12 +396,6 @@ def chk_charpoly_power(a: Matrix) -> TrialResult:
         g_m = Polynomial(power(c, m) for c in f_a.coeffs)
         if not poly_value_surpasses(f_am, g_m):
             bad[f"value_surpassing_m{m}"] = f"{format_poly(f_am)} | {format_poly(g_m)}"
-        if not f_am.has_ghost_coeff() and not poly_value_equal(f_am, g_m):
-            bad[f"tangible_equality_m{m}"] = f"{format_poly(f_am)} | {format_poly(g_m)}"
-        powered = {m * r for r in corner_values_a}
-        down = [v for v, _ in roots(f_am).corner if v.value not in powered]
-        if down:
-            bad[f"root_power_onto_m{m}"] = ", ".join(format_scalar(v) for v in down)
     return TrialResult(not bad, bad)
 
 

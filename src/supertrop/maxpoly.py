@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
-from .errors import DegeneratePolynomialError, ParseError
+from .errors import DegeneratePolynomialError, ParseError, SupertropicalError
 from .semiring import (
     GHOST_KIND,
     NEG_INF,
@@ -97,7 +97,10 @@ class Polynomial:
         return Polynomial, (self.coeffs,)
 
     def __repr__(self) -> str:
-        return f"Polynomial({format_poly(self)!r})"
+        try:
+            return f"Polynomial({format_poly(self)!r})"
+        except SupertropicalError:  # a coefficient past the int-to-str digit limit
+            return f"Polynomial({', '.join(repr(c) for c in self.coeffs)})"
 
     def __str__(self) -> str:
         return format_poly(self)

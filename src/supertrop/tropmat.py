@@ -85,6 +85,7 @@ import json
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from types import NoneType
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import (
@@ -115,6 +116,8 @@ from .semiring import (
 )
 
 DEFAULT_DET_CAP = 16
+# The types a view holds: Matrix.from_ints refuses any other.
+_INT_OR_NONE, _BOOL = frozenset((int, NoneType)), frozenset((bool,))
 
 
 class SingularityClass(enum.Enum):
@@ -159,12 +162,16 @@ class Matrix:
         """The matrix whose entry k (row-major) is -inf where mag[k] is
         None, else mag[k] / scale, ghost where gh[k] is true.  Its view is
         these ints, moved onto the least common denominator of its entries,
-        so it is the view of the same entries built from Elements; a ghost
-        flag where mag[k] is None (a ghost -inf) raises ValueError, as a
-        scale other than a positive int does.  No Element is built."""
+        so it is the view of the same entries built from Elements.  A
+        magnitude that is not an int or None (a bool or a float among
+        them), a ghost flag that is not a bool, a ghost flag where mag[k]
+        is None (a ghost -inf) and a scale other than a positive int each
+        raise ValueError.  No Element is built."""
         mag, gh = tuple(mag), tuple(gh)
         if len(gh) != len(mag):
             raise DimensionMismatchError(f"{len(mag)} magnitudes but {len(gh)} ghost flags")
+        if not (_INT_OR_NONE.issuperset(map(type, mag)) and _BOOL.issuperset(map(type, gh))):
+            raise ValueError("magnitudes must be ints or None, and ghost flags bools")
         if None in compress(mag, gh):  # the magnitudes whose ghost flag is set
             raise ValueError("a ghost flag is set on a -inf entry")
         if type(scale) is not int or scale < 1:
@@ -395,43 +402,35 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
     """The supertropical sum of c_i A^i over coeffs = (c_0, c_1, ...), with
     A^0 = I.
 
-    A and the coefficients are read once, on their common denominator.
-    A^1 is A's own rows and each further power is one product step on the
-    scaled ints, up to the last finite coefficient.  Each c_i A^i is added
-    entrywise: the larger magnitude wins, and a tie, a ghost coefficient or
-    a ghost entry gives a ghost.  c_0 goes on the diagonal only.  The
-    result is built from its ints.
+    A and the coefficients are read once, on their common denominator, and
+    the sum is taken by Horner's rule on the scaled ints: X = c_top A for
+    the last finite coefficient c_top, then for i = top - 1, ..., 0 c_i is
+    added on X's diagonal and, while i > 0, X becomes X A, one product
+    step.  The larger magnitude wins, and a tie, a ghost coefficient or a
+    ghost entry gives a ghost.  With c_0 the only finite coefficient the
+    sum is c_0 I.  The result is built from its ints.
     """
     require_square(a)
     n = a.rows
     top = max((i for i, c in enumerate(coeffs) if c.kind != NEG_INF_KIND), default=-1)
-    if top < 0:
-        return neg_inf_matrix(n, n)
-    [fa, fc], scale = _flat(a, Matrix(1, top + 1, coeffs[:top + 1]))
-    arows, [crow] = _rows_of(*fa, n), _rows_of(*fc, top + 1)
-    mag: list = [None] * (n * n)
-    gh = [False] * (n * n)
-    power, k = arows, 1
-    for i, c, cg in crow:
-        if i == 0:
+    if top <= 0:
+        return diag([coeffs[0]] * n) if top == 0 else neg_inf_matrix(n, n)
+    [(amag, agh), (cmag, cgh)], scale = _flat(a, Matrix(1, top + 1, coeffs[:top + 1]))
+    arows = _rows_of(amag, agh, n)
+    c, cg = cmag[top], cgh[top]
+    mag = [None if m is None else c + m for m in amag]
+    gh = [m is not None and (cg or g) for m, g in zip(amag, agh)]
+    for i in range(top - 1, -1, -1):
+        c, cg = cmag[i], cgh[i]
+        if c is not None:
             for at in range(0, n * n, n + 1):
-                mag[at] = c
-                gh[at] = cg
-            continue
-        for _ in range(i - k):
-            power = _rows_of(*_product(power, arows, n), n)
-        k = i
-        for r, row in enumerate(power):
-            base = r * n
-            for j, m, g in row:
-                v = c + m
-                at = base + j
                 cur = mag[at]
-                if cur is None or v > cur:
-                    mag[at] = v
-                    gh[at] = cg or g
-                elif v == cur:
+                if cur is None or c > cur:
+                    mag[at], gh[at] = c, cg
+                elif c == cur:
                     gh[at] = True
+        if i:
+            mag, gh = _product(_rows_of(mag, gh, n), arows, n)
     return Matrix.from_ints(n, n, mag, gh, scale)
 
 

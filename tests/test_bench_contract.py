@@ -49,16 +49,18 @@ def test_tracer_check_ids_match():
 # Spanned functions that no `check --suite all` call reaches: poly_pow has
 # no caller in the library, only `compute eigen` calls eigenvalues, and
 # only `explore` and one-check callers call run_check (the suite runs its
-# own trial loop).
-OFF_THE_SWEEP = {"maxpoly.poly_pow", "spectral.eigenvalues", "lawcheck.run_check"}
+# own trial loop).  No check calls roots, essential or poly_value_equal:
+# the charpoly-power check compares value surpassing only, and the laws
+# that read them are tier-1 theorems.
+OFF_THE_SWEEP = {"maxpoly.poly_pow", "spectral.eigenvalues", "lawcheck.run_check",
+                 "maxpoly.roots", "maxpoly.essential", "maxpoly.poly_value_equal"}
 
 
 def test_a_sweep_reaches_every_other_spanned_function(monkeypatch, tmp_path):
     """A span that reads 0 on working code shows nothing, so every spanned
     function but those in OFF_THE_SWEEP is called by one pinned
-    `check --suite all --n 5` call.  Its flags make some f_{A^m} ghost-free,
-    so the charpoly-power check compares value equality as well.  One
-    `explore --n 4` call reaches run_check."""
+    `check --suite all --n 5` call.  One `explore --n 4` call reaches
+    run_check."""
     calls = Counter()
 
     def counting(name):
@@ -70,7 +72,6 @@ def test_a_sweep_reaches_every_other_spanned_function(monkeypatch, tmp_path):
         rebind_everywhere(monkeypatch, importlib.import_module(f"supertrop.{module}"),
                           function, counting(name))
     assert cli.main(["check", "--suite", "all", "--n", "5", "--trials", "2", "--seed", "1",
-                     "--range", "-1000", "1000", "--neginf-prob", "1/2",
                      "--out", str(tmp_path / "report.json")]) == 0
     assert {name for name in spanned if not calls[name]} == OFF_THE_SWEEP
     assert cli.main(["explore", "--n", "4", "--trials", "2", "--seed", "1",

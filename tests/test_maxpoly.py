@@ -699,14 +699,19 @@ def test_poly_parse_rejects():
 
 def test_elements_and_polynomials_survive_pickle_and_copy():
     """pickle at every protocol, copy.copy and copy.deepcopy give an equal
-    Element or Polynomial of the same value types."""
+    Element or Polynomial of the same value types and the same repr.  A
+    polynomial's repr never raises: past the int-to-str digit limit it
+    joins the reprs of its coefficients."""
     copiers = [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
                for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy]
+    huge = Polynomial([tangible(10 ** 5000), tangible(0)])
+    assert repr(huge) == "Polynomial(Element(tangible, 5001 digits), Element('0'))"
+    assert repr(poly("1, -inf, 1/3g")) == "Polynomial('1, -inf, 1/3g')"
     items = [NEG_INF, tangible(3), ghost(Fraction(-1, 2)), poly("1, -inf, 1/3g"), poly("-inf")]
     for x in items:
         for copier in copiers:
             c = copier(x)
-            assert c == x and type(c) is type(x)
+            assert c == x and type(c) is type(x) and repr(c) == repr(x)
             es = c.coeffs if isinstance(c, Polynomial) else (c,)
             want = x.coeffs if isinstance(x, Polynomial) else (x,)
             assert [typed_element(e) for e in es] == [typed_element(e) for e in want]

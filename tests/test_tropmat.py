@@ -398,6 +398,12 @@ def test_matrix_from_ints_checks_its_shape_and_scale():
             Matrix.from_ints(1, 1, [1], [False], scale)
     with pytest.raises(ValueError, match="-inf"):  # a ghost flag at -inf
         Matrix.from_ints(2, 2, [0, None, None, 0], [False, True, False, False], 1)
+    # a magnitude that is not an int or None, or a ghost flag that is not a
+    # bool, would make a view that prints like another and compares unequal
+    for size, mag, gh in ((1, [1.5], [False]), (1, [True], [False]), (1, [Fraction(1)], [False]),
+                          (2, [0, 1, 1, 0], [False, 2, False, False]), (1, [None], [0])):
+        with pytest.raises(ValueError, match="int"):
+            Matrix.from_ints(size, size, mag, gh, 1)
 
 
 def test_equality_and_hash_read_the_view_and_build_no_element(monkeypatch):
