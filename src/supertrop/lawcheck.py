@@ -277,53 +277,56 @@ def chk_adj_product(a: Matrix, b: Matrix) -> TrialResult:
 
 
 def chk_nabla_period(a: Matrix) -> TrialResult:
-    """Iterated pseudo-inverses have period two in magnitude from the first
-    application on, and the second iterate is P A^inv P for the left
-    conductor P; definite_form raises NotNonSingularError unless A is
-    non-singular.  Period two is asserted on iterates 1 and 3 alone: the
-    magnitude of X^inv is read off that of X (det and minors are max-plus
-    permanents of magnitudes, rescaled by det's; strict singularity is a
-    magnitude fact), so by induction it carries to every later pair, which
-    the test suite checks."""
+    """The second pseudo-inverse has the magnitude of P A^inv P, for P the
+    left conductor of A; definite_form raises NotNonSingularError unless A
+    is non-singular.
+
+    Period two in magnitude from the first application on follows, so the
+    test suite checks it as a theorem and the report does not.  P is a
+    tangible generalized permutation matrix, so for any X with det(X) not
+    -inf, (P X P)^inv = P^inv X^inv P^inv exactly: every minor of P X P,
+    det included, is one minor of X times tangible entries of P.  Also
+    P^inv P = P P^inv = I, and the magnitude of X^inv is read off that of X
+    (det and minors are max-plus permanents of magnitudes, rescaled by
+    det's; strict singularity is a magnitude fact), as is that of a
+    product.  So from p2 ~ P p1 P, with p_k the k-th iterate,
+    p3 = p2^inv ~ (P p1 P)^inv = P^inv p2 P^inv ~ P^inv P p1 P P^inv = p1,
+    and by induction every later pair is ~ as well."""
     conductor, _ = definite_form(a, "left")
     p1 = pseudo_inverse(a)
     p2 = pseudo_inverse(p1)
-    p3 = pseudo_inverse(p2)
-    bad = {}
-    if not mat_nu_equiv(p1, p3):
-        bad["iterate_1_vs_3"] = f"{format_matrix(p1)} | {format_matrix(p3)}"
     sandwich = mat_mul(mat_mul(conductor, p1), conductor)
-    if not mat_nu_equiv(p2, sandwich):
-        bad["conductor_sandwich"] = f"{format_matrix(p2)} | {format_matrix(sandwich)}"
-    return TrialResult(not bad, bad)
+    if mat_nu_equiv(p2, sandwich):
+        return TrialResult(True)
+    return TrialResult(False, {"conductor_sandwich":
+                               f"{format_matrix(p2)} | {format_matrix(sandwich)}"})
 
 
 def chk_definite_stabilization(a: Matrix) -> TrialResult:
-    """For definite A, A^inv is definite and has the magnitude of its own
-    pseudo-inverse and of A^inv A, and the Kleene star has that of A^(n-1);
-    kleene_star raises NotDefiniteError for any other A.  Nothing here
-    folds: A^inv is A's kept closure with its ghost flags and the star is
-    the same magnitudes, tangible, so A^inv ~ star entry by entry, hence
-    A^inv ~ A^(n-1), and that pair is not compared
-    (test_definite_inverse_matches_oracle_on_ties and
-    test_kleene_star_matches_power_sum_oracle pin both against their
-    oracles).  A^inv's own pseudo-inverse is A^inv's closure; A^(n-1) and
-    A^inv A are products.  The rest follows and is left to the test suite:
-    det(A) is tangible 0, and rescaling by it changes no minor, so
-    A^inv = adj(A); magnitudes multiply in max-plus, so
-    A^(k+1) = A^k A ~ A^inv A ~ A^inv for every k >= n-1, and
-    A A^inv ~ A A^(n-1) = A^n ~ A^inv."""
+    """For definite A, A^inv is definite and has the magnitude of A^inv A,
+    and the Kleene star has that of A^(n-1); kleene_star raises
+    NotDefiniteError for any other A.  Nothing here folds: A^inv is A's
+    kept closure with its ghost flags and the star is the same magnitudes,
+    tangible, so A^inv ~ star entry by entry, hence A^inv ~ A^(n-1), and
+    that pair is not compared (test_definite_inverse_matches_oracle_on_ties
+    and test_kleene_star_matches_power_sum_oracle pin both against their
+    oracles).  A^(n-1) and A^inv A are products.  The rest follows and is
+    left to the test suite:
+    - det(A) is tangible 0, and rescaling by it changes no minor, so
+      A^inv = adj(A);
+    - magnitudes multiply in max-plus, so A^(k+1) = A^k A ~ A^inv A ~ A^inv
+      for every k >= n-1, and A A^inv ~ A A^(n-1) = A^n ~ A^inv;
+    - A^inv is its own pseudo-inverse in magnitude.  With X = A^inv,
+      X A ~ X gives X A^k ~ X for every k, so X X ~ X A^(n-1) ~ X.  X is
+      definite, so X^inv is X's closure, whose magnitude is
+      I + X + ... + X^(n-1) ~ I + X, and that is X, whose diagonal is 0."""
     star = kleene_star(a)
     pinv = pseudo_inverse(a)
     bad = {}
     if not is_definite(pinv):
         bad["pseudo_inverse_definite"] = format_matrix(pinv)
-    chain = [
-        ("double_pseudo_inverse", pinv, pseudo_inverse(pinv)),
-        ("power_n_minus_1", star, mat_pow(a, a.rows - 1)),
-        ("left_pseudo_identity", pinv, mat_mul(pinv, a)),
-    ]
-    for name, want, m in chain:
+    for name, want, m in (("power_n_minus_1", star, mat_pow(a, a.rows - 1)),
+                          ("left_pseudo_identity", pinv, mat_mul(pinv, a))):
         if not mat_nu_equiv(want, m):
             bad[name] = f"{format_matrix(want)} | {format_matrix(m)}"
     return TrialResult(not bad, bad)
@@ -413,9 +416,12 @@ _OPEN_RANGE_NOTE = "open for n >= 5 at 1 <= k <= n-3"
 def chk_reversal_conjecture(a: Matrix) -> TrialResult:
     """det(A) * coeff_k(f of A^inv) ghost-surpasses coeff_(n-k)(f of A).
 
-    Coefficients k in {0, n-2, n-1, n} are proven and asserted, as is the
-    whole range when n <= 4 or A is triangular.  A violation anywhere else
-    is reported as a counterexample finding, not a failure.
+    Coefficients k in {0, n-2, n-1} are proven and asserted, as is the
+    whole range k < n when n <= 4 or A is triangular.  A violation anywhere
+    else is reported as a counterexample finding, not a failure.  The
+    proven coefficient k = n is not compared: f of A^inv is monic and d is
+    read as coeff_0(f of A), so that comparison is d against d and cannot
+    fail.
     """
     f_a = char_poly(a)
     d = f_a.coeff(0)  # det(A), without a fold of its own
@@ -426,13 +432,13 @@ def chk_reversal_conjecture(a: Matrix) -> TrialResult:
     all_asserted = n <= 4 or is_triangular(a)
     asserted_bad = {}
     open_bad = {}
-    for k in range(n + 1):
+    for k in range(n):
         lhs = mul(d, f_inv.coeff(k))
         rhs = f_a.coeff(n - k)
         if ghost_surpasses(lhs, rhs):
             continue
         entry = f"{format_scalar(lhs)} does not surpass {format_scalar(rhs)}"
-        if all_asserted or k in (0, n - 2, n - 1, n):
+        if all_asserted or k in (0, n - 2, n - 1):
             asserted_bad[f"coefficient_{k}"] = entry
         else:
             open_bad[f"coefficient_{k}"] = entry

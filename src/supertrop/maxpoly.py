@@ -49,6 +49,8 @@ class Polynomial:
 
     The identically -inf polynomial is stored as the single coefficient
     (-inf,), so the leading coefficient is -inf only in that case.
+    Immutable, as Element and Matrix are: once built, no attribute can be
+    assigned or deleted, so its hash and its equality never change.
     """
 
     __slots__ = ("coeffs",)
@@ -61,7 +63,13 @@ class Polynomial:
             cs.pop()
         if not cs:
             cs = [NEG_INF]
-        self.coeffs = tuple(cs)
+        _set_coeffs(self, tuple(cs))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Polynomial is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Polynomial is immutable: cannot delete {name!r}")
 
     @property
     def degree(self) -> int:
@@ -93,7 +101,10 @@ class Polynomial:
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild the polynomial from its coefficients:
-        # protocols 0 and 1 cannot save a class with __slots__ by default.
+        # protocols 0 and 1 cannot save a class with __slots__ by default,
+        # and restoring the slot would go through __setattr__.  Protocols 0
+        # and 1 write a coefficient's int as decimal text, so they refuse
+        # one past the int-to-str digit limit (ValueError); 2 and up do not.
         return Polynomial, (self.coeffs,)
 
     def __repr__(self) -> str:
@@ -104,6 +115,11 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+# The constructor goes around Polynomial's refusal of assignment through the
+# slot's own setter.
+_set_coeffs = Polynomial.coeffs.__set__
 
 
 def poly_eval(f: Polynomial, x: Element) -> Element:

@@ -66,6 +66,9 @@ class Element:
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild the scalar through its constructor:
         # restoring its slots one by one would go through __setattr__.
+        # Protocols 0 and 1 write the value's ints as decimal text, so they
+        # refuse one past the int-to-str digit limit (ValueError); 2 and up
+        # do not.
         return Element, (self.kind, self.value)
 
     # -- predicates ---------------------------------------------------------

@@ -11,11 +11,11 @@ from .semiring import (
     NEG_INF,
     Element,
     add,
-    ghost_surpasses,
 )
 from .tropmat import (
     Matrix,
     char_poly_coefficients,
+    mat_ghost_surpasses,
     mat_mul,
     power_sum,
     pseudo_inverse,
@@ -67,9 +67,7 @@ def check_eigenpair(a: Matrix, v: Sequence[Element], alpha: Element) -> bool:
     if alpha.kind == GHOST_KIND:
         raise ValueError("eigenvalue must be tangible or -inf")
     col = Matrix(a.rows, 1, v)
-    av = mat_mul(a, col)
-    alphav = scalar_mul(alpha, col)
-    return all(ghost_surpasses(x, y) for x, y in zip(av.entries, alphav.entries))
+    return mat_ghost_surpasses(mat_mul(a, col), scalar_mul(alpha, col))
 
 
 def eval_at_matrix(f: Polynomial, a: Matrix) -> Matrix:

@@ -193,6 +193,9 @@ class Matrix:
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild the matrix from its view: restoring its
         # slots one by one would go through __setattr__, which refuses.
+        # Protocols 0 and 1 write the view's ints as decimal text, so they
+        # refuse one past the int-to-str digit limit (ValueError); 2 and up
+        # do not.
         return Matrix.from_ints, (self.rows, self.cols, *self._view)
 
     @classmethod

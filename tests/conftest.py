@@ -24,6 +24,7 @@ from supertrop import (
     poly_add,
     tangible,
 )
+from supertrop.lawcheck import GenConfig
 from supertrop.semiring import GHOST_KIND, TANGIBLE_KIND, rational
 
 # The arithmetic and order operators of Fraction.  A guard test replaces
@@ -44,6 +45,16 @@ def rebind_everywhere(monkeypatch, module, name, wrap) -> None:
             for attr, val in list(vars(mod).items()):
                 if val is original:
                     monkeypatch.setattr(mod, attr, wrapper)
+
+
+def tie_heavy_cfgs(count: int, seed: int) -> list[GenConfig]:
+    """count configs at n = 1..6 in turn: numerators in [-2, 2] over 1 or
+    2, -inf and ghost with probability 1/4 each, seeds from seed on.  The
+    draws on which the laws that the law checks derive instead of assert
+    are tested as theorems."""
+    return [GenConfig(n=1 + t % 6, numerator_range=(-2, 2), denominator=1 + t // 6 % 2,
+                      neginf_prob=Fraction(1, 4), ghost_prob=Fraction(1, 4), seed=seed + t)
+            for t in range(count)]
 
 
 def el(s: str):

@@ -47,7 +47,7 @@ THEOREM_CHECKS = (
     "adj_product",            # adjoint of a product
     "hamilton_cayley",        # matrix satisfies its polynomial
     "charpoly_power",         # powers of the characteristic polynomial, m = 2, 3
-    "nabla_period",           # pseudo-inverse period two + conductor sandwich
+    "nabla_period",           # conductor sandwich, which gives period two
     "definite_stabilization", # definite chain and power stabilization
     "similarity",             # conjugation dominates the polynomial
 )

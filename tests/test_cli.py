@@ -12,6 +12,7 @@ import pytest
 
 from supertrop import cli, lawcheck, matrix_from_dict, matrix_to_json
 from supertrop.cli import main
+from supertrop.demos import DemoLine
 
 from conftest import mat
 
@@ -108,12 +109,19 @@ def test_compute_exit_codes(capsys, strictly_singular, tmp_path):
     assert main(["compute", "det", str(big), "--det-cap", "17"]) == 1
 
 
-def test_demo_exit_codes(capsys):
+def test_demo_exit_codes(capsys, monkeypatch):
     for ex in ("2.30", "3.6", "5.3", "6.1"):
         assert main(["demo", ex]) == 0, ex
         out = capsys.readouterr().out
         assert "MISMATCH" not in out
     assert main(["demo", "bogus"]) == 1
+    # a line whose computed text differs from the paper's is a mismatch, exit 2
+    monkeypatch.setattr(cli, "run_demo", lambda example: [
+        DemoLine("same", "0", "0"), DemoLine("differs", "1g", "1")])
+    assert main(["demo", "6.1"]) == 2
+    out = capsys.readouterr().out
+    assert "MISMATCH differs: computed '1g', expected '1'" in out
+    assert "demo 6.1: 1/2 lines match" in out
 
 
 def test_check_report_and_determinism(tmp_path, capsys):
@@ -143,6 +151,11 @@ def test_check_flag_validation(capsys):
     assert main(["check", "--suite", "det_product", "--n", "2", "--trials", "-3"]) == 1
     assert main(["explore", "--n", "2", "--trials", "-3"]) == 1
     assert capsys.readouterr().out == ""
+    # a probability that is no rational, or has a zero denominator
+    assert main(["check", "--n", "2", "--neginf-prob", "abc"]) == 1
+    assert main(["explore", "--n", "2", "--ghost-prob", "1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: bad probability") == 2
 
 
 def test_probability_past_the_int_digit_limit_exits_1_before_drawing(capsys, monkeypatch):

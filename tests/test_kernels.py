@@ -760,7 +760,9 @@ def test_pickled_and_copied_matrices_equal_the_original():
     built from Elements or from ints, with Fractions, ghosts and -inf among
     its entries, give an equal matrix on the same view, with an empty memo
     even where the original's holds every kernel result, and with the
-    original's kernel results."""
+    original's kernel results.  A matrix holding an int past the int-to-str
+    digit limit pickles at protocols 2 and up; protocols 0 and 1 write ints
+    as decimal text, so they raise ValueError on it."""
     cfg = GenConfig(n=4, numerator_range=(-2, 2), denominator=6, neginf_prob=Fraction(1, 5),
                     ghost_prob=Fraction(1, 5), seed=11)
     drawn = gen_matrix(cfg, Constraint.NON_SINGULAR)
@@ -776,6 +778,13 @@ def test_pickled_and_copied_matrices_equal_the_original():
             c = copier(m)
             assert (c, c._view, c._memo) == (m, m._view, None) and c is not m
             assert {name: outcome(k, c) for name, k in MEMO_KERNELS.items()} == want
+    huge = Matrix.from_ints(2, 2, [10 ** 5000, None, 1, -10 ** 5000], [True, False] * 2, 7)
+    for protocol in (0, 1):
+        with pytest.raises(ValueError):
+            pickle.dumps(huge, protocol)
+    for copier in copiers[2:]:
+        c = copier(huge)
+        assert (c, c._view) == (huge, huge._view) and c is not huge
 
 
 def test_kept_adjoint_keeps_strict_singularity():

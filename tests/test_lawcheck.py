@@ -14,16 +14,22 @@ from supertrop import (
     Matrix,
     NotDefiniteError,
     NotNonSingularError,
+    ONE,
     SingularityClass,
     SizeCapExceededError,
+    char_poly,
     classify,
+    determinant,
     diag,
     ghost,
+    ghost_surpasses,
     identity,
     is_definite,
     is_invertible,
     matrix_to_dict,
+    mul,
     power,
+    pseudo_inverse,
     tangible,
 )
 from supertrop import lawcheck, maxpoly, spectral, tropmat
@@ -54,7 +60,7 @@ from supertrop.lawcheck import (
     _sub_seed,
 )
 
-from conftest import mat, rebind_everywhere
+from conftest import mat, rebind_everywhere, tie_heavy_cfgs
 
 
 # -- generation --------------------------------------------------------------------
@@ -126,6 +132,8 @@ def test_gen_config_validation():
         GenConfig(n=2, ghost_prob=0.5)
     with pytest.raises(ValueError):
         GenConfig(n=2, denominator=0)
+    with pytest.raises(ValueError, match="64 unsigned bits"):
+        GenConfig(n=2, seed=1 << 64)
     # Sizes, bounds, the denominator and the seed are ints, not bools or
     # floats; a probability is an int or a Fraction, not a bool.
     for kwargs in [{"n": True}, {"n": 2.0}, {"n": 2, "seed": 1.5}, {"n": 2, "seed": True},
@@ -250,19 +258,19 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     leaves the corollaries of its law to the tier-1 tests: no root
     containment and no substitution of B.  The period check's guard is its
     definite_form call (A and the conductor), then 1 for A's pseudo-inverse
-    (the guard's fold is its forward half) and 2 for each of the other two.
-    The stabilization check folds nothing: A and A^inv are definite, so
-    each pseudo-inverse is read from the closure that kleene_star or
-    is_definite makes.  It makes the n - 2 products of A^(n-1) and one for
-    A^inv A, and calls no adjugate.  Each check reports only its kept
-    keys."""
+    (the guard's fold is its forward half) and 2 for the second one, and
+    it forms no third.  The stabilization check folds nothing: A is
+    definite, so its pseudo-inverse is read from the closure that
+    kleene_star makes, and A^inv's own pseudo-inverse is not formed.  It
+    makes the n - 2 products of A^(n-1) and one for A^inv A, and calls no
+    adjugate.  Each check reports only its kept keys."""
     folds = _count_folds(monkeypatch)
     a = "1 0 -1; 3 4 -inf; 0 -2 2"
     b = "0 2g -inf; -1 1 3; 2 -inf -2"
     d = "0 -1 -2; -3 0 -1; -2 -4 0"
     for call, want in [(lambda: chk_adj_rules(mat(a)), 4),
                        (lambda: chk_similarity(mat(a), mat(b)), 4),
-                       (lambda: chk_nabla_period(mat(a)), 7),
+                       (lambda: chk_nabla_period(mat(a)), 5),
                        (lambda: chk_definite_stabilization(mat(d)), 0)]:
         folds.clear()
         assert call().ok
@@ -278,6 +286,12 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
         assert len(products) == want
     assert adjugates == []
     assert corollaries == []
+    inverses = _count_calls(monkeypatch, "pseudo_inverse")
+    for call, want in [(lambda: chk_nabla_period(mat(a)), 2),
+                       (lambda: chk_definite_stabilization(mat(d)), 1)]:
+        inverses.clear()
+        assert call().ok
+        assert len(inverses) == want
     # with every comparison in lawcheck answering no, the keys are the kept laws'
     for name in ("poly_ghost_surpasses", "ghost_surpasses", "is_ghost_matrix",
                  "mat_ghost_surpasses", "mat_nu_equiv", "is_definite"):
@@ -289,10 +303,9 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
          ["det_a_adj", "det_pow_n", "det_adj", "det_pow_n_minus_1"]),
         (lambda: chk_adj_product(mat(a), mat(b)), ["adj_ab", "adj_b_adj_a"]),
         (lambda: chk_similarity(mat(a), mat(b)), ["charpoly"]),
-        (lambda: chk_nabla_period(mat(a)), ["iterate_1_vs_3", "conductor_sandwich"]),
+        (lambda: chk_nabla_period(mat(a)), ["conductor_sandwich"]),
         (lambda: chk_definite_stabilization(mat(d)),
-         ["pseudo_inverse_definite", "double_pseudo_inverse", "power_n_minus_1",
-          "left_pseudo_identity"]),
+         ["pseudo_inverse_definite", "power_n_minus_1", "left_pseudo_identity"]),
         (lambda: chk_hamilton_cayley(mat(a)), ["char_poly_at_a"]),
     ]:
         res = call()
@@ -322,16 +335,16 @@ def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id, after_draw", [
-    ("nabla_period", 6), ("definite_stabilization", 1),
+    ("nabla_period", 4), ("definite_stabilization", 1),
     ("similarity", 3), ("reversal_conjecture", 3)])
 def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypatch):
     """In one run_check trial at n = 5 the draw's classify folds once per
     attempt, and that fold is the forward half of the next pseudo-inverse
     or the table of the next definite form.  After it: the period check
-    folds the conductor, the backward half of A^inv and 2 for each further
+    folds the conductor, the backward half of A^inv and 2 for the second
     pseudo-inverse; the DEFINITE draw folds its conductor, and the check
-    folds nothing (both its pseudo-inverses are of definite matrices, read
-    from their closures); the similarity and reversal checks fold the
+    folds nothing (its one pseudo-inverse is of a definite matrix, read
+    from its closure); the similarity and reversal checks fold the
     backward half of A^inv and two characteristic polynomials."""
     folds = _count_folds(monkeypatch)
     drawn = []
@@ -375,6 +388,8 @@ def test_chk_definite_stabilization_examples():
 def test_chk_similarity_example():
     assert chk_similarity(mat("2 0; 1 0"), mat("1 2; 3 1")).ok
     assert chk_similarity(identity(2), mat("0 0; 1 2")).ok
+    with pytest.raises(NotNonSingularError, match="conjugator"):
+        chk_similarity(mat("0 0; 0 0"), mat("0 0; 1 2"))
 
 
 def test_chk_hamilton_cayley_example():
@@ -398,7 +413,7 @@ def test_charpoly_power_law_implies_onto_and_tangible_equality():
     1/2, 1/10 ghost), at n = 1..6.  Ghost-free f_{A^m} are rare on
     tie-heavy draws (3 of 2000 default sweep trials at n = 5), so the
     sparse draws supply them at every n."""
-    from supertrop import char_poly, mat_pow, poly_value_equal, poly_value_surpasses, roots
+    from supertrop import mat_pow, poly_value_equal, poly_value_surpasses, roots
 
     draws = [diag([tangible(1), tangible(2), tangible(4)])]
     for t in range(2400):
@@ -492,16 +507,17 @@ def test_chk_conjecture_on_pinned_instances():
 
 def test_reversal_check_splits_failures_from_counterexamples(monkeypatch):
     """With every coefficient comparison answering no, a non-singular,
-    non-triangular A at n = 5 fails the proven coefficients 0, 3, 4 and 5
-    and flags the open ones, 1 and 2, with the open-range note.  At n <= 4,
-    and for a triangular A, every coefficient is proven, so all fail and
-    nothing is flagged."""
+    non-triangular A at n = 5 fails the proven coefficients 0, 3 and 4 and
+    flags the open ones, 1 and 2, with the open-range note; k = n is not
+    compared (f of A^inv is monic, so it is det against det).  At n <= 4,
+    and for a triangular A, every coefficient below n is proven, so all
+    fail and nothing is flagged."""
     monkeypatch.setattr(lawcheck, "ghost_surpasses", lambda *args: False)
     r = chk_reversal_conjecture(mat(
         "0 -1 -inf -inf -inf; -2 0 -inf -inf -inf; -inf -inf 0 -inf -inf;"
         " -inf -inf -inf 0 -inf; -inf -inf -inf -inf 0"))
     assert not r.ok
-    assert list(r.details) == [f"coefficient_{k}" for k in (0, 3, 4, 5)]
+    assert list(r.details) == [f"coefficient_{k}" for k in (0, 3, 4)]
     assert list(r.counterexample) == ["coefficient_1", "coefficient_2", "note"]
     assert r.counterexample["note"] == lawcheck._OPEN_RANGE_NOTE
     upper = mat("1 2 -inf -inf -inf; -inf 0 -inf 3 -inf; -inf -inf 0 -inf -inf;"
@@ -512,7 +528,22 @@ def test_reversal_check_splits_failures_from_counterexamples(monkeypatch):
               upper, lower):
         r = chk_reversal_conjecture(a)
         assert not r.ok and r.counterexample is None
-        assert list(r.details) == [f"coefficient_{k}" for k in range(a.rows + 1)]
+        assert list(r.details) == [f"coefficient_{k}" for k in range(a.rows)]
+
+
+def test_reversal_at_k_equal_n_is_det_against_det():
+    """The proven coefficient the reversal check does not compare, as a
+    theorem on tie-heavy non-singular draws at n = 1..6: f of A^inv is
+    monic, so det(A) * coeff_n(f of A^inv) is det(A) itself, and
+    coeff_0(f of A) is det(A), which surpasses itself."""
+    for cfg in tie_heavy_cfgs(180, 9300):
+        a = gen_matrix(cfg, Constraint.NON_SINGULAR)
+        n, d = a.rows, determinant(a)
+        f_a, f_inv = char_poly(a), char_poly(pseudo_inverse(a))
+        assert f_a.degree == f_inv.degree == n
+        assert f_a.coeff(n) == f_inv.coeff(n) == ONE
+        lhs = mul(d, f_inv.coeff(n))
+        assert lhs == d == f_a.coeff(0) and ghost_surpasses(lhs, f_a.coeff(0))
 
 
 def test_passing_explore_trials_build_no_matrix_elements(monkeypatch):
@@ -593,6 +624,8 @@ def test_run_check_records_replayable_witnesses(monkeypatch):
 def test_run_check_unknown_id():
     with pytest.raises(KeyError):
         run_check("nope", GenConfig(n=2, seed=0), 1)
+    with pytest.raises(KeyError):
+        replay("nope", {})
 
 
 def test_run_check_refuses_an_order_above_the_cap_before_any_draw(monkeypatch):

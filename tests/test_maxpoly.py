@@ -108,6 +108,8 @@ def test_poly_mul_cases():
     assert poly_mul(poly("0, 0"), poly("0, 0")) == poly("0, 0g, 0")
     assert poly_mul(poly("2, 0"), poly("3, 0")) == poly("5, 3, 0")
     assert poly_pow(poly("1, 0"), 1) == poly("1, 0")
+    with pytest.raises(ValueError):
+        poly_pow(poly("1, 0"), -1)
 
 
 @given(polys, polys, polys)
@@ -138,6 +140,8 @@ def test_inflate_cases():
     f = poly("1, 2, 3")
     assert inflate(f, 1) == f
     assert inflate(poly("3"), 7) == poly("3")
+    with pytest.raises(ValueError):
+        inflate(f, 0)
 
 
 # -- essential form -----------------------------------------------------------------
@@ -701,15 +705,22 @@ def test_elements_and_polynomials_survive_pickle_and_copy():
     """pickle at every protocol, copy.copy and copy.deepcopy give an equal
     Element or Polynomial of the same value types and the same repr.  A
     polynomial's repr never raises: past the int-to-str digit limit it
-    joins the reprs of its coefficients."""
+    joins the reprs of its coefficients.  Such a huge value pickles at
+    protocols 2 and up; protocols 0 and 1 write ints as decimal text, so
+    they raise ValueError on it."""
     copiers = [lambda x, p=p: pickle.loads(pickle.dumps(x, p))
                for p in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy, copy.deepcopy]
     huge = Polynomial([tangible(10 ** 5000), tangible(0)])
     assert repr(huge) == "Polynomial(Element(tangible, 5001 digits), Element('0'))"
     assert repr(poly("1, -inf, 1/3g")) == "Polynomial('1, -inf, 1/3g')"
     items = [NEG_INF, tangible(3), ghost(Fraction(-1, 2)), poly("1, -inf, 1/3g"), poly("-inf")]
-    for x in items:
-        for copier in copiers:
+    huge_items = [huge, tangible(-10 ** 5000), ghost(Fraction(1, 10 ** 5000))]
+    for x in huge_items:
+        for protocol in (0, 1):
+            with pytest.raises(ValueError):
+                pickle.dumps(x, protocol)
+    for x in items + huge_items:
+        for copier in copiers[2:] if x in huge_items else copiers:
             c = copier(x)
             assert c == x and type(c) is type(x) and repr(c) == repr(x)
             es = c.coeffs if isinstance(c, Polynomial) else (c,)

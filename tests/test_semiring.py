@@ -12,6 +12,7 @@ from supertrop import (
     Element,
     NotInvertibleError,
     ParseError,
+    Polynomial,
     add,
     format_scalar,
     ghost,
@@ -181,6 +182,8 @@ def test_invert():
         invert(ghost(3))
     with pytest.raises(NotInvertibleError):
         invert(NEG_INF)
+    with pytest.raises(ValueError, match="use invert"):
+        power(tangible(6), -1)
 
 
 def test_kth_root():
@@ -190,6 +193,8 @@ def test_kth_root():
     assert half == tangible(Fraction(-3, 2))
     assert kth_root(NEG_INF, 5) == NEG_INF
     assert kth_root(ghost(4), 2) == ghost(2)
+    with pytest.raises(ValueError):
+        kth_root(tangible(6), 0)
 
 
 @given(rationals, st.integers(min_value=1, max_value=6))
@@ -270,7 +275,9 @@ def test_structural_equality_is_semantic():
 
 def test_elements_are_immutable():
     """Assigning or deleting `kind` or `value` raises, so the shared NEG_INF
-    and ONE, and every entry a matrix read shares, keep their values."""
+    and ONE, and every entry a matrix read shares, keep their values.  A
+    polynomial refuses to assign or delete `coeffs` too, so a set or dict
+    that holds it still finds it."""
     for e in (NEG_INF, ONE, ghost(Fraction(-1, 2))):
         for name in ("kind", "value", "other"):
             with pytest.raises(AttributeError):
@@ -279,3 +286,11 @@ def test_elements_are_immutable():
                 delattr(e, name)
     assert (NEG_INF.kind, NEG_INF.value, ONE.kind, ONE.value) == (0, None, 1, 0)
     assert format_scalar(NEG_INF) == "-inf" and format_scalar(ONE) == "0"
+    f = Polynomial([ghost(1), NEG_INF, ONE])
+    held = {f}
+    for name, value in (("coeffs", (tangible(1),)), ("coeffs", [ONE]), ("other", 7)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert f.coeffs == (ghost(1), NEG_INF, ONE) and f in held

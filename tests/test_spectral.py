@@ -184,6 +184,8 @@ def test_conjugate_cases():
     assert conjugate(mat("0 1g; -inf 0"), b) == mat("2g 3g; 1 2g")
     with pytest.raises(StrictlySingularError):
         conjugate(mat("-inf -inf; -inf -inf"), b)
+    with pytest.raises(DimensionMismatchError):
+        conjugate(identity(3), b)
 
 
 def test_similarity_laws_sampled():

@@ -57,7 +57,7 @@ from supertrop import (
 from supertrop import tropmat
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
 
-from conftest import el, mat, naive_det, typed_element
+from conftest import el, mat, naive_det, tie_heavy_cfgs, typed_element
 
 
 def _random_cfgs(count, sizes=(2, 3, 4), seed=0):
@@ -85,6 +85,12 @@ def test_dimension_mismatch():
         mat_add(mat("0 0; 1 2"), mat("0; 1"))
     with pytest.raises(DimensionMismatchError):
         determinant(mat("0 0 0; 1 2 3"))
+    with pytest.raises(DimensionMismatchError):
+        mat_nu_equiv(mat("0 0; 1 2"), mat("0 0"))
+    with pytest.raises(DimensionMismatchError):
+        Matrix.from_rows([])
+    with pytest.raises(DimensionMismatchError, match="ragged"):
+        Matrix.from_rows([[ONE, ONE], [ONE]])
 
 
 # -- determinant -------------------------------------------------------------------
@@ -155,6 +161,8 @@ def test_pseudo_inverse_iterates():
     assert n3 == mat("-1g -1 -1; 0 -1g -1; 0 0 -1g")
     assert mat_nu_equiv(n3, n1)
     assert n4 == n2
+    with pytest.raises(ValueError):
+        pseudo_inverse_iter(a, 0)
     # the 1x1 pseudo-inverse is the scalar inverse
     assert pseudo_inverse(Matrix(1, 1, [tangible(5)])) == Matrix(1, 1, [tangible(-5)])
 
@@ -207,11 +215,31 @@ def test_det_product_rule_sampled():
 
 
 def test_det_multiplicative_for_invertible_factor():
+    """det(P A) = det(P) det(A) for invertible P.  On tie-heavy draws the
+    pseudo-inverse is as multiplicative: (P X Q)^inv = Q^inv X^inv P^inv
+    exactly, ghosts included, for invertible P and Q and any X with det(X)
+    not -inf, since each minor of P X Q is one minor of X times tangible
+    entries of P and Q.  With P = Q the left conductor, this is the lemma
+    by which the period check's conductor sandwich gives period two."""
     for t in range(40):
         p = gen_matrix(GenConfig(n=3, seed=4000 + t), Constraint.INVERTIBLE)
         a = gen_matrix(GenConfig(n=3, seed=5000 + t))
         assert determinant(mat_mul(p, a)) == mul(determinant(p), determinant(a))
         assert determinant(mat_mul(a, p)) == mul(determinant(a), determinant(p))
+    kinds = set()
+    for cfg in tie_heavy_cfgs(600, 4500):
+        x = gen_matrix(cfg)
+        p = gen_matrix(GenConfig(n=cfg.n, seed=cfg.seed + 1000), Constraint.INVERTIBLE)
+        q = gen_matrix(GenConfig(n=cfg.n, seed=cfg.seed + 2000), Constraint.INVERTIBLE)
+        d = determinant(x)
+        if d.is_neg_inf:
+            continue
+        pxq = mat_mul(mat_mul(p, x), q)
+        assert determinant(pxq) == mul(mul(determinant(p), d), determinant(q))
+        want = mat_mul(mat_mul(pseudo_inverse(q), pseudo_inverse(x)), pseudo_inverse(p))
+        assert pseudo_inverse(pxq) == want, x
+        kinds.add((d.is_ghost, any(e.is_ghost for e in want.entries)))
+    assert kinds == {(False, False), (False, True), (True, True)}
 
 
 def test_adjoint_determinant_rules_sampled():
@@ -267,6 +295,8 @@ def test_definite_form_both_sides_reassemble():
 def test_definite_form_requires_nonsingular():
     with pytest.raises(NotNonSingularError):
         definite_form(mat("0 0; 0 0"), "left")
+    with pytest.raises(ValueError, match="side"):
+        definite_form(identity(2), "up")
 
 
 def test_walk_products_of_definite_matrices_never_exceed_unit():
@@ -297,6 +327,8 @@ def test_elementary_constructors():
         gaussian_matrix(2, 0, 5, el("1"))
     with pytest.raises(NotInvertibleError):
         diag_multiplier_matrix(2, 0, ghost(1))
+    with pytest.raises(BadIndicesError):
+        diag_multiplier_matrix(2, 5, ONE)
 
 
 def test_is_invertible():
@@ -317,6 +349,8 @@ def test_mat_pow():
     assert mat_pow(a, 0) == identity(2)
     d = mat("0 -1; -2 0")
     assert mat_nu_equiv(mat_pow(d, 3), mat_pow(d, 1))
+    with pytest.raises(ValueError):
+        mat_pow(a, -1)
 
 
 def test_matrix_refuses_assignment_after_construction():
@@ -474,43 +508,59 @@ def test_integral_results_are_stored_as_int():
 def test_star_agrees_with_pseudo_inverse_and_powers():
     """On definite draws the star, A^inv and A^(n-1) share one magnitude.
     So do the corollaries the stabilization check leaves to this test:
-    A^inv is the adjoint, and A A^inv and the powers past n-1 keep that
-    magnitude."""
-    for t in range(40):
-        n = 2 + t % 3
-        a = gen_matrix(GenConfig(n=n, seed=11000 + t), Constraint.DEFINITE)
+    A^inv is the adjoint, A^inv is its own pseudo-inverse in magnitude,
+    and A A^inv and the powers past n-1 keep that magnitude.  The draws
+    are default ones at n = 2..4 and tie-heavy ones at n = 1..6."""
+    draws = [gen_matrix(GenConfig(n=2 + t % 3, seed=11000 + t), Constraint.DEFINITE)
+             for t in range(40)]
+    draws += [gen_matrix(cfg, Constraint.DEFINITE) for cfg in tie_heavy_cfgs(240, 11100)]
+    ghosts = 0
+    for a in draws:
+        n = a.rows
         s = kleene_star(a)
         pinv = pseudo_inverse(a)
         assert pinv == adjugate(a)
         assert mat_nu_equiv(s, pinv)
+        assert mat_nu_equiv(pseudo_inverse(pinv), pinv)
         assert mat_nu_equiv(mat_mul(a, pinv), pinv)
         p = mat_pow(a, n - 1)
         assert mat_nu_equiv(s, p)
         for _ in range(3):
             p = mat_mul(p, a)
             assert mat_nu_equiv(p, pinv)
+        ghosts += any(e.is_ghost for e in pinv.entries)
+    assert ghosts > 40
 
 
 def test_pseudo_inverse_magnitude_reads_only_magnitudes():
     """Flipping every ghost flag of X leaves the magnitude of X^inv as it
     was, and strict singularity too: the lemma by which the period check's
-    iterates 1 and 3 carry to every later pair.  The fourth iterate matches
-    the second, on tie-heavy draws."""
+    conductor sandwich carries to every pair of iterates.  The fourth
+    iterate matches the second, and on non-singular draws the third
+    matches the first, the period the check derives instead of asserting.
+    The draws have numerators in [-2, 2], with a third of them ghost at
+    n = 2..5, and tie-heavy ones at n = 1..6."""
     def flip(x):
         return x.map(lambda e: e if e.is_neg_inf
                       else ghost(e.value) if e.is_tangible else tangible(e.value))
 
-    for t in range(60):
-        cfg = GenConfig(n=2 + t % 4, numerator_range=(-2, 2),
-                        ghost_prob=Fraction(1, 3), seed=12000 + t)
+    cfgs = [GenConfig(n=2 + t % 4, numerator_range=(-2, 2),
+                      ghost_prob=Fraction(1, 3), seed=12000 + t) for t in range(60)]
+    periods = 0
+    for cfg in cfgs + tie_heavy_cfgs(180, 12100):
         for constraint in (Constraint.NON_SINGULAR, Constraint.NONE):
             x = gen_matrix(cfg, constraint)
-            if classify(x) is SingularityClass.STRICTLY_SINGULAR:
+            cls = classify(x)
+            if cls is SingularityClass.STRICTLY_SINGULAR:
                 with pytest.raises(StrictlySingularError):
                     pseudo_inverse(flip(x))
                 continue
             assert mat_nu_equiv(pseudo_inverse(x), pseudo_inverse(flip(x)))
             assert mat_nu_equiv(pseudo_inverse_iter(x, 4), pseudo_inverse_iter(x, 2))
+            if cls is SingularityClass.NON_SINGULAR:
+                assert mat_nu_equiv(pseudo_inverse_iter(x, 3), pseudo_inverse(x))
+                periods += 1
+    assert periods > 300
 
 
 # -- entrywise relations ----------------------------------------------------------------------
