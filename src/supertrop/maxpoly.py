@@ -15,10 +15,14 @@ Every function of the map (the essential form, the roots, the comparison
 grid and the value comparisons) reads its coefficients once onto their
 common denominator and works on ints from there: the hull by int cross
 products, the crossovers and midpoints on a scale that also clears the
-exponent gaps and the halving.  Coefficient-wise surpassing compares its
-coefficients in pairs, by int cross products.  So ties are exact integer
-ties, no Fraction is added or compared, and a rational is built only for a
-root or a grid point that a function returns.
+exponent gaps and the halving.  On that scale a coefficient or a value is
+the package's one int form of a scalar, a magnitude (None for -inf) and a
+ghost flag, as a tropmat.Matrix view holds it, and the value comparison
+is semiring.ghost_surpasses_ints, as the matrix comparison is.
+Coefficient-wise surpassing compares its coefficients in pairs, by int
+cross products.  So ties are exact integer ties, no Fraction is added or
+compared, and a rational is built only for a root or a grid point that a
+function returns.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from .semiring import (
     ONE,
     TANGIBLE_KIND,
     Element,
+    Immutable,
     add,
     format_scalar,
+    ghost_surpasses_ints,
     mul,
     parse_scalar,
     power,
@@ -44,7 +50,7 @@ from .semiring import (
 )
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Dense coefficient list, exponent 0 upward; trailing -inf trimmed.
 
     The identically -inf polynomial is stored as the single coefficient
@@ -64,12 +70,6 @@ class Polynomial:
         if not cs:
             cs = [NEG_INF]
         _set_coeffs(self, tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Polynomial is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Polynomial is immutable: cannot delete {name!r}")
 
     @property
     def degree(self) -> int:
@@ -173,25 +173,26 @@ def inflate(f: Polynomial, m: int) -> Polynomial:
 
 
 # A term is one finite coefficient read onto an int scale: (exponent,
-# magnitude, kind), the magnitude the coefficient's value times the scale.
-Term = tuple[int, int, int]
+# magnitude, ghost flag), the magnitude the coefficient's value times the
+# scale.
+Term = tuple[int, int, bool]
 
 
 def _read(*polys: Polynomial) -> tuple[int, list[list[Term]]]:
     """The common denominator of the finite coefficients of polys, and each
     polynomial's terms on that scale, exponent ascending.
 
-    Scaling every magnitude by one positive int keeps kinds, ties and
-    order, so every decision below is taken on ints exactly as on the
+    Scaling every magnitude by one positive int keeps ghost flags, ties
+    and order, so every decision below is taken on ints exactly as on the
     rationals they stand for.
     """
     scale = 1
     for f in polys:
         for c in f.coeffs:
-            if c.kind != NEG_INF_KIND and scale % c.value.denominator:
+            if c.value is not None and scale % c.value.denominator:
                 scale = lcm(scale, c.value.denominator)
-    return scale, [[(i, c.value.numerator * (scale // c.value.denominator), c.kind)
-                    for i, c in enumerate(f.coeffs) if c.kind != NEG_INF_KIND]
+    return scale, [[(i, c.value.numerator * (scale // c.value.denominator), c.is_ghost)
+                    for i, c in enumerate(f.coeffs) if c.value is not None]
                    for f in polys]
 
 
@@ -204,8 +205,8 @@ def _hull(terms: list[Term]) -> list[Term]:
     somewhere on tangible inputs (or at -inf).  A vertex dominates alone on
     an interval of positive length, while a monomial on the interior of an
     envelope edge only ever ties the two edge endpoints, so removing it
-    changes neither the value nor the ghostness anywhere.  Kinds play no
-    part.
+    changes neither the value nor the ghostness anywhere.  Ghost flags
+    play no part.
     """
     hull: list[Term] = []
     for t in terms:
@@ -308,14 +309,14 @@ def roots(f: Polynomial) -> RootSet:
     noncorner: list[Interval] = []
     # -inf is a root whenever the constant term is absent; if the lowest
     # essential monomial is a ghost its interval already starts at -inf.
-    if hull[0][0] > 0 and hull[0][2] == TANGIBLE_KIND:
+    if hull[0][0] > 0 and not hull[0][2]:
         noncorner.append(Interval(NEG_INF, NEG_INF))
-    lo = NEG_INF if hull[0][2] == GHOST_KIND else None  # left end of the open ghost run
-    for (i, a, _), (j, b, kind) in zip(hull, hull[1:]):
-        if kind == GHOST_KIND and lo is not None:
+    lo = NEG_INF if hull[0][2] else None  # left end of the open ghost run
+    for (i, a, _), (j, b, g) in zip(hull, hull[1:]):
+        if g and lo is not None:
             continue  # inside the ghost run's interval
         x = Element(TANGIBLE_KIND, rational(a - b, (j - i) * scale))
-        if kind == GHOST_KIND:
+        if g:
             lo = x
         elif lo is not None:
             noncorner.append(Interval(lo, x))
@@ -354,10 +355,10 @@ def _comparison_grid(breakpoints: list[list[int]], unit: int) -> list[int]:
     breakpoints are those of the two maps' essential forms f and g and of
     essential(f + g), every one an even int on that scale.  The grid holds
     them, a midpoint inside each cell between them and a margin on both
-    unbounded sides.  Inside a cell f and g are each one monomial of fixed
-    kind, and their magnitudes cannot cross there: a crossing with
-    different slopes is a kink of max(nu f, nu g) = nu(f + g), hence one of
-    its breakpoints.  So the comparison is constant on every cell.
+    unbounded sides.  Inside a cell f and g are each one monomial with a
+    fixed ghost flag, and their magnitudes cannot cross there: a crossing
+    with different slopes is a kink of max(nu f, nu g) = nu(f + g), hence
+    one of its breakpoints.  So the comparison is constant on every cell.
     """
     pts = sorted({x for xs in breakpoints for x in xs})
     if not pts:
@@ -370,9 +371,10 @@ def _comparison_grid(breakpoints: list[list[int]], unit: int) -> list[int]:
 
 
 def _values(hull: list[Term], breakpoints: list[int], q: int,
-            grid: list[int]) -> list[tuple[int, int | None]]:
-    """(kind, magnitude) of the map of an essential form at -inf and at each
-    grid point; magnitudes on the grid's scale, None for -inf.
+            grid: list[int]) -> tuple[list, list]:
+    """The map of an essential form at -inf and at each grid point, as a
+    list of magnitudes on the grid's scale (None for -inf) and a list of
+    ghost flags.
 
     hull is the form's terms and breakpoints its crossovers on the grid's
     scale, q times the terms' own.  Every breakpoint is a grid point, so one
@@ -381,19 +383,20 @@ def _values(hull: list[Term], breakpoints: list[int], q: int,
     constant term is finite.
     """
     if not hull:
-        return [(NEG_INF_KIND, None)] * (len(grid) + 1)
-    i, c, k = hull[0]
-    out = [(k, c * q) if i == 0 else (NEG_INF_KIND, None)]
+        return [None] * (len(grid) + 1), [False] * (len(grid) + 1)
+    i, c, g = hull[0]
+    mag, gh = ([c * q], [g]) if i == 0 else ([None], [False])
     t, last = 0, len(breakpoints)
     for x in grid:
         while t < last and breakpoints[t] < x:
             t += 1
-        i, c, k = hull[t]
-        out.append((GHOST_KIND if t < last and breakpoints[t] == x else k, c * q + i * x))
-    return out
+        i, c, g = hull[t]
+        mag.append(c * q + i * x)
+        gh.append(g or t < last and breakpoints[t] == x)
+    return mag, gh
 
 
-def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], list, list]:
+def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], tuple, tuple]:
     """The comparison grid of the maps of f and g, with the values of f
     and of g at -inf and at each grid point.
 
@@ -401,8 +404,8 @@ def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], list, li
     f + g are taken on those ints: the essential forms, which are the same
     maps.  The grid's scale is q times theirs, q twice the lcm of the
     exponent gaps of the three hulls, so that every breakpoint and every
-    midpoint is an int.  Returns that scale, the grid and the two
-    (kind, magnitude) lists, -inf first.
+    midpoint is an int.  Returns that scale, the grid and the values of f
+    and of g, each as its magnitudes and its ghost flags, -inf first.
     """
     scale, (fs, gs) = _read(f, g)
     fhull, ghull = _hull(fs), _hull(gs)
@@ -410,7 +413,7 @@ def _grid_values(f: Polynomial, g: Polynomial) -> tuple[int, list[int], list, li
     for i, v, _ in fhull + ghull:
         if i not in top or v > top[i]:
             top[i] = v
-    hulls = (fhull, ghull, _hull([(i, top[i], TANGIBLE_KIND) for i in sorted(top)]))
+    hulls = (fhull, ghull, _hull([(i, top[i], False) for i in sorted(top)]))
     q = 2 * lcm(*(t[0] - s[0] for h in hulls for s, t in zip(h, h[1:])))
     fb, gb, sb = (_breakpoints(h, q) for h in hulls)
     grid = _comparison_grid([fb, gb, sb], q * scale)
@@ -426,9 +429,7 @@ def poly_value_surpasses(f: Polynomial, g: Polynomial) -> bool:
     poly_ghost_surpasses and is strictly weaker than it.
     """
     _, _, fv, gv = _grid_values(f, g)
-    # ghost_surpasses on (kind, magnitude): equal, or a ghost at least as large
-    return all(a == b or a[0] == GHOST_KIND and (b[1] is None or a[1] >= b[1])
-               for a, b in zip(fv, gv))
+    return ghost_surpasses_ints(*fv, *gv)
 
 
 def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
@@ -444,17 +445,17 @@ def poly_value_equal(f: Polynomial, g: Polynomial) -> bool:
 def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     """Points that are roots of g but not of f, one per place they occur.
 
-    A root is a point where the value is not tangible.  g and f are
+    A root is a point where the value is ghost or -inf.  g and f are
     evaluated by their essential terms (the same maps).  On each cell of
-    the comparison grid each is one monomial of fixed kind, so whether a
-    point is a root of either is constant there: evaluating them at -inf
-    and on the grid, on scaled ints, decides containment of the root sets
-    exactly.  Only the points returned become rationals.
+    the comparison grid each is one monomial with a fixed ghost flag, so
+    whether a point is a root of either is constant there: evaluating them
+    at -inf and on the grid, on scaled ints, decides containment of the
+    root sets exactly.  Only the points returned become rationals.
     """
-    unit, grid, fv, gv = _grid_values(f, g)
+    unit, grid, (fm, fg), (gm, gg) = _grid_values(f, g)
     return [NEG_INF if x is None else Element(TANGIBLE_KIND, rational(x, unit))
-            for x, fx, gx in zip([None, *grid], fv, gv)
-            if gx[0] != TANGIBLE_KIND and fx[0] == TANGIBLE_KIND]
+            for x, fx, fgx, gx, ggx in zip([None, *grid], fm, fg, gm, gg)
+            if (ggx or gx is None) and not (fgx or fx is None)]
 
 
 # -- text form ---------------------------------------------------------------

@@ -12,13 +12,23 @@ exact ties.  Integral values are stored as `int` and everything else as
 `fractions.Fraction` (the two interoperate and hash alike, so this is purely
 a fast path).  Elements are immutable and hashable: assigning or deleting
 an attribute raises, so the shared NEG_INF and ONE, and the entries that
-one read of a matrix shares, cannot be changed by any holder.
+one read of a matrix shares, cannot be changed by any holder.  That
+refusal is one base class, Immutable, which Element, maxpoly.Polynomial
+and tropmat.Matrix share; each builds itself through its slots' own
+setters.
+
+Below the Element API a scalar has one int form: a magnitude, the value
+times a positive int scale shared by every scalar read together (None for
+-inf), and a ghost flag (never set at -inf).  A tropmat.Matrix view, every
+kernel and the maxpoly map functions all hold scalars so, and
+ghost_surpasses_ints is ghost_surpasses on that form.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import NotInvertibleError, ParseError, SupertropicalError
 
@@ -43,7 +53,21 @@ def rational(num: Rational, den: int) -> Rational:
     return _canon(Fraction(num, den))
 
 
-class Element:
+class Immutable:
+    """Base of the package's values: once built, no attribute of one can be
+    assigned or deleted.  A subclass sets its slots through their own
+    setters (`Cls.slot.__set__`), which go around this refusal."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Element(Immutable):
     """One supertropical scalar: -inf, a tangible rational, or a ghost
     rational; immutable: once built, no attribute can be assigned or
     deleted."""
@@ -56,12 +80,6 @@ class Element:
     def __init__(self, kind: int, value: Rational | None):
         _set_kind(self, kind)
         _set_value(self, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Element is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Element is immutable: cannot delete {name!r}")
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild the scalar through its constructor:
@@ -200,6 +218,20 @@ def ghost_surpasses(a: Element, b: Element) -> bool:
     if b.kind == NEG_INF_KIND:
         return True
     return a.value >= b.value
+
+
+def ghost_surpasses_ints(am: Sequence, ag: Sequence, bm: Sequence, bg: Sequence) -> bool:
+    """True iff, at every index k, the scalar of magnitude am[k] and ghost
+    flag ag[k] ghost-surpasses the scalar of bm[k] and bg[k]: the two
+    scalars are equal, or the first is a ghost at least the second's
+    magnitude (or the second is -inf).
+
+    Magnitudes are ints on one scale, None for -inf, and no ghost flag is
+    set at -inf, as in a tropmat.Matrix view: then a ghost is finite, and a
+    tangible or -inf scalar surpasses only the scalar it equals.
+    """
+    return all((y is None or x >= y) if gx else x == y and not gy
+               for x, gx, y, gy in zip(am, ag, bm, bg))
 
 
 def nu_equiv(a: Element, b: Element) -> bool:

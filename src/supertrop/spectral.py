@@ -1,4 +1,9 @@
-"""Characteristic polynomials, eigenvalues, and tropical similarity."""
+"""Characteristic polynomials, eigenvalues, and tropical similarity.
+
+char_poly is the kernel tropmat.char_poly, re-exported here: it keeps a
+matrix's characteristic polynomial in the matrix's memo and returns that
+one polynomial on every call.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from .semiring import (
 )
 from .tropmat import (
     Matrix,
-    char_poly_coefficients,
+    char_poly,
     mat_ghost_surpasses,
     mat_mul,
     power_sum,
@@ -22,20 +27,6 @@ from .tropmat import (
     require_square,
     scalar_mul,
 )
-
-
-def char_poly(a: Matrix) -> Polynomial:
-    """Characteristic maxpolynomial of a square matrix: det(xI + A), taken
-    as a formal permanent.
-
-    The coefficient of x^k (k < n) is the supertropical sum of the
-    determinants of all (n-k) x (n-k) principal submatrices; the leading
-    coefficient is the unit.  All coefficients come from one subset fold
-    (tropmat.char_poly_coefficients), which like every kernel refuses an
-    order above tropmat.DEFAULT_DET_CAP; summing the principal minors one by
-    one serves as the independent test oracle.
-    """
-    return Polynomial(char_poly_coefficients(a))
 
 
 def trace(a: Matrix) -> Element:

@@ -12,7 +12,7 @@ container per state or per layer.  The same fold gives the adjoint and the
 pseudo-inverse (the forward and the backward table joined slot by slot; the
 pseudo-inverse reads det from the forward table), the dominant track of a
 definite form (backtracked over the table that gave its determinant) and
-the characteristic coefficients (the fold of xI + A, with the degree of x
+the characteristic polynomial (the fold of xI + A, with the degree of x
 in the key bits above the columns).  Definiteness is decided without the
 fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
 that starts from A's tangible-0 diagonal and keeps a ghost flag beside
@@ -28,8 +28,10 @@ magnitudes scaled to ints by the common denominator of the matrices and
 coefficients they read, so ties are exact integer ties and no Fraction
 is added or compared inside a kernel, a product or a power sum.
 A matrix is its ints: its view holds its magnitudes (None for -inf),
-ghost flags (false at -inf) and their scale, the least common
-denominator of its entries, set once when it is built.  So two matrices
+ghost flags (false at -inf) and their scale, the package's one int form
+of a scalar (see semiring), so mat_ghost_surpasses is
+semiring.ghost_surpasses_ints on two views.  The scale is the least
+common denominator of its entries, set once when it is built.  So two matrices
 of one shape have equal entries exactly when their views are equal, and
 equality and hashing read the view.  Every kernel result, and each
 law-check draw, is built from its ints (Matrix.from_ints); a matrix built
@@ -52,12 +54,14 @@ and plans the solve above a measured crossover order.
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
 that computes it: det (written by every forward fold of A, by the
-characteristic coefficients as coefficient 0 and, as tangible 0, by the
+characteristic polynomial as its coefficient 0 and, as tangible 0, by the
 closure of a definite matrix), the adjoint, the pseudo-inverse (the kept
 adjoint rescaled by the kept det, when the adjoint is held), the
-characteristic coefficients and the definiteness closure.  So det, adj,
-A^inv, f_A and the eigenvalues of one matrix cost one fold each, and adj
-and A^inv of a definite matrix none.  The memo keeps returned results and
+characteristic polynomial and the definiteness closure.  Each kept result
+is immutable, so the kept object itself is returned: char_poly, which
+spectral re-exports, builds its Polynomial once and returns that one on
+every call.  So det, adj, A^inv, f_A and the eigenvalues of one matrix
+cost one fold each, and adj and A^inv of a definite matrix none.  The memo keeps returned results and
 O(n^2) ints only, never a 2^n fold table.  So a Matrix refuses every
 attribute assignment after construction: were its entries changed, the
 memo would answer for the old ones.
@@ -70,9 +74,9 @@ A's fold is left in the slot, and only _forward stores it there.  So
 while the slot holds A's fold, none of determinant, adjugate,
 pseudo_inverse and definite_form folds A forward again: the adjoint and
 the pseudo-inverse fold only backward over the slot's table, and
-definite_form backtracks over it.  A second one, _rows, gives
-char_poly_coefficients A's kernel rows: the slot's when it holds A's
-fold, else A read now, after emptying the slot.  So any fold of another
+definite_form backtracks over it.  A second one, _rows, gives char_poly
+A's kernel rows: the slot's when it holds A's fold, else A read now,
+after emptying the slot.  So any fold of another
 matrix empties the slot first, and at most one 2^n table outlives its
 fold.  definite_form verifies the factors it returns on their scaled
 ints, not on a product of Elements.
@@ -100,6 +104,7 @@ from .errors import (
     SupertropicalError,
     VerificationError,
 )
+from .maxpoly import Polynomial
 from .semiring import (
     GHOST_KIND,
     NEG_INF,
@@ -107,8 +112,10 @@ from .semiring import (
     ONE,
     TANGIBLE_KIND,
     Element,
+    Immutable,
     add,
     format_scalar,
+    ghost_surpasses_ints,
     mul,
     parse_scalar,
     rational,
@@ -132,7 +139,7 @@ class PseudoIdentityClass(enum.Enum):
     NEITHER = "neither"
 
 
-class Matrix:
+class Matrix(Immutable):
     """Dense row-major matrix of supertropical scalars; immutable: once
     built, no attribute can be assigned or deleted.  A matrix is its view
     (magnitudes, ghost flags and scale, see the module docstring), set
@@ -183,12 +190,6 @@ class Matrix:
         a = cls.__new__(cls)
         _init(a, rows, cols, len(mag), (mag, gh, scale))
         return a
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Matrix is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Matrix is immutable: cannot delete {name!r}")
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild the matrix from its view: restoring its
@@ -496,8 +497,8 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
     distinct columns whose column set is the low bits of K, k being the
     number of those bits: the permanent of the first k rows on those
     columns.  A key step may also add to the bits above the columns
-    (char_poly_coefficients counts the degree of x there), so size is 2^n,
-    or (n+1) 2^n with the degree.  Each layer is the list of keys it
+    (char_poly counts the degree of x there), so size is 2^n, or
+    (n+1) 2^n with the degree.  Each layer is the list of keys it
     reached, in first-reached order; keys of different layers never collide,
     so the table holds every layer.
     """
@@ -676,31 +677,34 @@ def adjugate(a: Matrix) -> Matrix:
     return adj
 
 
-def char_poly_coefficients(a: Matrix) -> list[Element]:
-    """Coefficients of the formal permanent perm(xI + A), from x^0 to x^n.
+def char_poly(a: Matrix) -> Polynomial:
+    """Characteristic maxpolynomial of a square matrix: det(xI + A), taken
+    as a formal permanent; spectral re-exports it.
 
     The fold of xI + A keeps the degree of x in the bits above the columns:
     row r may also take x from the diagonal.  Expanding the product, the
-    coefficient of x^k is the supertropical sum of the determinants of the
-    (n-k) x (n-k) principal submatrices, ghosts included; coefficient 0 is
-    det, and is kept as such.  A's kernel rows come from _rows (the handoff
-    slot's, when a forward fold of A left them there); each row is copied
-    with the x entry added, so the slot's rows stay A's.  The
-    coefficients are kept on the matrix and each call returns a new list
-    of them.
+    coefficient of x^k (k < n) is the supertropical sum of the
+    determinants of the (n-k) x (n-k) principal submatrices, ghosts
+    included, and the leading coefficient is the unit; coefficient 0 is
+    det, and is kept as such.  Summing the principal minors one by one
+    serves as the independent test oracle.  A's kernel rows come from
+    _rows (the handoff slot's, when a forward fold of A left them there);
+    each row is copied with the x entry added, so the slot's rows stay
+    A's.  The polynomial is built once, kept on the matrix and returned
+    by every call.
     """
     memo = _memo_of(a)
-    coeffs = memo.get("coeffs")
-    if coeffs is None:
+    f = memo.get("coeffs")
+    if f is None:
         n = a.rows
         base, scale = _rows(a)
         rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
-        coeffs = memo["coeffs"] = [_element(mag[k << n | full], gh[k << n | full], scale)
-                                   for k in range(n + 1)]
-        memo["det"] = coeffs[0]
-    return list(coeffs)
+        f = memo["coeffs"] = Polynomial([_element(mag[k << n | full], gh[k << n | full], scale)
+                                         for k in range(n + 1)])
+        memo["det"] = f.coeffs[0]
+    return f
 
 
 def pseudo_inverse(a: Matrix) -> Matrix:
@@ -971,8 +975,7 @@ def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("ghost surpassing needs equal shapes")
     [(am, ag), (bm, bg)], _ = _flat(a, b)
-    return all((y is None or x >= y) if gx and x is not None else x == y and (x is None or not gy)
-               for x, gx, y, gy in zip(am, ag, bm, bg))
+    return ghost_surpasses_ints(am, ag, bm, bg)
 
 
 def mat_nu_equiv(a: Matrix, b: Matrix) -> bool:

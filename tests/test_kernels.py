@@ -24,6 +24,7 @@ from supertrop import (
     Matrix,
     NotDefiniteError,
     NotNonSingularError,
+    Polynomial,
     RootSet,
     SizeCapExceededError,
     StrictlySingularError,
@@ -385,14 +386,14 @@ def test_definite_inverse_matches_oracle_on_ties(n, monkeypatch):
     fold, and equal the adjoint oracle, kind, value and value type, whether
     the closure was made first (by kleene_star or is_definite) or by the
     adjoint or the pseudo-inverse itself, or det was kept first by a fold
-    (determinant) or as coefficient 0 (char_poly_coefficients), the one
+    (determinant) or as coefficient 0 (char_poly), the one
     fold made; kleene_star(D) is then their tangible projection.  Each D is
     checked with its ghosts and as hat(D), whose ghost entries come from
     tied paths alone."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
-    folding = (determinant, tropmat.char_poly_coefficients)
+    folding = (determinant, char_poly)
     ghosted = {False: 0, True: 0}
     for d in tie_heavy_definite(n, COUNTS[n]):
         for x, tangible_only in ((d, False), (hat_matrix(d), True)):
@@ -497,7 +498,7 @@ def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
         scales.add(scale)
         seen.clear()
         determinant(fresh(a))
-        tropmat.char_poly_coefficients(fresh(a))
+        char_poly(fresh(a))
         [(size, (mag, gh), layers), (csize, (cmag, cgh), clayers)] = seen
         assert (size, csize) == (full + 1, (n + 1) << n)
         for s in range(full + 1):
@@ -524,7 +525,7 @@ def test_each_fold_returns_one_flat_table(monkeypatch):
     a = next(m for m in mixed_cases(n) if determinant(m).is_tangible)
     seen = recorded_folds(monkeypatch)
     for call, size, folds in [(determinant, 1 << n, 1), (adjugate, 1 << n, 2),
-                              (tropmat.char_poly_coefficients, (n + 1) << n, 1),
+                              (char_poly, (n + 1) << n, 1),
                               (definite_form, 1 << n, 2)]:
         seen.clear()
         call(fresh(a))
@@ -545,7 +546,7 @@ def test_kernels_do_no_fraction_arithmetic(monkeypatch):
     assert is_definite(d)
     p = poly("1/4, -inf, 2/3g, -1/5")
     calls = [(tropmat.determinant, a), (tropmat.adjugate, a), (tropmat.pseudo_inverse, a),
-             (tropmat.char_poly_coefficients, a), (tropmat.is_definite, d),
+             (tropmat.char_poly, a), (tropmat.is_definite, d),
              (tropmat.kleene_star, d), (lambda m: tropmat.mat_mul(m, d), a),
              (lambda m: tropmat.mat_pow(m, 0), a), (lambda m: tropmat.mat_pow(m, 3), a),
              (lambda m: tropmat.mat_pow(m, 4), a),
@@ -582,7 +583,7 @@ def test_one_size_guard_comes_before_any_fold(monkeypatch):
     monkeypatch.setattr(tropmat, "_fold", no_fold)
     big = identity(DEFAULT_DET_CAP + 1)
     for call in (determinant, classify, is_definite, adjugate, pseudo_inverse,
-                 tropmat.char_poly_coefficients, char_poly, eigenvalues, definite_form,
+                 char_poly, eigenvalues, definite_form,
                  kleene_star, lambda m: conjugate(m, m)):
         with pytest.raises(SizeCapExceededError):
             call(big)
@@ -672,7 +673,7 @@ MEMO_KERNELS = {
     "classify": classify,
     "adjugate": adjugate,
     "pseudo_inverse": pseudo_inverse,
-    "char_poly_coefficients": tropmat.char_poly_coefficients,
+    "char_poly": char_poly,
     "eigenvalues": eigenvalues,
     "is_definite": is_definite,
     "kleene_star": kleene_star,
@@ -687,6 +688,8 @@ def exact(x):
         return (x.kind, x.value, type(x.value))
     if isinstance(x, Matrix):
         return (x.rows, x.cols, [exact(e) for e in x.entries])
+    if isinstance(x, Polynomial):
+        return exact(x.coeffs)
     if isinstance(x, (list, tuple)):
         return [exact(y) for y in x]
     if isinstance(x, RootSet):
@@ -795,7 +798,7 @@ def test_kept_adjoint_keeps_strict_singularity():
             with pytest.raises(StrictlySingularError):
                 pseudo_inverse(a)
         b = mat(text)
-        tropmat.char_poly_coefficients(b)
+        char_poly(b)
         with pytest.raises(StrictlySingularError):
             pseudo_inverse(b)
 
@@ -810,21 +813,16 @@ def test_size_cap_is_checked_before_the_memo():
 
 def test_returned_results_do_not_write_back_into_the_memo():
     """A second kleene_star starts from the kept closure, not from the first
-    star; a caller's edits to a returned coefficient list reach no later
-    result."""
+    star.  char_poly returns its kept polynomial itself, which is
+    immutable, so no caller can edit what a later call returns."""
     for d in definite_cases(4)[:10]:
         star = kleene_star(d)
         assert kleene_star(d) == star == kleene_star(fresh(d))
         assert d._memo["closure"] == tropmat._closure(fresh(d))
         assert is_definite(d)
     for a in mixed_cases(4)[:10]:
-        coeffs = tropmat.char_poly_coefficients(a)
-        want = (exact(coeffs), exact(determinant(fresh(a))), exact(eigenvalues(fresh(a))))
-        coeffs[0] = ghost(99)
-        coeffs.append(tangible(5))
-        got = (exact(tropmat.char_poly_coefficients(a)), exact(determinant(a)),
-               exact(eigenvalues(a)))
-        assert got == want
+        f = char_poly(a)
+        assert char_poly(a) is f is a._memo["coeffs"]
 
 
 def test_memo_holds_no_fold_table_at_order_twelve():
@@ -856,6 +854,8 @@ def test_memo_holds_no_fold_table_at_order_twelve():
         if isinstance(x, Matrix):
             assert x._memo is None
             walk(x.entries)
+        elif isinstance(x, Polynomial):
+            walk(x.coeffs)
         elif isinstance(x, (list, tuple)):
             assert len(x) <= n * n
             for y in x:
@@ -987,7 +987,7 @@ def test_handed_rows_are_never_mutated(monkeypatch):
             want = exact(adjugate(fresh(a)))
             x = fresh(a)
             determinant(x)
-            tropmat.char_poly_coefficients(x)
+            char_poly(x)
             assert tropmat._handoff[1] == tropmat._kernel_rows(fresh(a))[0]
             folds.clear()
             assert exact(adjugate(x)) == want
@@ -1018,8 +1018,7 @@ def test_no_fold_runs_beside_another_matrix_table(monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(tropmat, "_fold", spy)
-    for kernel in (determinant, adjugate, pseudo_inverse, definite_form,
-                   tropmat.char_poly_coefficients):
+    for kernel in (determinant, adjugate, pseudo_inverse, definite_form, char_poly):
         x = fresh(a)
         determinant(x)
         assert tropmat._handoff[0] is x and tables() - before == 2
@@ -1034,8 +1033,7 @@ def test_two_threads_sharing_the_slot_get_single_thread_results(monkeypatch):
     yielding to the other thread, so their kernels interleave inside each
     other's calls: every read of the slot checks its matrix, so each result
     equals the one a lone caller gets from a fresh copy."""
-    kernels = [determinant, adjugate, pseudo_inverse, definite_form,
-               tropmat.char_poly_coefficients]
+    kernels = [determinant, adjugate, pseudo_inverse, definite_form, char_poly]
     mats = [a for n in (3, 4, 5) for a in mixed_cases(n)]
     want = [[outcome(k, fresh(a)) for k in kernels] for a in mats]
     shared = [fresh(a) for a in mats]
@@ -1085,14 +1083,14 @@ def test_every_forward_fold_leaves_the_rows_for_char_poly(monkeypatch):
     monkeypatch.setattr(tropmat, "_kernel_rows",
                         lambda m: reads.append(m) or kernel_rows(m))
     for a in mixed_cases(5)[:10]:
-        want = exact(tropmat.char_poly_coefficients(fresh(a)))
+        want = exact(char_poly(fresh(a)))
         for first in ([determinant, adjugate], [adjugate], [pseudo_inverse], [definite_form],
                       [adjugate, definite_form], [pseudo_inverse, definite_form]):
             x = fresh(a)
             reads.clear()
             for kernel in first:
                 outcome(kernel, x)
-            assert exact(tropmat.char_poly_coefficients(x)) == want
+            assert exact(char_poly(x)) == want
             assert reads == [x] and "rows" not in x._memo
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from supertrop import (
     NEG_INF,
     DegeneratePolynomialError,
-    Element,
     Interval,
     ParseError,
     Polynomial,
@@ -627,15 +626,17 @@ def test_roots_match_the_oracle():
 def test_comparison_grid_matches_the_oracle():
     """The grid the comparisons evaluate, read back as rationals, is the
     oracle's point for point, value type included, and each value on it
-    is poly_eval's there, kind, value and value type."""
+    is poly_eval's there, kind, value and value type.  A value is read
+    from its magnitude (None for -inf) and its ghost flag."""
     for f, g in _oracle_pairs(600, seed=2063):
         ef, eg = essential(f), essential(g)
         unit, grid, fv, gv = _grid_values(ef, eg)
         points = [NEG_INF] + [tangible(rational(x, unit)) for x in grid]
         want = naive_comparison_grid(ef, eg)
         assert [typed_element(x) for x in points[1:]] == [typed_element(x) for x in want]
-        for h, values in ((ef, fv), (eg, gv)):
-            got = [NEG_INF if v is None else Element(k, rational(v, unit)) for k, v in values]
+        for h, (mag, gh) in ((ef, fv), (eg, gv)):
+            got = [NEG_INF if m is None else (ghost if g else tangible)(rational(m, unit))
+                   for m, g in zip(mag, gh)]
             assert [typed_element(x) for x in got] == \
                 [typed_element(poly_eval(h, x)) for x in points], (str(f), str(g))
 

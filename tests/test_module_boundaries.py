@@ -1,6 +1,8 @@
 """Each supertrop module uses only the public names of the others, imports
-only what it uses, and defines no private helper that nothing reads; and
-tropmat's handoff slot, its minors and its Elements each have one source."""
+only what it uses, and defines no private helper that nothing reads;
+tropmat's handoff slot, its minors and its Elements each have one source;
+one base class refuses assignment; and maxpoly's int layer names no
+Element kind."""
 
 import ast
 from collections import Counter
@@ -166,3 +168,37 @@ def test_a_matrix_builds_its_elements_in_one_place():
     from ints, never its Elements."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
     assert functions_naming(source, "_elements") == ["entries", "row"]
+
+
+def methods_defined(sources: dict[str, str], names: set[str]) -> list[str]:
+    """'module.Class.name' for every method among `names` that a class of
+    the modules in sources (name to source) defines."""
+    return sorted(f"{module}.{cls.name}.{f.name}" for module, source in sources.items()
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, ast.FunctionDef) and f.name in names)
+
+
+def test_guard_sees_methods_defined():
+    sources = {"a": "class A:\n    def __setattr__(self, n, v): pass\n    def f(self): pass\n",
+               "b": "def __delattr__(n): pass\nclass B:\n    class C:\n"
+                    "        def __delattr__(self, n): pass\n"}
+    assert methods_defined(sources, {"__setattr__", "__delattr__"}) == [
+        "a.A.__setattr__", "b.C.__delattr__"]
+
+
+def test_one_base_refuses_assignment():
+    """Element, Polynomial and Matrix are immutable through one base class:
+    only semiring.Immutable defines __setattr__ and __delattr__."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert methods_defined(sources, {"__setattr__", "__delattr__"}) == [
+        "semiring.Immutable.__delattr__", "semiring.Immutable.__setattr__"]
+
+
+def test_maxpoly_int_helpers_carry_ghost_flags():
+    """maxpoly's int layer holds a scalar as a magnitude and a ghost flag,
+    as a Matrix view does: none of its helpers names an Element kind."""
+    source = (PACKAGE / "maxpoly.py").read_text(encoding="utf-8")
+    helpers = {"_read", "_hull", "_breakpoints", "_comparison_grid", "_values", "_grid_values"}
+    assert helpers <= {f.name for f in ast.parse(source).body if isinstance(f, ast.FunctionDef)}
+    for kind in ("NEG_INF_KIND", "TANGIBLE_KIND", "GHOST_KIND"):
+        assert helpers.isdisjoint(functions_naming(source, kind)), kind

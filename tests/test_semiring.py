@@ -1,6 +1,8 @@
 """Scalar arithmetic, order relations, and the text grammar."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -27,7 +29,7 @@ from supertrop import (
     to_ghost,
     to_tangible,
 )
-from supertrop.semiring import rational
+from supertrop.semiring import ghost_surpasses_ints, rational
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 elements = st.one_of(
@@ -162,6 +164,44 @@ def test_gs_transitive(a, b, c):
 def test_gs_stable_under_multiplication(a, b, c):
     if ghost_surpasses(a, b):
         assert ghost_surpasses(mul(a, c), mul(b, c))
+
+
+def test_ghost_surpasses_ints_matches_ghost_surpasses():
+    """The int form of ghost surpassing gives what ghost_surpasses gives on
+    the Elements that each (magnitude, ghost flag) pair encodes, for one
+    pair and for a run of pairs at once.  Draws are tie-heavy: few values
+    over denominators 1, 2 and 3, read onto their run's common scale, with
+    ghosts and -inf on either side, so that every pair of kinds meets at
+    equal, lower and higher magnitudes."""
+    rng = random.Random(2081)
+    values = [Fraction(p, q) for p in range(-2, 3) for q in (1, 2, 3)]
+
+    def draw():
+        r = rng.randrange(4)
+        return NEG_INF if r == 0 else (ghost if r == 1 else tangible)(rng.choice(values))
+
+    def read(es, scale):
+        return ([None if e.is_neg_inf else int(e.value * scale) for e in es],
+                [e.is_ghost for e in es])
+
+    seen, scales = set(), set()
+    for _ in range(500):
+        run = [(draw(), draw()) for _ in range(rng.randint(1, 4))]
+        scale = lcm(*(e.value.denominator for pair in run for e in pair if not e.is_neg_inf))
+        scales.add(scale)
+        (am, ag), (bm, bg) = read([a for a, _ in run], scale), read([b for _, b in run], scale)
+        for k, (a, b) in enumerate(run):
+            want = ghost_surpasses(a, b)
+            assert ghost_surpasses_ints([am[k]], [ag[k]], [bm[k]], [bg[k]]) is want, (a, b)
+            order = None if None in (am[k], bm[k]) else (am[k] > bm[k]) - (am[k] < bm[k])
+            seen.add((a.kind, b.kind, order, want))
+        want = all(ghost_surpasses(a, b) for a, b in run)
+        assert ghost_surpasses_ints(am, ag, bm, bg) is want, run
+    finite = [(ka, kb, order) for ka in (1, 2) for kb in (1, 2) for order in (-1, 0, 1)]
+    cases = finite + [(0, 0, None), (0, 1, None), (0, 2, None), (1, 0, None), (2, 0, None)]
+    assert {case[:3] for case in seen} == set(cases)
+    assert {True, False} == {case[3] for case in seen}
+    assert scales == {1, 2, 3, 6}
 
 
 def test_nu_equiv_cases():
