@@ -13,16 +13,17 @@ forms and of their sum, the same breakpoints that give the roots.
 
 Every function of the map (the essential form, the roots, the comparison
 grid and the value comparisons) reads its coefficients once onto their
-common denominator and works on ints from there: the hull by int cross
-products, the crossovers and midpoints on a scale that also clears the
-exponent gaps and the halving.  On that scale a coefficient or a value is
-the package's one int form of a scalar, a magnitude (None for -inf) and a
-ghost flag, as a tropmat.Matrix view holds it, and the value comparison
-is semiring.ghost_surpasses_ints, as the matrix comparison is.
-Coefficient-wise surpassing compares its coefficients in pairs, by int
-cross products.  So ties are exact integer ties, no Fraction is added or
-compared, and a rational is built only for a root or a grid point that a
-function returns.
+common denominator, by semiring.read_ints, and works on ints from there:
+the hull by int cross products, the crossovers and midpoints on a scale
+that also clears the exponent gaps and the halving.  On that scale a
+coefficient or a value is the package's one int form of a scalar, a
+magnitude (None for -inf) and a ghost flag, as a tropmat.Matrix view holds
+it, and the value comparison is semiring.ghost_surpasses_ints, as the
+matrix comparison is.  Coefficient-wise surpassing reads both padded
+coefficient lists onto one scale and calls the same rule.  So ties are
+exact integer ties, no Fraction is added or compared, and a rational is
+built, by semiring.element_of, only for a root or a grid point that a
+function returns.  This module converts no Element itself.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ from .semiring import (
     NEG_INF,
     NEG_INF_KIND,
     ONE,
-    TANGIBLE_KIND,
     Element,
     Immutable,
     add,
+    element_of,
     format_scalar,
     ghost_surpasses_ints,
     mul,
     parse_scalar,
     power,
-    rational,
+    read_ints,
 )
 
 
@@ -186,14 +187,14 @@ def _read(*polys: Polynomial) -> tuple[int, list[list[Term]]]:
     and order, so every decision below is taken on ints exactly as on the
     rationals they stand for.
     """
-    scale = 1
+    mag, gh, scale = read_ints([c for f in polys for c in f.coeffs])
+    terms, lo = [], 0
     for f in polys:
-        for c in f.coeffs:
-            if c.value is not None and scale % c.value.denominator:
-                scale = lcm(scale, c.value.denominator)
-    return scale, [[(i, c.value.numerator * (scale // c.value.denominator), c.is_ghost)
-                    for i, c in enumerate(f.coeffs) if c.value is not None]
-                   for f in polys]
+        hi = lo + len(f.coeffs)
+        terms.append([(i, m, g) for i, (m, g) in enumerate(zip(mag[lo:hi], gh[lo:hi]))
+                      if m is not None])
+        lo = hi
+    return scale, terms
 
 
 def _hull(terms: list[Term]) -> list[Term]:
@@ -315,7 +316,7 @@ def roots(f: Polynomial) -> RootSet:
     for (i, a, _), (j, b, g) in zip(hull, hull[1:]):
         if g and lo is not None:
             continue  # inside the ghost run's interval
-        x = Element(TANGIBLE_KIND, rational(a - b, (j - i) * scale))
+        x = element_of(a - b, False, (j - i) * scale)
         if g:
             lo = x
         elif lo is not None:
@@ -331,21 +332,13 @@ def roots(f: Polynomial) -> RootSet:
 def poly_ghost_surpasses(f: Polynomial, g: Polynomial) -> bool:
     """Coefficient-wise ghost surpassing (shorter operand padded with -inf).
 
-    Coefficients are compared in pairs and never summed, so no common scale
-    is needed: a ghost meets the other coefficient by an int cross product
-    of numerators and denominators.
+    Both padded coefficient lists are read onto one int scale, and
+    semiring.ghost_surpasses_ints compares them coefficient by coefficient.
     """
-    for i in range(max(len(f.coeffs), len(g.coeffs))):
-        a, b = f.coeff(i), g.coeff(i)
-        if a.kind == b.kind and a.value == b.value or \
-                a.kind == GHOST_KIND and b.kind == NEG_INF_KIND:
-            continue
-        if a.kind != GHOST_KIND:
-            return False
-        x, y = a.value, b.value
-        if x.numerator * y.denominator < y.numerator * x.denominator:
-            return False
-    return True
+    n = max(len(f.coeffs), len(g.coeffs))
+    mag, gh, _ = read_ints(f.coeffs + (NEG_INF,) * (n - len(f.coeffs))
+                           + g.coeffs + (NEG_INF,) * (n - len(g.coeffs)))
+    return ghost_surpasses_ints(mag[:n], gh[:n], mag[n:], gh[n:])
 
 
 def _comparison_grid(breakpoints: list[list[int]], unit: int) -> list[int]:
@@ -453,7 +446,7 @@ def roots_outside(g: Polynomial, f: Polynomial) -> list[Element]:
     root sets exactly.  Only the points returned become rationals.
     """
     unit, grid, (fm, fg), (gm, gg) = _grid_values(f, g)
-    return [NEG_INF if x is None else Element(TANGIBLE_KIND, rational(x, unit))
+    return [element_of(x, False, unit)
             for x, fx, fgx, gx, ggx in zip([None, *grid], fm, fg, gm, gg)
             if (ggx or gx is None) and not (fgx or fx is None)]
 

@@ -21,14 +21,21 @@ Below the Element API a scalar has one int form: a magnitude, the value
 times a positive int scale shared by every scalar read together (None for
 -inf), and a ghost flag (never set at -inf).  A tropmat.Matrix view, every
 kernel and the maxpoly map functions all hold scalars so, and
-ghost_surpasses_ints is ghost_surpasses on that form.
+ghost_surpasses_ints is ghost_surpasses on that form.  This module is the
+one codec between Elements and that form: read_ints reads scalars onto
+their least common denominator, element_of builds one scalar back and
+elements_of a list of them, one Element per distinct (magnitude, ghost)
+pair.  No other module converts an Element to ints or ints to an Element.
+tangible and ghost take an int, a Fraction or a decimal string; a float or
+a bool is no exact rational, and each raises TypeError.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import NotInvertibleError, ParseError, SupertropicalError
 
@@ -144,12 +151,21 @@ NEG_INF = Element(NEG_INF_KIND, None)
 ONE = Element(TANGIBLE_KIND, 0)
 
 
+def _exact(value: _RationalLike) -> Rational:
+    """value as a canonical rational: an int, a Fraction or a decimal
+    string.  A float or a bool raises TypeError: neither is an exact
+    rational here."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"expected an int, a Fraction or a decimal string, got {value!r}")
+    return value if type(value) is int else _canon(Fraction(value))
+
+
 def tangible(value: _RationalLike) -> Element:
-    return Element(TANGIBLE_KIND, value if type(value) is int else _canon(Fraction(value)))
+    return Element(TANGIBLE_KIND, _exact(value))
 
 
 def ghost(value: _RationalLike) -> Element:
-    return Element(GHOST_KIND, value if type(value) is int else _canon(Fraction(value)))
+    return Element(GHOST_KIND, _exact(value))
 
 
 def add(a: Element, b: Element) -> Element:
@@ -232,6 +248,43 @@ def ghost_surpasses_ints(am: Sequence, ag: Sequence, bm: Sequence, bg: Sequence)
     """
     return all((y is None or x >= y) if gx else x == y and not gy
                for x, gx, y, gy in zip(am, ag, bm, bg))
+
+
+def read_ints(scalars: Iterable[Element]) -> tuple[tuple, tuple, int]:
+    """The int form of scalars: their magnitudes (None for -inf) and their
+    ghost flags, as two tuples, on their least common denominator, and that
+    scale.  element_of and elements_of build the scalars back."""
+    es = tuple(scalars)
+    scale = lcm(*{e.value.denominator for e in es if type(e.value) is Fraction})
+    return (tuple([None if (v := e.value) is None else v * scale if type(v) is int
+                   else v.numerator * (scale // v.denominator) for e in es]),
+            tuple([e.kind == GHOST_KIND for e in es]), scale)
+
+
+def element_of(m: int | None, g: bool, scale: int) -> Element:
+    """The scalar of magnitude m on scale (None for -inf) and ghost flag g."""
+    if m is None:
+        return NEG_INF
+    return Element(GHOST_KIND if g else TANGIBLE_KIND, m if scale == 1 else rational(m, scale))
+
+
+def elements_of(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
+    """The scalars of magnitudes mag on scale and ghost flags gh, as
+    element_of builds them one by one, except that each distinct (magnitude,
+    ghost) pair becomes one Element, shared by every scalar that holds it:
+    a value's Fraction is built once per call."""
+    built: dict = {}
+    out = []
+    for m, g in zip(mag, gh):
+        if m is None:
+            out.append(NEG_INF)
+            continue
+        key = m + m + g  # one int per (magnitude, ghost) pair
+        e = built.get(key)
+        if e is None:
+            e = built[key] = Element(GHOST_KIND if g else TANGIBLE_KIND, rational(m, scale))
+        out.append(e)
+    return out
 
 
 def nu_equiv(a: Element, b: Element) -> bool:

@@ -35,12 +35,13 @@ common denominator of its entries, set once when it is built.  So two matrices
 of one shape have equal entries exactly when their views are equal, and
 equality and hashing read the view.  Every kernel result, and each
 law-check draw, is built from its ints (Matrix.from_ints); a matrix built
-from Elements reads them onto its view and keeps none of them.  Its
-Elements are built when read and not kept: each read of `entries` builds
-each distinct (magnitude, ghost) pair once, shared by the entries that
-hold it.  Every kernel, a product and the comparisons mat_nu_equiv,
-mat_ghost_surpasses and is_ghost_matrix read the view, so a chain of
-kernels builds no Element it is not asked for.  There is no floating
+from Elements reads them onto its view (semiring.read_ints) and keeps none
+of them.  Its Elements are built when read and not kept, by semiring's
+element_of and elements_of: each read of `entries` builds each distinct
+(magnitude, ghost) pair once, shared by the entries that hold it.  This
+module converts no Element itself.  Every kernel, a product and the
+comparisons mat_nu_equiv, mat_ghost_surpasses and is_ghost_matrix read
+the view, so a chain of kernels builds no Element it is not asked for.  There is no floating
 point.  An exact assignment solve on the same ints would also decide
 ties: one optimal track gives det's magnitude, and a second one exists
 exactly when A, rescaled onto that track, fails the closure's cycle
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import enum
 import json
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from types import NoneType
@@ -114,11 +114,13 @@ from .semiring import (
     Element,
     Immutable,
     add,
+    element_of,
+    elements_of,
     format_scalar,
     ghost_surpasses_ints,
     mul,
     parse_scalar,
-    rational,
+    read_ints,
     to_tangible,
 )
 
@@ -159,10 +161,7 @@ class Matrix(Immutable):
     _memo: dict | None
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Element]):
-        es = tuple(entries)
-        scale = lcm(*{e.value.denominator for e in es if type(e.value) is Fraction})
-        _init(self, rows, cols, len(es), (tuple([_magnitude(e, scale) for e in es]),
-                                          tuple([e.kind == GHOST_KIND for e in es]), scale))
+        _init(self, rows, cols, read_ints(entries))
 
     @classmethod
     def from_ints(cls, rows: int, cols: int, mag: Sequence, gh: Sequence, scale: int) -> "Matrix":
@@ -172,8 +171,9 @@ class Matrix(Immutable):
         so it is the view of the same entries built from Elements.  A
         magnitude that is not an int or None (a bool or a float among
         them), a ghost flag that is not a bool, a ghost flag where mag[k]
-        is None (a ghost -inf) and a scale other than a positive int each
-        raise ValueError.  No Element is built."""
+        is None (a ghost -inf), a scale other than a positive int and a
+        shape that is not an int each raise ValueError.  No Element is
+        built."""
         mag, gh = tuple(mag), tuple(gh)
         if len(gh) != len(mag):
             raise DimensionMismatchError(f"{len(mag)} magnitudes but {len(gh)} ghost flags")
@@ -188,7 +188,7 @@ class Matrix(Immutable):
             if g != 1:
                 mag, scale = tuple([None if m is None else m // g for m in mag]), scale // g
         a = cls.__new__(cls)
-        _init(a, rows, cols, len(mag), (mag, gh, scale))
+        _init(a, rows, cols, (mag, gh, scale))
         return a
 
     def __reduce__(self) -> tuple:
@@ -210,17 +210,17 @@ class Matrix(Immutable):
 
     @property
     def entries(self) -> tuple[Element, ...]:
-        return tuple(_elements(*self._view))
+        return tuple(elements_of(*self._view))
 
     def at(self, i: int, j: int) -> Element:
         mag, gh, scale = self._view
         k = i * self.cols + j
-        return _element(mag[k], gh[k], scale)
+        return element_of(mag[k], gh[k], scale)
 
     def row(self, i: int) -> tuple[Element, ...]:
         mag, gh, scale = self._view
         lo, hi = i * self.cols, (i + 1) * self.cols
-        return tuple(_elements(mag[lo:hi], gh[lo:hi], scale))
+        return tuple(elements_of(mag[lo:hi], gh[lo:hi], scale))
 
     @property
     def is_square(self) -> bool:
@@ -256,11 +256,14 @@ _set_rows, _set_cols, _set_view, _set_memo = (
     Matrix.rows.__set__, Matrix.cols.__set__, Matrix._view.__set__, Matrix._memo.__set__)
 
 
-def _init(a: Matrix, rows: int, cols: int, size: int, view: tuple[tuple, tuple, int]) -> None:
-    """Give a new matrix of `size` entries its shape, its view and an empty
-    memo."""
+def _init(a: Matrix, rows: int, cols: int, view: tuple[tuple, tuple, int]) -> None:
+    """Give a new matrix its shape, its view and an empty memo.  A shape
+    that is not an int (a bool or a float among them) raises ValueError."""
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
     if rows < 1 or cols < 1:
         raise DimensionMismatchError("matrix dimensions must be positive")
+    size = len(view[0])
     if size != rows * cols:
         raise DimensionMismatchError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {size}")
@@ -302,21 +305,13 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 # -- views and scaled rows ------------------------------------------------------
 #
 # A matrix's view is its flat row-major ints: magnitudes (None for -inf)
-# and ghost flags, as tuples, with their scale.  Products read a matrix as
-# rows of its finite entries, (column, magnitude, ghost); kernels read it
-# as the kernel rows below.  Magnitudes are scaled by the common
-# denominator of every matrix read together, so ties are exact integer
-# ties and no Fraction is added.  A result is two flat row-major lists,
-# magnitudes and ghost flags, that Matrix.from_ints takes as its view.
-
-
-def _magnitude(e: Element, scale: int) -> int | None:
-    """The scaled magnitude of a scalar whose denominator divides scale, or
-    None for -inf."""
-    if e.kind == NEG_INF_KIND:
-        return None
-    v = e.value
-    return v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+# and ghost flags, as tuples, with their scale, as semiring.read_ints reads
+# any scalars; power_sum reads its coefficients so.  Products read a matrix
+# as rows of its finite entries, (column, magnitude, ghost); kernels read
+# it as the kernel rows below.  Views read together are moved onto their
+# common scale (_flat), so ties are exact integer ties and no Fraction is
+# added.  A result is two flat row-major lists, magnitudes and ghost flags,
+# that Matrix.from_ints takes as its view.
 
 
 def _ints(view: tuple[tuple, tuple, int], scale: int) -> tuple[tuple, tuple]:
@@ -328,9 +323,9 @@ def _ints(view: tuple[tuple, tuple, int], scale: int) -> tuple[tuple, tuple]:
     return mag, gh
 
 
-def _flat(*mats: Matrix) -> tuple[list[tuple[tuple, tuple]], int]:
-    """The views of the matrices on their common scale, and that scale."""
-    views = [a._view for a in mats]
+def _flat(*views: tuple[tuple, tuple, int]) -> tuple[list[tuple[tuple, tuple]], int]:
+    """Views (magnitudes, ghost flags and scale) on their common scale, and
+    that scale."""
     scale = lcm(*[v[2] for v in views])
     return [_ints(v, scale) for v in views], scale
 
@@ -369,31 +364,12 @@ def _product(arows: list[list[tuple]], brows: list[list[tuple]], cols: int) -> t
     return mag, gh
 
 
-def _elements(mag: Sequence, gh: Sequence, scale: int) -> list[Element]:
-    """The entries of a view: the scalars of its magnitudes on `scale`.
-    Each distinct (magnitude, ghost) pair becomes one Element, shared by
-    every entry that holds it, so a value's Fraction is built once per
-    read."""
-    built: dict = {}
-    out = []
-    for m, g in zip(mag, gh):
-        if m is None:
-            out.append(NEG_INF)
-            continue
-        key = m + m + g  # one int per (magnitude, ghost) pair
-        e = built.get(key)
-        if e is None:
-            e = built[key] = Element(GHOST_KIND if g else TANGIBLE_KIND, rational(m, scale))
-        out.append(e)
-    return out
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product AB: entry (i, j) is the supertropical sum of a_ik b_kj,
     one product step on the views of both factors."""
     if a.cols != b.rows:
         raise DimensionMismatchError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    [fa, fb], scale = _flat(a, b)
+    [fa, fb], scale = _flat(a._view, b._view)
     return Matrix.from_ints(a.rows, b.cols, *_product(
         _rows_of(*fa, a.cols), _rows_of(*fb, b.cols), b.cols), scale)
 
@@ -419,7 +395,7 @@ def power_sum(coeffs: Sequence[Element], a: Matrix) -> Matrix:
     top = max((i for i, c in enumerate(coeffs) if c.kind != NEG_INF_KIND), default=-1)
     if top <= 0:
         return diag([coeffs[0]] * n) if top == 0 else neg_inf_matrix(n, n)
-    [(amag, agh), (cmag, cgh)], scale = _flat(a, Matrix(1, top + 1, coeffs[:top + 1]))
+    [(amag, agh), (cmag, cgh)], scale = _flat(a._view, read_ints(coeffs[:top + 1]))
     arows = _rows_of(amag, agh, n)
     c, cg = cmag[top], cgh[top]
     mag = [None if m is None else c + m for m in amag]
@@ -477,15 +453,6 @@ def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
     bits = [1 << j for j in range(n)]
     return [[(bit, bit, m, g) for bit, m, g in zip(bits, mag[base:base + n], gh[base:base + n])
              if m is not None] for base in range(0, len(mag), n)], scale
-
-
-def _element(m: int | None, g: bool, scale: int) -> Element:
-    """The scalar of scaled magnitude m (None for -inf) and ghost flag g."""
-    if m is None:
-        return NEG_INF
-    if scale != 1:
-        m = rational(m, scale)
-    return Element(GHOST_KIND if g else TANGIBLE_KIND, m)
 
 
 def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
@@ -568,7 +535,7 @@ def _forward(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int, list, list]
         slot = _handoff = (a, rows, scale, *_fold(rows, 1 << a.rows))
     _, rows, scale, mag, gh = slot
     full = (1 << a.rows) - 1
-    memo["det"] = _element(mag[full], gh[full], scale)
+    memo["det"] = element_of(mag[full], gh[full], scale)
     return rows, scale, mag, gh
 
 
@@ -701,7 +668,7 @@ def char_poly(a: Matrix) -> Polynomial:
         rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
         mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
-        f = memo["coeffs"] = Polynomial([_element(mag[k << n | full], gh[k << n | full], scale)
+        f = memo["coeffs"] = Polynomial([element_of(mag[k << n | full], gh[k << n | full], scale)
                                          for k in range(n + 1)])
         memo["det"] = f.coeffs[0]
     return f
@@ -724,14 +691,13 @@ def pseudo_inverse(a: Matrix) -> Matrix:
     pinv = memo.get("pinv")
     if pinv is None:
         am, ag, scale = _minors(a, memo)
-        det = memo["det"]
-        dm = _magnitude(det, scale)
+        (dm,), (dg,) = _ints(read_ints([memo["det"]]), scale)
         if dm is None:
             raise StrictlySingularError("pseudo-inverse undefined: det = -inf")
         n = a.rows
         pinv = memo["pinv"] = Matrix.from_ints(
             n, n, [None if m is None else m - dm for m in am],
-            [m is not None for m in am] if det.kind == GHOST_KIND else ag, scale)
+            [m is not None for m in am] if dg else ag, scale)
     return pinv
 
 
@@ -974,14 +940,14 @@ def mat_ghost_surpasses(a: Matrix, b: Matrix) -> bool:
     or A's is a ghost at least B's magnitude (or B's is -inf)."""
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("ghost surpassing needs equal shapes")
-    [(am, ag), (bm, bg)], _ = _flat(a, b)
+    [(am, ag), (bm, bg)], _ = _flat(a._view, b._view)
     return ghost_surpasses_ints(am, ag, bm, bg)
 
 
 def mat_nu_equiv(a: Matrix, b: Matrix) -> bool:
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatchError("magnitude comparison needs equal shapes")
-    [(am, _), (bm, _)], _ = _flat(a, b)
+    [(am, _), (bm, _)], _ = _flat(a._view, b._view)
     return am == bm
 
 

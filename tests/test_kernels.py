@@ -54,6 +54,7 @@ from supertrop import (
     tropmat,
 )
 from supertrop.lawcheck import Constraint, GenConfig, gen_matrix
+from supertrop.semiring import element_of
 
 from conftest import (
     FRACTION_OPS,
@@ -504,14 +505,14 @@ def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
         for s in range(full + 1):
             cols = [c for c in range(n) if s >> c & 1]
             want = naive_det(a, range(len(cols)), cols)
-            got = tropmat._element(mag[s], gh[s], scale)
+            got = element_of(mag[s], gh[s], scale)
             assert (got, mag[s] is None) == (want, want.is_neg_inf), (a, s)
             kinds.add(got.kind)
         check_layers(n, size, mag, layers)
         coeffs = naive_char_poly(a).coeffs
         for deg in range(n + 1):
             k = deg << n | full
-            assert tropmat._element(cmag[k], cgh[k], scale) == coeffs[deg], (a, deg)
+            assert element_of(cmag[k], cgh[k], scale) == coeffs[deg], (a, deg)
         check_layers(n, csize, cmag, clayers)
     assert len(kinds) == 3 and len(scales) > 1
 
@@ -1128,7 +1129,7 @@ def definite_of(a):
 @pytest.mark.parametrize("dens, scale", [((1,), 1), ((1, 2), 2), ((2, 3), 6)])
 def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
     """Every result built from scaled ints equals, kind, value and value
-    type, the same result with each entry built by its own _element call,
+    type, the same result with each entry built by its own element_of call,
     and each distinct scalar of one read of a result's entries is one
     object.  (A star's scale may be 1 at dens (1, 2): definite_of drops the
     diagonal.)"""
@@ -1150,10 +1151,9 @@ def test_shared_scalars_equal_the_per_entry_oracle(dens, scale, monkeypatch):
         """The entries of each result matrix, read once."""
         return [m.entries for m in (x if isinstance(x, tuple) else (x,))]
 
-    got = [entries(f(fresh(a))) for f, a in cases_]  # built by _elements
-    element = tropmat._element
-    monkeypatch.setattr(tropmat, "_elements", lambda mag, gh, s: [
-        element(m, g, s) for m, g in zip(mag, gh)])
+    got = [entries(f(fresh(a))) for f, a in cases_]  # built by elements_of
+    monkeypatch.setattr(tropmat, "elements_of", lambda mag, gh, s: [
+        element_of(m, g, s) for m, g in zip(mag, gh)])
     want = [entries(f(fresh(a))) for f, a in cases_]
     assert exact(got) == exact(want)
     kinds, types, tied = set(), set(), 0

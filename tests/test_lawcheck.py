@@ -548,14 +548,14 @@ def test_reversal_at_k_equal_n_is_det_against_det():
 
 def test_passing_explore_trials_build_no_matrix_elements(monkeypatch):
     """An explore run whose every trial passes reads A and A^inv only as
-    ints: no matrix of the run builds its Elements (tropmat._elements, the
-    one builder of a matrix's entries, is never called), while the
-    characteristic coefficients and det are scalars built one by one.
-    Afterwards each read of a drawn matrix's entries is one _elements
+    ints: no matrix of the run builds its Elements (elements_of, the one
+    builder of a matrix's entries, is never called from tropmat), while
+    the characteristic coefficients and det are scalars built one by one.
+    Afterwards each read of a drawn matrix's entries is one elements_of
     call."""
     built = []
-    elements = tropmat._elements
-    monkeypatch.setattr(tropmat, "_elements", lambda *args: built.append(1) or elements(*args))
+    elements = tropmat.elements_of
+    monkeypatch.setattr(tropmat, "elements_of", lambda *args: built.append(1) or elements(*args))
     for n, den in ((4, 1), (5, 2), (6, 3)):
         cfg = GenConfig(n=n, denominator=den, ghost_prob=Fraction(1, 4), seed=n)
         r = explore_conjecture(cfg, 40)

@@ -1,6 +1,7 @@
 """Each supertrop module uses only the public names of the others, imports
 only what it uses, and defines no private helper that nothing reads;
 tropmat's handoff slot, its minors and its Elements each have one source;
+only semiring converts between Elements and their int form;
 one base class refuses assignment; and maxpoly's int layer names no
 Element kind."""
 
@@ -163,11 +164,51 @@ def test_the_minors_have_one_source():
 
 
 def test_a_matrix_builds_its_elements_in_one_place():
-    """_elements, the builder of a matrix's Elements, is called only by
-    Matrix's readers `entries` and `row`.  Every kernel builds its result
-    from ints, never its Elements."""
+    """semiring.elements_of, the builder of a list of Elements, is called
+    in tropmat only by Matrix's readers `entries` and `row`.  Every kernel
+    builds its result from ints, never its Elements."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
-    assert functions_naming(source, "_elements") == ["entries", "row"]
+    assert functions_naming(source, "elements_of") == ["entries", "row"]
+
+
+RATIONAL_NAMES, RATIONAL_PARTS = {"rational", "Fraction"}, {"numerator", "denominator"}
+
+
+def int_form_conversions(source: str) -> list[str]:
+    """What source uses to convert a scalar to or from its int form by
+    itself: every import of, name of or attribute named `rational` or
+    `Fraction`, and every `.numerator` or `.denominator`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] in RATIONAL_NAMES:
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and node.id in RATIONAL_NAMES:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in RATIONAL_NAMES | RATIONAL_PARTS:
+            found.add(f".{node.attr}")
+    return sorted(found)
+
+
+def test_guard_sees_int_form_conversions():
+    assert int_form_conversions(
+        "from fractions import Fraction\nimport fractions\n"
+        "def f(e, s):\n    return e.value.numerator * (s // e.value.denominator)\n"
+        "def g(m, s):\n    return fractions.Fraction(m, s)\n"
+        "def h(m, s):\n    return rational(m, s)\n") == [
+            ".Fraction", ".denominator", ".numerator", "Fraction", "rational"]
+    assert int_form_conversions(
+        "from .semiring import read_ints\ndef f(es):\n    return read_ints(es)\n"
+        "\"\"\"Fraction and rational in text.\"\"\"\n") == []
+
+
+def test_only_semiring_converts_between_elements_and_ints():
+    """semiring's read_ints, element_of and elements_of are the one codec
+    between Elements and the int form: tropmat, maxpoly and spectral
+    neither import nor name rational or Fraction, nor read a numerator or
+    a denominator."""
+    found = {name: int_form_conversions((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("tropmat", "maxpoly", "spectral")}
+    assert found == {"tropmat": [], "maxpoly": [], "spectral": []}
 
 
 def methods_defined(sources: dict[str, str], names: set[str]) -> list[str]:

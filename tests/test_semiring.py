@@ -13,6 +13,7 @@ from supertrop import (
     ONE,
     Element,
     NotInvertibleError,
+    Matrix,
     ParseError,
     Polynomial,
     add,
@@ -29,7 +30,15 @@ from supertrop import (
     to_ghost,
     to_tangible,
 )
-from supertrop.semiring import ghost_surpasses_ints, rational
+from supertrop.semiring import (
+    element_of,
+    elements_of,
+    ghost_surpasses_ints,
+    rational,
+    read_ints,
+)
+
+from conftest import typed_element
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 elements = st.one_of(
@@ -204,6 +213,45 @@ def test_ghost_surpasses_ints_matches_ghost_surpasses():
     assert scales == {1, 2, 3, 6}
 
 
+def test_the_int_form_reads_and_builds_the_same_scalars():
+    """read_ints, then elements_of or element_of by element_of, gives back
+    the same scalars, kind, value and value type, on tie-heavy runs: few
+    values over denominators 1, 2, 3 and 6, ghosts, -inf and an int past
+    the int-to-str digit limit.  The read is the view of the 1 x k matrix
+    of the same scalars, and one elements_of call makes exactly one object
+    per distinct (magnitude, ghost) pair."""
+    rng = random.Random(33)
+    big = 10 ** 4300
+    values = [Fraction(p, q) for p in (-1, 0, 1, 2) for q in (1, 2, 3, 6)] + [big, -big]
+
+    def draw():
+        r = rng.randrange(4)
+        return NEG_INF if r == 0 else (ghost if r == 1 else tangible)(rng.choice(values))
+
+    scales, kinds, types, shared = set(), set(), set(), 0
+    for _ in range(400):
+        es = [draw() for _ in range(rng.randint(1, 8))]
+        mag, gh, scale = read_ints(es)
+        assert (mag, gh, scale) == Matrix(1, len(es), es)._view
+        built = elements_of(mag, gh, scale)
+        assert [typed_element(e) for e in built] == [typed_element(e) for e in es]
+        assert [typed_element(element_of(m, g, scale)) for m, g in zip(mag, gh)] == \
+            [typed_element(e) for e in es]
+        objects = {}
+        for m, g, e in zip(mag, gh, built):
+            if m is not None:
+                objects.setdefault((m, g), set()).add(id(e))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len({id(e) for e in built if not e.is_neg_inf}) == len(objects)
+        shared += len(objects) < sum(m is not None for m in mag)
+        scales.add(scale)
+        kinds.update(e.kind for e in es)
+        types.update(type(e.value) for e in es)
+    assert scales == {1, 2, 3, 6} and len(kinds) == 3 and shared > 80
+    assert types == {int, Fraction, type(None)}
+    assert read_ints([tangible(big), ghost(-big)]) == ((big, -big), (False, True), 1)
+
+
 def test_nu_equiv_cases():
     assert nu_equiv(tangible(3), ghost(3))
     assert nu_equiv(NEG_INF, NEG_INF)
@@ -270,10 +318,18 @@ def test_format_parse_identity(a):
 
 @pytest.mark.parametrize("make", [tangible, ghost])
 @pytest.mark.parametrize("flag", [True, False])
-def test_a_bool_value_is_stored_as_an_int(make, flag):
-    a = make(flag)
-    assert type(a.value) is int and a == make(int(flag))
+def test_a_bool_or_float_value_is_refused(make, flag):
+    """A bool or a float is no exact rational: tangible and ghost refuse
+    both with TypeError, even a float that holds its value exactly.  An
+    int, a Fraction and a decimal string are kept, in canonical form."""
+    for bad in (flag, float(flag), 0.1, float("nan")):
+        with pytest.raises(TypeError):
+            make(bad)
+    a = make(int(flag))
+    assert type(a.value) is int and a.value == flag
     assert parse_scalar(format_scalar(a)) == a
+    for value, want in ((Fraction(4, 2), 2), ("0.1", Fraction(1, 10)), ("-3/6", Fraction(-1, 2))):
+        assert typed_element(make(value)) == typed_element(make(want))
 
 
 def test_format_refuses_a_value_past_the_int_digit_limit():

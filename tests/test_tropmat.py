@@ -1,5 +1,6 @@
 """Matrix arithmetic, determinants, pseudo-inverses, definite forms, stars."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -440,6 +441,31 @@ def test_matrix_from_ints_checks_its_shape_and_scale():
             Matrix.from_ints(size, size, mag, gh, 1)
 
 
+class _Forged:
+    """Pickles as the matrix Matrix.from_ints builds from its arguments."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return Matrix.from_ints, self.args
+
+
+def test_a_matrix_shape_must_be_an_int():
+    """A shape that is not an int, a float or a bool among them, raises
+    ValueError from both constructors and from unpickling, as a bad scale
+    does; before, 2.0 built a matrix whose kernels failed with a TypeError
+    and True one that printed as Matrix(Truex1: 0)."""
+    for rows, cols in ((2.0, 2), (2, 2.0), (True, 1), (1, True), (Fraction(2), 1), ("1", 1)):
+        size = int(rows) * int(cols)
+        args = (rows, cols, (0,) * size, (False,) * size, 1)
+        for build in (lambda: Matrix.from_ints(*args), lambda: Matrix(rows, cols, [ONE] * size),
+                      lambda: pickle.loads(pickle.dumps(_Forged(*args)))):
+            with pytest.raises(ValueError, match="ints"):
+                build()
+    assert repr(Matrix.from_ints(1, 1, [0], [False], 1)) == "Matrix(1x1: 0)"
+
+
 def test_equality_and_hash_read_the_view_and_build_no_element(monkeypatch):
     """A 16x16 matrix from ints and the same matrix from Elements compare
     and hash equal, and a copy with one ghost flag changed compares
@@ -454,8 +480,8 @@ def test_equality_and_hash_read_the_view_and_build_no_element(monkeypatch):
     def no_element(*args):
         raise AssertionError("an Element was built")
 
-    monkeypatch.setattr(tropmat, "_elements", no_element)
-    monkeypatch.setattr(tropmat, "_element", no_element)
+    monkeypatch.setattr(tropmat, "elements_of", no_element)
+    monkeypatch.setattr(tropmat, "element_of", no_element)
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert a != c and c != b
 
