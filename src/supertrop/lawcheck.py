@@ -98,6 +98,10 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a tuple, so the frozen config hashes; any other shape would unpack wrongly
+        if type(self.numerator_range) is not tuple or len(self.numerator_range) != 2:
+            raise ValueError(f"numerator_range must be a tuple of two ints, "
+                             f"got {self.numerator_range!r}")
         lo, hi = self.numerator_range
         for name, x in (("n", self.n), ("a numerator_range bound", lo),
                         ("a numerator_range bound", hi), ("denominator", self.denominator),
@@ -525,7 +529,11 @@ def _inputs(drawn: dict, seed: int, cfg: GenConfig, defn: CheckDef) -> list[Matr
 
 def _run(ids: tuple[str, ...], cfg: GenConfig, trials: int) -> list[CheckReport]:
     """The trial loop behind run_check and run_suite: for each trial, run
-    the checks named by ids in order on the trial's shared draws."""
+    the checks named by ids in order on the trial's shared draws.  A trial
+    count other than an int >= 0 (a bool is none) is refused before any
+    draw."""
+    if type(trials) is not int or trials < 0:
+        raise ValueError(f"trials must be an int >= 0, got {trials!r}")
     for check_id in ids:
         if check_id not in CHECKS:
             raise KeyError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")

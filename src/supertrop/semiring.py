@@ -27,7 +27,10 @@ their least common denominator, element_of builds one scalar back and
 elements_of a list of them, one Element per distinct (magnitude, ghost)
 pair.  No other module converts an Element to ints or ints to an Element.
 tangible and ghost take an int, a Fraction or a decimal string; a float or
-a bool is no exact rational, and each raises TypeError.
+a bool is no exact rational, and each raises TypeError.  The Element
+constructor raises TypeError too, on a kind other than the three and on
+a value that does not fit its kind (see Element), so no reader of the
+int form meets a scalar it would misread.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ TANGIBLE_KIND = 1
 GHOST_KIND = 2
 
 Rational = int | Fraction
+# The value types of a finite Element; type(True) is bool, so no bool is one.
+_FINITE_TYPES = frozenset((int, Fraction))
 _RationalLike = int | str | Fraction
 
 
@@ -77,7 +82,9 @@ class Immutable:
 class Element(Immutable):
     """One supertropical scalar: -inf, a tangible rational, or a ghost
     rational; immutable: once built, no attribute can be assigned or
-    deleted."""
+    deleted.  The constructor refuses, with TypeError, a kind other than
+    the three, a value other than None at -inf, and at a finite kind a
+    value that is not an int or a Fraction (a bool is no int here)."""
 
     __slots__ = ("kind", "value")
 
@@ -85,6 +92,10 @@ class Element(Immutable):
     value: Rational | None
 
     def __init__(self, kind: int, value: Rational | None):
+        if (type(value) not in _FINITE_TYPES if kind == TANGIBLE_KIND or kind == GHOST_KIND
+                else kind != NEG_INF_KIND or value is not None):
+            raise TypeError(f"not a supertropical scalar: kind {kind!r}, "
+                            f"value of type {type(value).__name__}")
         _set_kind(self, kind)
         _set_value(self, value)
 

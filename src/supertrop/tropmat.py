@@ -79,8 +79,17 @@ definite_form backtracks over it.  A second one, _rows, gives char_poly
 A's kernel rows: the slot's when it holds A's fold, else A read now,
 after emptying the slot.  So any fold of another
 matrix empties the slot first, and at most one 2^n table outlives its
-fold.  definite_form verifies the factors it returns on their scaled
-ints, not on a product of Elements.
+fold.
+
+_fold has three callers, each the permanent of a kernel: _forward (A's
+rows), the backward fold in _minors (A's rows reversed) and char_poly
+(the rows of xI + A).  No check folds.  definite_form verifies the
+factors it returns on their scaled ints, not on a product of Elements,
+and in polynomial time: the product, the closure's cycle test and the
+conductor's shape imply that the conductor carries det(A).
+pseudo_identity_class reads its class from the pattern and idempotence
+alone, so it folds nothing and has no size cap.  Both proofs are in
+their docstrings.
 """
 
 from __future__ import annotations
@@ -713,7 +722,17 @@ def pseudo_inverse_iter(a: Matrix, k: int) -> Matrix:
 def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     """Classify against the two pseudo-identity patterns: tangible-0 diagonal
     (plus non-singularity) or ghost-0 diagonal (plus singularity), ghost or
-    -inf off the diagonal, and multiplicative idempotence."""
+    -inf off the diagonal, and multiplicative idempotence.
+
+    The pattern and m m = m decide the class alone, so no determinant is
+    folded and any order is answered.  With a tangible-0 diagonal,
+    (m m)_ii = 0 tangible leaves every 2-cycle below 0, and (m m)_ik = m_ik
+    gives nu m_ik >= nu m_ij + nu m_jk: a cycle of length >= 3 weighs no
+    more than the shorter one that skips a vertex.  So every cycle of
+    length >= 2 is negative, the identity track alone attains det, and det
+    is tangible 0.  With a ghost-0 diagonal every entry is ghost or -inf,
+    so every track is, and det is the identity's ghost 0.
+    """
     require_square(m)
     n = m.rows
     mag, gh, _ = m._view
@@ -722,12 +741,10 @@ def pseudo_identity_class(m: Matrix) -> PseudoIdentityClass:
     if mag[::n + 1] != (0,) * n or gh[::n + 1] != (ghost_diag,) * n or any(
             x is not None and not g for k, (x, g) in enumerate(zip(mag, gh)) if k % (n + 1)):
         return PseudoIdentityClass.NEITHER
-    want, cls = ((PseudoIdentityClass.GHOST_PSEUDO_IDENTITY, SingularityClass.SINGULAR)
-                 if ghost_diag else
-                 (PseudoIdentityClass.PSEUDO_IDENTITY, SingularityClass.NON_SINGULAR))
-    if mat_mul(m, m) != m or classify(m) is not cls:
+    if mat_mul(m, m) != m:
         return PseudoIdentityClass.NEITHER
-    return want
+    return (PseudoIdentityClass.GHOST_PSEUDO_IDENTITY if ghost_diag
+            else PseudoIdentityClass.PSEUDO_IDENTITY)
 
 
 def _closure(a: Matrix) -> tuple[list, list, int] | None:
@@ -829,10 +846,17 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     the entries of the unique dominant permutation track, and the definite
     factor is A with that track rescaled onto a tangible-0 diagonal.  A's
     forward fold comes from _forward (the slot's, when a kernel on A left
-    it there) and is left in the slot for the next kernel on A.  The
-    returned factors are verified on A's scaled ints before returning:
-    their product is A, the conductor's fold carries det(A), and the
-    definite factor is definite.
+    it there) and is left in the slot for the next kernel on A; it is the
+    only fold.  The returned factors are verified on A's scaled ints
+    before returning: their product is A, the definite factor is definite,
+    and the conductor is a tangible generalized permutation.
+
+    Those checks imply that the conductor carries det(A), so its permanent
+    is not folded.  C D is D with its rows permuted and each shifted by a
+    tangible scalar, C's entry in that row (columns, for D C).  So each
+    track of C D is a track of D times det(C), a tangible scalar, and
+    perm(C D) = perm(C) perm(D) exactly, ties and ghosts included.
+    perm(D) is tangible 0 and C D = A, so det(C) = det(A).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -875,9 +899,8 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
         raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
-    cm, cg = _fold([[(1 << j, 1 << j, m, g) for j, m, g in row] for row in crows], full + 1)
-    if cm[full] != mag[full] or cg[full] != gh[full]:
-        raise VerificationError("conductor does not carry det(A)")
+    if not is_invertible(conductor):
+        raise VerificationError("conductor is not a tangible generalized permutation")
     return conductor, definite
 
 

@@ -145,6 +145,33 @@ def test_gen_config_validation():
             GenConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [[-2, 2], (0,), (-1, 0, 1), "ab", None])
+def test_gen_config_numerator_range_is_a_tuple_of_two(bad):
+    """A list would make a frozen config that hash() refuses, and a tuple
+    of another length would fail to unpack: both raise a ValueError that
+    names the field."""
+    with pytest.raises(ValueError, match="numerator_range must be a tuple of two ints"):
+        GenConfig(n=2, numerator_range=bad)
+    hash(GenConfig(n=2, numerator_range=(-2, 2)))  # a tuple hashes
+
+
+@pytest.mark.parametrize("trials", [True, False, -1, 2.5, "3", None])
+def test_a_bad_trial_count_is_refused_before_any_draw(trials, monkeypatch):
+    """run_check, run_suite and explore_conjecture refuse a trial count
+    other than an int >= 0, a bool included, with ValueError and before
+    any matrix is drawn, so no report says it ran True or -1 trials."""
+    drawn = []
+    monkeypatch.setattr(lawcheck, "_gen_with_rng", lambda *args: drawn.append(1))
+    cfg = GenConfig(n=2, seed=1)
+    for run in (lambda: run_check("det_product", cfg, trials), lambda: run_suite(cfg, trials),
+                lambda: explore_conjecture(cfg, trials)):
+        with pytest.raises(ValueError, match="trials must be an int >= 0"):
+            run()
+    assert drawn == []
+    monkeypatch.undo()
+    assert run_check("det_product", cfg, 0).to_dict()["trials"] == 0
+
+
 @pytest.mark.parametrize("kwargs", [
     {},
     {"neginf_prob": Fraction(0)},
@@ -257,9 +284,9 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     characteristic polynomials, multiplies only to form the conjugate, and
     leaves the corollaries of its law to the tier-1 tests: no root
     containment and no substitution of B.  The period check's guard is its
-    definite_form call (A and the conductor), then 1 for A's pseudo-inverse
-    (the guard's fold is its forward half) and 2 for the second one, and
-    it forms no third.  The stabilization check folds nothing: A is
+    definite_form call (A alone: the conductor is not folded), then 1 for
+    A's pseudo-inverse (the guard's fold is its forward half) and 2 for the
+    second one, and it forms no third.  The stabilization check folds nothing: A is
     definite, so its pseudo-inverse is read from the closure that
     kleene_star makes, and A^inv's own pseudo-inverse is not formed.  It
     makes the n - 2 products of A^(n-1) and one for A^inv A, and calls no
@@ -270,7 +297,7 @@ def test_law_checks_fold_each_quantity_once(monkeypatch):
     d = "0 -1 -2; -3 0 -1; -2 -4 0"
     for call, want in [(lambda: chk_adj_rules(mat(a)), 4),
                        (lambda: chk_similarity(mat(a), mat(b)), 4),
-                       (lambda: chk_nabla_period(mat(a)), 5),
+                       (lambda: chk_nabla_period(mat(a)), 4),
                        (lambda: chk_definite_stabilization(mat(d)), 0)]:
         folds.clear()
         assert call().ok
@@ -335,17 +362,17 @@ def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
 
 
 @pytest.mark.parametrize("check_id, after_draw", [
-    ("nabla_period", 4), ("definite_stabilization", 1),
+    ("nabla_period", 3), ("definite_stabilization", 0),
     ("similarity", 3), ("reversal_conjecture", 3)])
 def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypatch):
     """In one run_check trial at n = 5 the draw's classify folds once per
     attempt, and that fold is the forward half of the next pseudo-inverse
     or the table of the next definite form.  After it: the period check
-    folds the conductor, the backward half of A^inv and 2 for the second
-    pseudo-inverse; the DEFINITE draw folds its conductor, and the check
-    folds nothing (its one pseudo-inverse is of a definite matrix, read
-    from its closure); the similarity and reversal checks fold the
-    backward half of A^inv and two characteristic polynomials."""
+    folds the backward half of A^inv and 2 for the second pseudo-inverse;
+    neither the DEFINITE draw nor the check folds (no definite form folds
+    its conductor, and the check's one pseudo-inverse is of a definite
+    matrix, read from its closure); the similarity and reversal checks
+    fold the backward half of A^inv and two characteristic polynomials."""
     folds = _count_folds(monkeypatch)
     drawn = []
     classify_ = lawcheck.classify

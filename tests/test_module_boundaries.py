@@ -153,6 +153,26 @@ def test_the_handoff_slot_has_one_owner():
     assert functions_storing(source, "_handoff") == ["_forward"]
 
 
+def test_guard_sees_functions_naming_the_fold():
+    source = ("def _fold(rows, size):\n    return rows\n"
+              "def _forward(a):\n    return _fold(a, 1)\n"
+              "def check(c):\n    def inner():\n        return _fold([c], 2)\n    return inner\n"
+              "def alias(f=_fold):\n    return f\n"
+              "def passes(a):\n    return map(_fold, a)\n"
+              "def reads(a):\n    return a._fold\n")
+    assert functions_naming(source, "_fold") == ["_forward", "alias", "check", "inner", "passes"]
+
+
+def test_only_the_kernels_fold():
+    """_fold has three callers, each the permanent of a kernel: _forward
+    (A's forward fold), _minors (the backward fold) and char_poly (the fold
+    of xI + A).  No check folds: definite_form's conductor and
+    pseudo_identity_class's class are implied by checks in polynomial time
+    (see their docstrings)."""
+    source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
+    assert functions_naming(source, "_fold") == ["_forward", "_minors", "char_poly"]
+
+
 def test_the_minors_have_one_source():
     """_minors alone picks where A's minors come from (the kept closure,
     the kept adjoint or the fold): only adjugate and pseudo_inverse call

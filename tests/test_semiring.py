@@ -332,6 +332,19 @@ def test_a_bool_or_float_value_is_refused(make, flag):
         assert typed_element(make(value)) == typed_element(make(want))
 
 
+@pytest.mark.parametrize("kind, value", [
+    (7, 1), (-1, None), (0, 3), (0, Fraction(1, 2)), (1, None), (2, None),
+    (1, 0.5), (2, 2.0), (1, True), (2, False), (1, "1/2")])
+def test_element_refuses_a_malformed_scalar(kind, value):
+    """The constructor refuses, with TypeError, a kind other than -inf (0),
+    tangible (1) and ghost (2), a value at -inf, and at a finite kind a
+    value that is not an int or a Fraction: a Matrix would otherwise read
+    Element(7, 1) or Element(0, 3) as tangible 1 or 3, and Element(1, None)
+    as -inf."""
+    with pytest.raises(TypeError, match="not a supertropical scalar"):
+        Element(kind, value)
+
+
 def test_format_refuses_a_value_past_the_int_digit_limit():
     from supertrop import SupertropicalError
 

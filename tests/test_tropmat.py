@@ -204,6 +204,54 @@ def test_pseudo_identity_fact_on_randoms():
         assert pseudo_identity_class(mat_mul(pinv, a)) is want
 
 
+def test_classify_agrees_with_every_idempotent_pseudo_identity_pattern():
+    """The theorem behind pseudo_identity_class's unfolded answer: a matrix
+    with a 0 diagonal, all tangible or all ghost, ghost or -inf entries off
+    it, and m m = m has det tangible 0 or ghost 0, as its diagonal says.
+    Candidates at n = 1..4 have tied, Fraction and -inf entries off the
+    diagonal; each is tried with its power m^n too, which is idempotent
+    more often, where m^n keeps the diagonal."""
+    rng = random.Random(34)
+    want = {False: (ONE, PseudoIdentityClass.PSEUDO_IDENTITY, SingularityClass.NON_SINGULAR),
+            True: (ghost(0), PseudoIdentityClass.GHOST_PSEUDO_IDENTITY,
+                   SingularityClass.SINGULAR)}
+    found = {False: 0, True: 0}
+    for t in range(1200):
+        n, ghost_diag, den = 1 + t % 4, t // 4 % 2 == 1, 1 + t // 8 % 3
+        zero, cls, det_cls = want[ghost_diag]
+        m = Matrix(n, n, [zero if i == j else NEG_INF if rng.random() < 0.3
+                          else ghost(Fraction(rng.randint(-4, 1), den))
+                          for i in range(n) for j in range(n)])
+        for c in (m, mat_pow(m, n)):
+            if [c.at(i, i) for i in range(n)] != [zero] * n:
+                continue
+            idempotent = mat_mul(c, c) == c
+            assert pseudo_identity_class(c) is (cls if idempotent else PseudoIdentityClass.NEITHER)
+            if idempotent:
+                assert classify(c) is det_cls and determinant(c) == zero, c
+                found[ghost_diag] += any(c.at(i, j) != NEG_INF
+                                         for i in range(n) for j in range(n) if i != j)
+    assert min(found.values()) >= 200, found
+
+
+def test_pseudo_identity_class_folds_nothing_and_has_no_cap(monkeypatch):
+    """pseudo_identity_class reads the pattern and m m alone: it never
+    folds, so it answers past the kernels' size cap, for identity(17) and
+    a 17x17 ghost-0 diagonal."""
+    def no_fold(*args):
+        raise AssertionError("pseudo_identity_class folded")
+
+    a, s = mat("1 0 -inf; 3 4 -inf; -inf -inf 1"), mat("0 0; 0 0")
+    ia, gi = mat_mul(a, pseudo_inverse(a)), mat_mul(s, pseudo_inverse(s))
+    monkeypatch.setattr(tropmat, "_fold", no_fold)
+    for m, cls in [(ia, PseudoIdentityClass.PSEUDO_IDENTITY),
+                   (gi, PseudoIdentityClass.GHOST_PSEUDO_IDENTITY),
+                   (mat("0 -1g; 5g 0"), PseudoIdentityClass.NEITHER),
+                   (identity(17), PseudoIdentityClass.PSEUDO_IDENTITY),
+                   (diag([ghost(0)] * 17), PseudoIdentityClass.GHOST_PSEUDO_IDENTITY)]:
+        assert pseudo_identity_class(m) is cls
+
+
 # -- determinant laws ----------------------------------------------------------------
 
 
