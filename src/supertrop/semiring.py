@@ -83,8 +83,9 @@ class Element(Immutable):
     """One supertropical scalar: -inf, a tangible rational, or a ghost
     rational; immutable: once built, no attribute can be assigned or
     deleted.  The constructor refuses, with TypeError, a kind other than
-    the three, a value other than None at -inf, and at a finite kind a
-    value that is not an int or a Fraction (a bool is no int here)."""
+    the three ints (a bool or a float equal to one of them among them), a
+    value other than None at -inf, and at a finite kind a value that is not
+    an int or a Fraction (a bool is no int here)."""
 
     __slots__ = ("kind", "value")
 
@@ -92,7 +93,8 @@ class Element(Immutable):
     value: Rational | None
 
     def __init__(self, kind: int, value: Rational | None):
-        if (type(value) not in _FINITE_TYPES if kind == TANGIBLE_KIND or kind == GHOST_KIND
+        if type(kind) is not int or (
+                type(value) not in _FINITE_TYPES if kind == TANGIBLE_KIND or kind == GHOST_KIND
                 else kind != NEG_INF_KIND or value is not None):
             raise TypeError(f"not a supertropical scalar: kind {kind!r}, "
                             f"value of type {type(value).__name__}")

@@ -12,8 +12,9 @@ container per state or per layer.  The same fold gives the adjoint and the
 pseudo-inverse (the forward and the backward table joined slot by slot; the
 pseudo-inverse reads det from the forward table), the dominant track of a
 definite form (backtracked over the table that gave its determinant) and
-the characteristic polynomial (the fold of xI + A, with the degree of x
-in the key bits above the columns).  Definiteness is decided without the
+the characteristic polynomial (the fold of xI + A, whose x-free part is
+A's forward table, continued into the degrees of x above 0, kept in the
+key bits above the columns).  Definiteness is decided without the
 fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
 that starts from A's tangible-0 diagonal and keeps a ghost flag beside
 each magnitude.  For a definite matrix the kept closure holds the
@@ -47,16 +48,16 @@ ties: one optimal track gives det's magnitude, and a second one exists
 exactly when A, rescaled onto that track, fails the closure's cycle
 test.  The fold is kept at the orders the kernels accept (n <= 16)
 because one table serves the determinant, the adjoint, the
-pseudo-inverse, the definite form's track and, with the degree in the
-key, the characteristic coefficients, and up to n = 6 a prototype solve
+pseudo-inverse, the definite form's track and, continued into the
+degrees of x, the characteristic coefficients, and up to n = 6 a prototype solve
 was no faster.  ROADMAP.md, open item 2, has the numbers
 and plans the solve above a measured crossover order.
 
 A Matrix is immutable and every kernel result is a pure function of it, so
 each result is kept on the matrix, in its private memo, by the first kernel
-that computes it: det (written by every forward fold of A, by the
-characteristic polynomial as its coefficient 0 and, as tangible 0, by the
-closure of a definite matrix), the adjoint, the pseudo-inverse (the kept
+that computes it: det (written by the first forward fold of A, which the
+characteristic polynomial reads as its coefficient 0, or, as tangible 0,
+by the closure of a definite matrix), the adjoint, the pseudo-inverse (the kept
 adjoint rescaled by the kept det, when the adjoint is held), the
 characteristic polynomial and the definiteness closure.  Each kept result
 is immutable, so the kept object itself is returned: char_poly, which
@@ -68,25 +69,26 @@ attribute assignment after construction: were its entries changed, the
 memo would answer for the old ones.
 
 One private function, _forward, gives every kernel its forward fold of A
-and keeps det from it.  It reads one private slot, keyed by the identity
-of its matrix, once: when the slot holds A's fold, that fold is used;
-otherwise the slot is emptied and A's rows are folded now.  Either way
-A's fold is left in the slot, and only _forward stores it there.  So
-while the slot holds A's fold, none of determinant, adjugate,
-pseudo_inverse and definite_form folds A forward again: the adjoint and
-the pseudo-inverse fold only backward over the slot's table, and
-definite_form backtracks over it.  A second one, _rows, gives char_poly
-A's kernel rows: the slot's when it holds A's fold, else A read now,
-after emptying the slot.  So any fold of another
-matrix empties the slot first, and at most one 2^n table outlives its
-fold.
+and keeps det from it.  It alone reads and writes one private slot,
+keyed by the identity of its matrix, and reads it once: when the slot
+holds A's fold, that fold is used; otherwise the slot is emptied and A's
+rows are folded now, and that fold is left in the slot.  So while the
+slot holds A's fold, none of determinant, adjugate, pseudo_inverse,
+definite_form and char_poly folds A forward again: the adjoint and the
+pseudo-inverse fold only backward over the slot's table, definite_form
+backtracks over it and char_poly extends it.  char_poly alone leaves a
+fold it made out of the slot, since it only extends that table.  So any
+fold of another matrix empties the slot first, and at most one 2^n table
+outlives its fold.
 
-_fold has three callers, each the permanent of a kernel: _forward (A's
-rows), the backward fold in _minors (A's rows reversed) and char_poly
-(the rows of xI + A).  No check folds.  definite_form verifies the
-factors it returns on their scaled ints, not on a product of Elements,
-and in polynomial time: the product, the closure's cycle test and the
-conductor's shape imply that the conductor carries det(A).
+_fold has two callers, each the permanent of a kernel: _forward (A's
+rows) and the backward fold in _minors (A's rows reversed); char_poly
+alone continues A's forward fold with _x_fold.  No check folds.
+definite_form builds its factors from A's view and verifies them on
+their scaled ints, not on a product of Elements, and in O(n^2) past the
+fold and the closure: the conductor's shape makes each entry of the
+product one term, and the product, the closure's cycle test and that
+shape imply that the conductor carries det(A).
 pseudo_identity_class reads its class from the pattern and idempotence
 alone, so it folds nothing and has no size cap.  Both proofs are in
 their docstrings.
@@ -435,7 +437,7 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 # -- the permanent kernel -----------------------------------------------------
 #
 # A kernel row lists the finite entries of one matrix row as
-# (column bit, key step, magnitude, ghost), on the scale of that matrix.
+# (column bit, magnitude, ghost), on the scale of that matrix.
 
 
 def _memo_of(a: Matrix, cap: int = DEFAULT_DET_CAP) -> dict:
@@ -460,24 +462,22 @@ def _kernel_rows(a: Matrix) -> tuple[list[list[tuple]], int]:
     mag, gh, scale = a._view
     n = a.cols
     bits = [1 << j for j in range(n)]
-    return [[(bit, bit, m, g) for bit, m, g in zip(bits, mag[base:base + n], gh[base:base + n])
+    return [[(bit, m, g) for bit, m, g in zip(bits, mag[base:base + n], gh[base:base + n])
              if m is not None] for base in range(0, len(mag), n)], scale
 
 
-def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
+def _fold(rows: Sequence[list[tuple]]) -> tuple[list, list]:
     """Subset fold of the permanent over rows[0], rows[1], ...
 
-    Fills one flat table of `size` slots, as two lists indexed by key:
-    mag[K] is the scaled magnitude (None for -inf) and gh[K] the ghost flag
-    of the supertropical sum over every placement of the first k rows on
-    distinct columns whose column set is the low bits of K, k being the
-    number of those bits: the permanent of the first k rows on those
-    columns.  A key step may also add to the bits above the columns
-    (char_poly counts the degree of x there), so size is 2^n, or
-    (n+1) 2^n with the degree.  Each layer is the list of keys it
-    reached, in first-reached order; keys of different layers never collide,
-    so the table holds every layer.
+    Fills one flat table of 2^n slots, as two lists indexed by column set
+    key: mag[S] is the scaled magnitude (None for -inf) and gh[S] the ghost
+    flag of the supertropical sum over every placement of the first |S|
+    rows on the distinct columns S: the permanent of the first |S| rows on
+    those columns.  Each layer is the list of keys it reached, in
+    first-reached order; keys of different layers never collide, so the
+    table holds every layer.
     """
+    size = 1 << len(rows)
     mag: list = [None] * size
     gh = [False] * size
     mag[0] = 0
@@ -487,10 +487,10 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
         for key in layer:
             m = mag[key]
             g = gh[key]
-            for bit, step, w, wg in row:
+            for bit, w, wg in row:
                 if key & bit:
                     continue
-                k = key + step
+                k = key + bit
                 v = m + w
                 cur = mag[k]
                 if cur is None:
@@ -509,42 +509,36 @@ def _fold(rows: Sequence[list[tuple]], size: int) -> tuple[list, list]:
 # The last forward fold, kept for the next kernel on the same matrix:
 # (matrix, kernel rows, scale, mag, gh), or None.  It is keyed by identity,
 # so it answers only for the matrix object that made it, and it holds the
-# one 2^n table that outlives its fold.  _forward is the only writer and
-# _rows the only other reader; each reads the slot once, and a fold of
-# another matrix empties it first.
+# one 2^n table that outlives its fold.  _forward is its only reader and
+# writer; it reads the slot once, and a fold of another matrix empties it
+# first.
 _handoff: tuple | None = None
 
 
-def _rows(a: Matrix) -> tuple[list[list[tuple]], int]:
-    """A's kernel rows and their scale: the handoff slot's when it holds
-    A's fold.  Otherwise the slot is emptied first, so that another
-    matrix's table is freed before the caller folds, and A is read now."""
-    global _handoff
-    slot = _handoff
-    if slot is not None and slot[0] is a:
-        return slot[1], slot[2]
-    _handoff = slot = None  # no reference to another matrix's table is left
-    return _kernel_rows(a)
-
-
-def _forward(a: Matrix, memo: dict) -> tuple[list[list[tuple]], int, list, list]:
+def _forward(a: Matrix, memo: dict, keep: bool = True) -> tuple[list[list[tuple]], int, list, list]:
     """A's kernel rows, their scale and A's forward fold table (magnitudes
     and ghost flags); det, from the table's full-set slot, is kept in the
-    memo.
+    memo when the memo lacks it.
 
     The slot is read once.  When it holds A's fold, that fold is used;
-    otherwise the slot is emptied and A's rows are read and folded.  Either
-    way A's fold is left in the slot for the next kernel on A.
+    otherwise the slot is emptied, so that another matrix's table is freed
+    before A is folded, and A's rows are read and folded.  That fold is
+    left in the slot for the next kernel on A, unless keep is false:
+    char_poly, which reads the table only to extend it, leaves the slot
+    empty.
     """
     global _handoff
     slot = _handoff
     if slot is None or slot[0] is not a:
         _handoff = slot = None  # no reference to another matrix's table is left
         rows, scale = _kernel_rows(a)
-        slot = _handoff = (a, rows, scale, *_fold(rows, 1 << a.rows))
+        slot = (a, rows, scale, *_fold(rows))
+        if keep:
+            _handoff = slot
     _, rows, scale, mag, gh = slot
-    full = (1 << a.rows) - 1
-    memo["det"] = element_of(mag[full], gh[full], scale)
+    if "det" not in memo:
+        full = (1 << a.rows) - 1
+        memo["det"] = element_of(mag[full], gh[full], scale)
     return rows, scale, mag, gh
 
 
@@ -599,7 +593,7 @@ def _minors(a: Matrix, memo: dict) -> tuple[list, list, int]:
     """
     closure = _kept_closure(a, memo)
     if closure is not None:
-        memo["det"] = ONE
+        memo.setdefault("det", ONE)
         return closure
     adj = memo.get("adj")
     if adj is not None:
@@ -608,7 +602,7 @@ def _minors(a: Matrix, memo: dict) -> tuple[list, list, int]:
     rows, scale, fm, fg = _forward(a, memo)
     n = len(rows)
     full = (1 << n) - 1
-    bm, bg = _fold(rows[::-1], full + 1)
+    bm, bg = _fold(rows[::-1])
     am: list = [None] * (n * n)
     ag = [False] * (n * n)
     cols = [(1 << i, i * n) for i in range(n)]
@@ -653,33 +647,95 @@ def adjugate(a: Matrix) -> Matrix:
     return adj
 
 
+def _x_fold(rows: list[list[tuple]], fm: list, fg: list) -> tuple[list, list]:
+    """The subset fold of xI + A over rows, A's kernel rows, above degree
+    0, continued from A's forward table (fm, fg).
+
+    Fills one flat table of n 2^n slots, as two lists: slot
+    (d - 1) << n | S holds the coefficient of x^d, d = 1..n, in the
+    permanent of the first |S| rows of xI + A on the columns S.  Degree 0
+    is A's forward table itself, so it is not folded again.  Row r may take
+    x from the diagonal, column r.  From a degree-0 slot S (|S| = r, r not
+    in S) that is the only way into slot S + {r} at degree 1, so each such
+    slot starts as a copy of A's slot S; from a slot of degree d >= 1 it
+    reaches degree d + 1.  A's entries keep the degree.  Layers and ties
+    are as in _fold.
+    """
+    n = len(rows)
+    up = 1 << n  # one more x: the next degree
+    mag: list = [None] * (n << n)
+    gh = [False] * (n << n)
+    entering: list[list] = [[] for _ in range(n + 1)]
+    for s, m in enumerate(fm):
+        if m is not None:
+            r = s.bit_count()
+            if r < n and not s >> r & 1:
+                k = s | 1 << r
+                mag[k] = m
+                gh[k] = fg[s]
+                entering[r + 1].append(k)
+    layer = entering[0]
+    for r, row in enumerate(rows):
+        nxt = entering[r + 1]
+        xbit = 1 << r
+        for key in layer:
+            m = mag[key]
+            g = gh[key]
+            if not key & xbit:
+                k = key + xbit + up
+                cur = mag[k]
+                if cur is None:
+                    mag[k] = m
+                    gh[k] = g
+                    nxt.append(k)
+                elif m > cur:
+                    mag[k] = m
+                    gh[k] = g
+                elif m == cur:
+                    gh[k] = True
+            for bit, w, wg in row:
+                if key & bit:
+                    continue
+                k = key + bit
+                v = m + w
+                cur = mag[k]
+                if cur is None:
+                    mag[k] = v
+                    gh[k] = g or wg
+                    nxt.append(k)
+                elif v > cur:
+                    mag[k] = v
+                    gh[k] = g or wg
+                elif v == cur:
+                    gh[k] = True
+        layer = nxt
+    return mag, gh
+
+
 def char_poly(a: Matrix) -> Polynomial:
     """Characteristic maxpolynomial of a square matrix: det(xI + A), taken
     as a formal permanent; spectral re-exports it.
 
-    The fold of xI + A keeps the degree of x in the bits above the columns:
-    row r may also take x from the diagonal.  Expanding the product, the
-    coefficient of x^k (k < n) is the supertropical sum of the
-    determinants of the (n-k) x (n-k) principal submatrices, ghosts
-    included, and the leading coefficient is the unit; coefficient 0 is
-    det, and is kept as such.  Summing the principal minors one by one
-    serves as the independent test oracle.  A's kernel rows come from
-    _rows (the handoff slot's, when a forward fold of A left them there);
-    each row is copied with the x entry added, so the slot's rows stay
-    A's.  The polynomial is built once, kept on the matrix and returned
-    by every call.
+    Expanding the product, the coefficient of x^k (k < n) is the
+    supertropical sum of the determinants of the (n-k) x (n-k) principal
+    submatrices, ghosts included, and the leading coefficient is the unit;
+    coefficient 0 is det.  Summing the principal minors one by one serves
+    as the independent test oracle.  The x-free part of the fold of xI + A
+    is A's own forward fold, so that table comes from _forward (the
+    handoff slot's, when a kernel on A left it there, else folded now and
+    not left in the slot), which keeps det, and _x_fold folds only the
+    degrees above 0 from it.  The polynomial is built once, kept on the
+    matrix and returned by every call.
     """
     memo = _memo_of(a)
     f = memo.get("coeffs")
     if f is None:
+        rows, scale, fm, fg = _forward(a, memo, keep=False)
+        mag, gh = _x_fold(rows, fm, fg)
         n = a.rows
-        base, scale = _rows(a)
-        rows = [row + [(1 << r, (1 << r) + (1 << n), 0, False)] for r, row in enumerate(base)]
-        mag, gh = _fold(rows, (n + 1) << n)
         full = (1 << n) - 1
-        f = memo["coeffs"] = Polynomial([element_of(mag[k << n | full], gh[k << n | full], scale)
-                                         for k in range(n + 1)])
-        memo["det"] = f.coeffs[0]
+        f = memo["coeffs"] = Polynomial([memo["det"], *[
+            element_of(mag[d << n | full], gh[d << n | full], scale) for d in range(n)]])
     return f
 
 
@@ -823,7 +879,7 @@ def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
     track: list = [None] * n
     for r in reversed(range(n)):
         best = mag[mask]
-        for bit, _, w, _ in rows[r]:
+        for bit, w, _ in rows[r]:
             prev = mag[mask ^ bit] if mask & bit else None
             if best is not None and prev is not None and prev + w == best:
                 break
@@ -837,19 +893,38 @@ def _dominant_track(rows: list[list[tuple]], mag: list) -> list[tuple]:
 Side = Literal["left", "right"]
 
 
+def _lines(n: int, i: int, c: int, left: bool) -> tuple[slice, slice]:
+    """For the conductor's entry (i, c) of an n x n definite form: the
+    slices of a flat row-major matrix holding the line of A and the line
+    of the definite factor that it maps onto each other.  Left: row i of A
+    and row c of the factor.  Right: column c of A and column i."""
+    if left:
+        return slice(i * n, i * n + n), slice(c * n, c * n + n)
+    return slice(c, None, n), slice(i, None, n)
+
+
 def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     """Factor a non-singular matrix through a definite one.
 
     Returns (conductor, definite) with A = conductor * definite for
     side='left' and A = definite * conductor for side='right'.  The
     conductor is a generalized permutation matrix carrying det(A): it holds
-    the entries of the unique dominant permutation track, and the definite
-    factor is A with that track rescaled onto a tangible-0 diagonal.  A's
-    forward fold comes from _forward (the slot's, when a kernel on A left
-    it there) and is left in the slot for the next kernel on A; it is the
-    only fold.  The returned factors are verified on A's scaled ints
-    before returning: their product is A, the definite factor is definite,
-    and the conductor is a tangible generalized permutation.
+    A's entries on the unique dominant permutation track, and the definite
+    factor is A with that track rescaled onto a tangible-0 diagonal, built
+    line by line from A's view (rows on the left, columns on the right).  A's forward fold comes from _forward (the
+    slot's, when a kernel on A left it there) and is left in the slot for
+    the next kernel on A; it is the only fold.  The returned factors are
+    verified on A's scaled ints before returning: the conductor is a
+    tangible generalized permutation, their product is A, and the definite
+    factor is definite.
+
+    The product is checked line by line in O(n^2), and exactly: once the
+    conductor C is a tangible generalized permutation, with c_i its one
+    finite entry in row i, at column p(i), each entry of C D has one finite
+    term, (C D)[i][j] = c_i + D[p(i)][j], so row i of C D is row p(i) of D
+    shifted by c_i, ghost exactly where D's entry is; and column p(i) of
+    D C is column i of D shifted by c_i.  So the check equals the full
+    product.
 
     Those checks imply that the conductor carries det(A), so its permanent
     is not folded.  C D is D with its rows permuted and each shifted by a
@@ -867,40 +942,37 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     if mag[full] is None or gh[full]:
         raise NotNonSingularError("definite form needs a tangible determinant")
     track = _dominant_track(rows, mag)
-    row_of = [0] * n
-    for i, (c, _) in enumerate(track):
-        row_of[c] = i
-    # With pi(i) the track's column in row i.  Left: row pi(i) of the
-    # definite factor is row i of A less its track entry.  Right: column i
-    # is column pi(i) of A less the track entry of row i.  Either way entry
-    # (r, c) of A moves to one place, less the track entry of one row.  The
-    # conductor keeps the track's entries where A has them.
+    amag, agh, _ = a._view  # on the scale of A's kernel rows
+    # The conductor keeps A's entries on the track, and each line of the
+    # definite factor is a line of A less the track entry t that maps them.
     cm: list = [None] * (n * n)
     dm: list = [None] * (n * n)
     dg = [False] * (n * n)
-    for r, row in enumerate(rows):
-        pr = track[r][0]
-        for bit, _, w, g in row:
-            c = bit.bit_length() - 1
-            if c == pr:
-                cm[r * n + c] = w
-            i = r if left else row_of[c]
-            at = pr * n + c if left else r * n + i
-            dm[at] = w - track[i][1]
-            dg[at] = g
+    for i, (c, t) in enumerate(track):
+        cm[i * n + c] = amag[i * n + c]
+        aline, dline = _lines(n, i, c, left)
+        dm[dline] = [None if m is None else m - t for m in amag[aline]]
+        dg[dline] = agh[aline]
     conductor = Matrix.from_ints(n, n, cm, [False] * (n * n), scale)
     definite = Matrix.from_ints(n, n, dm, dg, scale)
 
     # The checks read the returned factors back onto A's scale.
-    crows = _rows_of(*_ints(conductor._view, scale), n)
-    drows = _rows_of(*_ints(definite._view, scale), n)
-    product = _product(crows, drows, n) if left else _product(drows, crows, n)
-    if tuple(map(tuple, product)) != a._view[:2]:
+    if not is_invertible(conductor):
+        raise VerificationError("conductor is not a tangible generalized permutation")
+    cmag, _ = _ints(conductor._view, scale)
+    dmag, dgh = _ints(definite._view, scale)
+    pm: list = [None] * (n * n)
+    pg = [False] * (n * n)
+    for at in [at for at, m in enumerate(cmag) if m is not None]:  # one in each row
+        i, c = divmod(at, n)
+        w = cmag[at]
+        aline, dline = _lines(n, i, c, left)
+        pm[aline] = [None if d is None else w + d for d in dmag[dline]]
+        pg[aline] = dgh[dline]
+    if (tuple(pm), tuple(pg)) != (amag, agh):
         raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
-    if not is_invertible(conductor):
-        raise VerificationError("conductor is not a tangible generalized permutation")
     return conductor, definite
 
 

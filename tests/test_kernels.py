@@ -11,7 +11,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,8 @@ from supertrop import (
     RootSet,
     SizeCapExceededError,
     StrictlySingularError,
+    VerificationError,
+    add,
     adjugate,
     char_poly,
     classify,
@@ -405,9 +407,9 @@ def test_definite_inverse_matches_oracle_on_ties(n, monkeypatch):
     """adj(D) and D^inv of a definite D are read from its closure, with no
     fold, and equal the adjoint oracle, kind, value and value type, whether
     the closure was made first (by kleene_star or is_definite) or by the
-    adjoint or the pseudo-inverse itself, or det was kept first by a fold
-    (determinant) or as coefficient 0 (char_poly), the one
-    fold made; kleene_star(D) is then their tangible projection.  Each D is
+    adjoint or the pseudo-inverse itself, or det was kept first by a
+    forward fold (determinant's, or char_poly's x-free part), the one fold
+    made; kleene_star(D) is then their tangible projection.  Each D is
     checked with its ghosts and as hat(D), whose ghost entries come from
     tied paths alone."""
     folds = []
@@ -457,10 +459,10 @@ def test_tangible_zero_diagonal_without_definiteness_is_folded(monkeypatch):
                 assert len(folds) == 2
 
 
-def traced_fold(fold, rows, size):
-    """fold(rows, size) and every layer list it built, each as it stood
-    when the fold moved on: a line tracer on the fold's frame notes each new
-    list bound to `layer`."""
+def traced_fold(fold, *args):
+    """fold(*args) and every layer list it built, each as it stood when the
+    fold moved on: a line tracer on the fold's frame notes each new list
+    bound to `layer`."""
     code = fold.__code__
     layers = []
 
@@ -473,24 +475,24 @@ def traced_fold(fold, rows, size):
     before = sys.gettrace()
     sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
     try:
-        table = fold(rows, size)
+        table = fold(*args)
     finally:
         sys.settrace(before)
     return table, layers
 
 
 def recorded_folds(monkeypatch):
-    """Route tropmat's folds through traced_fold; each fold appends
-    (size, (mag, gh), layers) to the returned list."""
+    """Route tropmat's two folds, the permanent's (_fold) and the
+    characteristic one above degree 0 (_x_fold), through traced_fold; each
+    fold appends (name, slots, (mag, gh), layers) to the returned list."""
     seen = []
-    original = tropmat._fold
+    for name in ("_fold", "_x_fold"):
+        def fold(*args, _name=name, _original=getattr(tropmat, name)):
+            table, layers = traced_fold(_original, *args)
+            seen.append((_name, len(table[0]), table, layers))
+            return table
 
-    def fold(rows, size):
-        table, layers = traced_fold(original, rows, size)
-        seen.append((size, table, layers))
-        return table
-
-    monkeypatch.setattr(tropmat, "_fold", fold)
+        monkeypatch.setattr(tropmat, name, fold)
     return seen
 
 
@@ -505,11 +507,28 @@ def check_layers(n, size, mag, layers):
                               if mag[k] is not None and (k & full).bit_count() == r}
 
 
+def naive_x_slot(a, deg, cols):
+    """The coefficient of x^deg in the permanent of the first len(cols)
+    rows of xI + A on the columns cols: the rows that take x take their
+    diagonal column, so it sums, over every such set T of deg rows, the
+    permanent of the other rows on the other columns."""
+    rows = range(len(cols))
+    acc = NEG_INF
+    for t in combinations([r for r in rows if r in cols], deg):
+        acc = add(acc, naive_det(a, [r for r in rows if r not in t],
+                                 [c for c in cols if c not in t]))
+    return acc
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
     """Every slot S of the determinant's table is the permanent of the first
-    |S| rows on columns S (None where no placement reaches S), and slot
-    deg << n | full of the characteristic fold is the coefficient of x^deg."""
+    |S| rows on columns S (None where no placement reaches S), and every
+    slot (deg - 1) << n | S of the characteristic table is the coefficient
+    of x^deg in the permanent of the first |S| rows of xI + A on columns
+    S.  char_poly extends the table that det(A) left in the slot, folding
+    nothing at degree 0; on a fresh copy it folds A forward itself, into
+    the same table."""
     seen = recorded_folds(monkeypatch)
     full = (1 << n) - 1
     kinds, scales = set(), set()
@@ -517,21 +536,24 @@ def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
         scale = a._view[2]
         scales.add(scale)
         seen.clear()
-        determinant(fresh(a))
+        x = fresh(a)
+        determinant(x)
+        char_poly(x)
         char_poly(fresh(a))
-        [(size, (mag, gh), layers), (csize, (cmag, cgh), clayers)] = seen
-        assert (size, csize) == (full + 1, (n + 1) << n)
+        assert [name for name, _, _, _ in seen] == ["_fold", "_x_fold"] * 2
+        [(_, size, (mag, gh), layers), (_, csize, (cmag, cgh), clayers),
+         (_, _, table, _), (_, _, ctable, _)] = seen
+        assert (size, csize) == (full + 1, n << n)
+        assert (table, ctable) == ((mag, gh), (cmag, cgh))
         for s in range(full + 1):
             cols = [c for c in range(n) if s >> c & 1]
-            want = naive_det(a, range(len(cols)), cols)
-            got = element_of(mag[s], gh[s], scale)
-            assert (got, mag[s] is None) == (want, want.is_neg_inf), (a, s)
-            kinds.add(got.kind)
+            for deg, (m, g) in enumerate([(mag[s], gh[s])] + [
+                    (cmag[d << n | s], cgh[d << n | s]) for d in range(n)]):
+                want = naive_x_slot(a, deg, cols)
+                got = element_of(m, g, scale)
+                assert (got, m is None) == (want, want.is_neg_inf), (a, deg, s)
+                kinds.add(got.kind)
         check_layers(n, size, mag, layers)
-        coeffs = naive_char_poly(a).coeffs
-        for deg in range(n + 1):
-            k = deg << n | full
-            assert element_of(cmag[k], cgh[k], scale) == coeffs[deg], (a, deg)
         check_layers(n, csize, cmag, clayers)
     assert len(kinds) == 3 and len(scales) > 1
 
@@ -539,18 +561,18 @@ def test_fold_table_matches_oracle_on_ties(n, monkeypatch):
 def test_each_fold_returns_one_flat_table(monkeypatch):
     """On a 5x5 matrix every fold returns two lists of slots, one of int
     magnitudes or None and one of ghost flags: 2^n slots for det, the
-    adjoint's minors and the definite form's one fold, (n+1) 2^n for the
-    characteristic coefficients, and never a dict."""
+    adjoint's minors, the definite form's one fold and the x-free part of
+    the characteristic polynomial, n 2^n for its degrees above 0, and
+    never a dict."""
     n = 5
     a = next(m for m in mixed_cases(n) if determinant(m).is_tangible)
     seen = recorded_folds(monkeypatch)
-    for call, size, folds in [(determinant, 1 << n, 1), (adjugate, 1 << n, 2),
-                              (char_poly, (n + 1) << n, 1),
-                              (definite_form, 1 << n, 1)]:
+    for call, sizes in [(determinant, [1 << n]), (adjugate, [1 << n, 1 << n]),
+                        (char_poly, [1 << n, n << n]), (definite_form, [1 << n])]:
         seen.clear()
         call(fresh(a))
-        assert len(seen) == folds
-        for _, table, _ in seen:
+        assert [size for _, size, _, _ in seen] == sizes
+        for _, size, table, _ in seen:
             assert type(table) is tuple and len(table) == 2
             mag, gh = table
             assert type(mag) is list and type(gh) is list
@@ -635,23 +657,30 @@ def forced(patch, call):
     return "no error"
 
 
-def full_set_only(rows, size):
+def full_set_only(rows):
     """A flat fold table whose only finite slot is a tangible 0 at the full
     set, which no row extends."""
+    size = 1 << len(rows)
     mag = [None] * size
-    mag[(1 << len(rows)) - 1] = 0
+    mag[size - 1] = 0
     return mag, [False] * size
 
 
-def no_product(arows, brows, cols):
-    """A product step whose result is -inf everywhere."""
-    return [None] * (len(arows) * cols), [False] * (len(arows) * cols)
+dominant_track = tropmat._dominant_track
+
+
+def off_by_one(rows, mag):
+    """The dominant track with the magnitude of its first entry raised by
+    one: still a permutation, so the conductor, which keeps A's entries,
+    passes its shape check, but the definite factor's first row is
+    shifted by one too many."""
+    return [(c, w + (r == 0)) for r, (c, w) in enumerate(dominant_track(rows, mag))]
 
 
 # a fresh A for each case, so that no case reads another's kept fold
 text = "1 0; 3 4"
 print(forced({"_fold": full_set_only}, lambda: tropmat.definite_form(mat(text))))
-print(forced({"_product": no_product}, lambda: tropmat.definite_form(mat(text))))
+print(forced({"_dominant_track": off_by_one}, lambda: tropmat.definite_form(mat(text))))
 print(forced({"is_definite": lambda m: False},
              lambda: tropmat.definite_form(mat(text))))
 print(forced({"is_invertible": lambda m: False},
@@ -672,6 +701,19 @@ def test_self_checks_raise_typed_errors_under_optimize():
         "definite factor is not definite",
         "conductor is not a tangible generalized permutation",
     ]
+
+
+def test_reassembly_check_compares_ghost_flags(monkeypatch):
+    """The product check compares ghost flags as well as magnitudes: when
+    the returned factors are read back without their ghost flags, the
+    definite form of a matrix with a ghost entry off its track does not
+    reassemble, on either side."""
+    ints = tropmat._ints
+    monkeypatch.setattr(tropmat, "_ints", lambda view, scale: (
+        ints(view, scale)[0], (False,) * len(view[1])))
+    for side in ("left", "right"):
+        with pytest.raises(VerificationError, match="failed to reassemble"):
+            definite_form(mat("1 0g; 3 4"), side)
 
 
 # -- the memo: each kernel result is kept on its matrix ---------------------------
@@ -985,9 +1027,10 @@ def test_definite_form_after_the_adjoint_folds_nothing(monkeypatch):
 
 
 def test_handed_rows_are_never_mutated(monkeypatch):
-    """char_poly copies the slot's rows with its x entry: after det(A) and
-    char_poly(A), the slot still holds A's kernel rows, and adj(A), folding
-    backward alone over them, equals adj of a fresh copy."""
+    """char_poly extends the slot's table without writing to it or to its
+    rows: after det(A) and char_poly(A), the slot still holds A's kernel
+    rows, and adj(A), folding backward alone over them, equals adj of a
+    fresh copy."""
     folds = []
     fold = tropmat._fold
     monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
@@ -1101,6 +1144,78 @@ def test_every_forward_fold_leaves_the_rows_for_char_poly(monkeypatch):
                 outcome(kernel, x)
             assert exact(char_poly(x)) == want
             assert reads == [x] and "rows" not in x._memo
+
+
+@pytest.mark.parametrize("n", sorted(COUNTS))
+def test_char_poly_matches_oracle_in_every_order(n):
+    """char_poly equals the principal-minor oracle, kind, value and value
+    type, whether it folds A forward itself (alone, or after another
+    matrix's fold emptied the slot) or extends the forward fold that
+    determinant, adjugate or definite_form left in the slot; its
+    coefficient 0 is the kept det itself."""
+    other = fresh(mixed_cases(n)[-1])
+    kinds, scaled = set(), 0
+    for a in cases(n) + mixed_cases(n):
+        want = exact(naive_char_poly(a))
+        for first in ([], [determinant], [adjugate], [definite_form],
+                      [determinant, lambda _: determinant(fresh(other))]):
+            x = fresh(a)
+            for kernel in first:
+                outcome(kernel, x)
+            f = char_poly(x)
+            assert exact(f) == want, (a, first)
+            assert f.coeffs[0] is determinant(x)
+        kinds.update(e.kind for e in a.entries)
+        scaled += a._view[2] > 1
+    assert len(kinds) == 3 or n == 1
+    assert scaled >= COUNTS[n] // 4
+
+
+def test_char_poly_after_determinant_folds_no_degree_zero_state(monkeypatch):
+    """Right after det(A), char_poly(A) folds nothing forward: it extends
+    the table det left in the slot, the one _x_fold receives, and leaves
+    it there.  On a fresh matrix it folds A forward once and leaves the
+    slot empty, so no 2^n table outlives it."""
+    folds, extended = [], []
+    fold, x_fold = tropmat._fold, tropmat._x_fold
+    monkeypatch.setattr(tropmat, "_fold", lambda *args: folds.append(1) or fold(*args))
+    monkeypatch.setattr(tropmat, "_x_fold", lambda rows, fm, fg: extended.append(fm)
+                        or x_fold(rows, fm, fg))
+    for n in (1, 3, 5):
+        for a in mixed_cases(n)[:10]:
+            x = fresh(a)
+            determinant(x)
+            slot = tropmat._handoff
+            folds.clear()
+            extended.clear()
+            char_poly(x)
+            assert folds == [] and extended == [slot[3]]
+            assert tropmat._handoff is slot
+            folds.clear()
+            char_poly(fresh(a))
+            assert len(folds) == 1 and tropmat._handoff is None
+
+
+def test_kept_det_is_never_rebuilt():
+    """det's Element is built once, by the first kernel that needs it:
+    after determinant(A), the adjoint, the pseudo-inverse, the definite
+    form and the characteristic polynomial of A all read it back, so
+    determinant(A) returns the same object, on non-singular tie-heavy
+    draws and on their definite factors, whose adjoint is the closure."""
+    seen = 0
+    for n in range(1, 6):
+        for a in cases(n) + mixed_cases(n):
+            if not determinant(a).is_tangible:
+                continue
+            seen += type(determinant(a).value) is Fraction
+            for x in (fresh(a), fresh(definite_form(a)[1])):
+                d = determinant(x)
+                adjugate(x)
+                pseudo_inverse(x)
+                definite_form(x)
+                assert determinant(x) is d, x
+                assert char_poly(x).coeffs[0] is d
+    assert seen >= 50
 
 
 # -- shared result scalars ---------------------------------------------------------

@@ -363,16 +363,20 @@ def test_similarity_guard_reads_the_draws_determinant(monkeypatch):
 
 @pytest.mark.parametrize("check_id, after_draw", [
     ("nabla_period", 3), ("definite_stabilization", 0),
-    ("similarity", 3), ("reversal_conjecture", 3)])
+    ("similarity", 3), ("reversal_conjecture", 2)])
 def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypatch):
     """In one run_check trial at n = 5 the draw's classify folds once per
-    attempt, and that fold is the forward half of the next pseudo-inverse
-    or the table of the next definite form.  After it: the period check
-    folds the backward half of A^inv and 2 for the second pseudo-inverse;
-    neither the DEFINITE draw nor the check folds (no definite form folds
-    its conductor, and the check's one pseudo-inverse is of a definite
-    matrix, read from its closure); the similarity and reversal checks
-    fold the backward half of A^inv and two characteristic polynomials."""
+    attempt, and that fold is the forward half of the next pseudo-inverse,
+    the table of the next definite form or the x-free part of the next
+    characteristic polynomial.  After it: the period check folds the
+    backward half of A^inv and 2 for the second pseudo-inverse; neither
+    the DEFINITE draw nor the check folds (no definite form folds its
+    conductor, and the check's one pseudo-inverse is of a definite matrix,
+    read from its closure); the similarity check folds the backward half
+    of A^inv and the x-free parts of the characteristic polynomials of B
+    and of the conjugate; the reversal check extends the draw's fold into
+    f_A, then folds the backward half of A^inv and the x-free part of
+    f_(A^inv)."""
     folds = _count_folds(monkeypatch)
     drawn = []
     classify_ = lawcheck.classify

@@ -145,11 +145,11 @@ def test_guard_sees_functions_naming_the_slot():
 
 
 def test_the_handoff_slot_has_one_owner():
-    """_forward alone stores a fold in the slot and _rows alone reads it
-    besides: no other tropmat function names it, and every assignment to it
-    outside _forward assigns None."""
+    """_forward alone reads the slot and stores a fold in it: no other
+    tropmat function names it.  char_poly takes A's forward fold from the
+    slot through _forward too."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
-    assert functions_naming(source, "_handoff") == ["_forward", "_rows"]
+    assert functions_naming(source, "_handoff") == ["_forward"]
     assert functions_storing(source, "_handoff") == ["_forward"]
 
 
@@ -164,13 +164,15 @@ def test_guard_sees_functions_naming_the_fold():
 
 
 def test_only_the_kernels_fold():
-    """_fold has three callers, each the permanent of a kernel: _forward
-    (A's forward fold), _minors (the backward fold) and char_poly (the fold
-    of xI + A).  No check folds: definite_form's conductor and
+    """_fold has two callers, each the permanent of a kernel: _forward
+    (A's forward fold) and _minors (the backward fold).  char_poly alone
+    calls _x_fold, which continues A's forward fold into the degrees of x
+    above 0.  No check folds: definite_form's conductor and
     pseudo_identity_class's class are implied by checks in polynomial time
     (see their docstrings)."""
     source = (PACKAGE / "tropmat.py").read_text(encoding="utf-8")
-    assert functions_naming(source, "_fold") == ["_forward", "_minors", "char_poly"]
+    assert functions_naming(source, "_fold") == ["_forward", "_minors"]
+    assert functions_naming(source, "_x_fold") == ["char_poly"]
 
 
 def test_the_minors_have_one_source():

@@ -334,13 +334,15 @@ def test_a_bool_or_float_value_is_refused(make, flag):
 
 @pytest.mark.parametrize("kind, value", [
     (7, 1), (-1, None), (0, 3), (0, Fraction(1, 2)), (1, None), (2, None),
-    (1, 0.5), (2, 2.0), (1, True), (2, False), (1, "1/2")])
+    (1, 0.5), (2, 2.0), (1, True), (2, False), (1, "1/2"),
+    (True, 3), (2.0, 3), (False, None)])
 def test_element_refuses_a_malformed_scalar(kind, value):
     """The constructor refuses, with TypeError, a kind other than -inf (0),
-    tangible (1) and ghost (2), a value at -inf, and at a finite kind a
-    value that is not an int or a Fraction: a Matrix would otherwise read
-    Element(7, 1) or Element(0, 3) as tangible 1 or 3, and Element(1, None)
-    as -inf."""
+    tangible (1) and ghost (2), a kind of any type but int, a value at
+    -inf, and at a finite kind a value that is not an int or a Fraction: a
+    Matrix would otherwise read Element(7, 1) or Element(0, 3) as tangible
+    1 or 3, Element(1, None) as -inf, and Element(True, 3) and
+    Element(2.0, 3), whose kinds equal 1 and 2, as 3 and 3g."""
     with pytest.raises(TypeError, match="not a supertropical scalar"):
         Element(kind, value)
 
