@@ -255,7 +255,8 @@ def chk_det_product(a: Matrix, b: Matrix) -> TrialResult:
 
 def chk_adj_rules(a: Matrix) -> TrialResult:
     """det(A adj(A)) = det(A)^n and det(adj(A)) = det(A)^(n-1), exactly.
-    The adjoint comes first: its forward fold gives det(A) as well."""
+    A is folded forward once in either order: the first of adjugate and
+    determinant leaves its fold in the handoff slot for the other."""
     n = a.rows
     adj = adjugate(a)
     d = determinant(a)
@@ -423,14 +424,16 @@ def chk_reversal_conjecture(a: Matrix) -> TrialResult:
     Coefficients k in {0, n-2, n-1} are proven and asserted, as is the
     whole range k < n when n <= 4 or A is triangular.  A violation anywhere
     else is reported as a counterexample finding, not a failure.  The
-    proven coefficient k = n is not compared: f of A^inv is monic and d is
-    read as coeff_0(f of A), so that comparison is d against d and cannot
-    fail.
+    proven coefficient k = n is not compared: f of A^inv is monic and
+    coeff_0(f of A) is d, so that comparison is d against d and cannot
+    fail.  d is read before f of A: determinant leaves A's forward fold in
+    the handoff slot, where char_poly extends it and the pseudo-inverse
+    folds only backward, so A is folded forward once.
     """
-    f_a = char_poly(a)
-    d = f_a.coeff(0)  # det(A), without a fold of its own
+    d = determinant(a)
     if not d.is_tangible:
         raise NotNonSingularError("conjecture check needs a non-singular matrix")
+    f_a = char_poly(a)
     n = a.rows
     f_inv = char_poly(pseudo_inverse(a))
     all_asserted = n <= 4 or is_triangular(a)

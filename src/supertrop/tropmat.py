@@ -14,7 +14,9 @@ pseudo-inverse reads det from the forward table), the dominant track of a
 definite form (backtracked over the table that gave its determinant) and
 the characteristic polynomial (the fold of xI + A, whose x-free part is
 A's forward table, continued into the degrees of x above 0, kept in the
-key bits above the columns).  Definiteness is decided without the
+key bits above the columns: each step that takes x is a copy into an
+empty slot, so A's entries are the only steps that meet a tie, under the
+fold's own rule).  Definiteness is decided without the
 fold, by the cycle test of a Floyd-Warshall closure (n^3 instead of 2^n)
 that starts from A's tangible-0 diagonal and keeps a ghost flag beside
 each magnitude.  For a definite matrix the kept closure holds the
@@ -87,7 +89,9 @@ alone continues A's forward fold with _x_fold.  No check folds.
 definite_form builds its factors from A's view and verifies them on
 their scaled ints, not on a product of Elements, and in O(n^2) past the
 fold and the closure: the conductor's shape makes each entry of the
-product one term, and the product, the closure's cycle test and that
+product one term, so each line of A is compared in place with the
+shifted line of the definite factor that the conductor maps onto it, and
+no product is built; those compares, the closure's cycle test and that
 shape imply that the conductor carries det(A).
 pseudo_identity_class reads its class from the pattern and idempotence
 alone, so it folds nothing and has no size cap.  Both proofs are in
@@ -655,11 +659,18 @@ def _x_fold(rows: list[list[tuple]], fm: list, fg: list) -> tuple[list, list]:
     (d - 1) << n | S holds the coefficient of x^d, d = 1..n, in the
     permanent of the first |S| rows of xI + A on the columns S.  Degree 0
     is A's forward table itself, so it is not folded again.  Row r may take
-    x from the diagonal, column r.  From a degree-0 slot S (|S| = r, r not
-    in S) that is the only way into slot S + {r} at degree 1, so each such
-    slot starts as a copy of A's slot S; from a slot of degree d >= 1 it
-    reaches degree d + 1.  A's entries keep the degree.  Layers and ties
-    are as in _fold.
+    x from the diagonal, column r, and A's entries keep the degree.  Layers
+    and ties are as in _fold, and the entries run exactly as there.
+
+    Each x-step is a copy, with no tie to decide.  Row r's x-steps go first,
+    for its whole layer.  An x-step from a slot of degree d >= 1 targets a
+    slot of degree d + 1 >= 2 in layer r + 1.  Before row r's entries run,
+    that layer holds only the degree-1 seeds below.  Distinct keys give
+    distinct targets.  So every target is empty, and the copy is exact; the
+    entries that follow meet it under the fold's rule.  An x-step from a
+    degree-0 slot S (|S| = r, r not in S) is the only way into slot
+    S + {r} at degree 1: it is the same copy, from A's table, done for
+    every layer at once before the rows run.
     """
     n = len(rows)
     up = 1 << n  # one more x: the next degree
@@ -679,20 +690,14 @@ def _x_fold(rows: list[list[tuple]], fm: list, fg: list) -> tuple[list, list]:
         nxt = entering[r + 1]
         xbit = 1 << r
         for key in layer:
-            m = mag[key]
-            g = gh[key]
             if not key & xbit:
                 k = key + xbit + up
-                cur = mag[k]
-                if cur is None:
-                    mag[k] = m
-                    gh[k] = g
-                    nxt.append(k)
-                elif m > cur:
-                    mag[k] = m
-                    gh[k] = g
-                elif m == cur:
-                    gh[k] = True
+                mag[k] = mag[key]
+                gh[k] = gh[key]
+                nxt.append(k)
+        for key in layer:
+            m = mag[key]
+            g = gh[key]
             for bit, w, wg in row:
                 if key & bit:
                     continue
@@ -918,13 +923,16 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
     tangible generalized permutation, their product is A, and the definite
     factor is definite.
 
-    The product is checked line by line in O(n^2), and exactly: once the
-    conductor C is a tangible generalized permutation, with c_i its one
-    finite entry in row i, at column p(i), each entry of C D has one finite
-    term, (C D)[i][j] = c_i + D[p(i)][j], so row i of C D is row p(i) of D
-    shifted by c_i, ghost exactly where D's entry is; and column p(i) of
-    D C is column i of D shifted by c_i.  So the check equals the full
-    product.
+    The product is checked in place, line by line in O(n^2), and exactly:
+    once the conductor C is a tangible generalized permutation, with c_i
+    its one finite entry in row i, at column p(i), each entry of C D has
+    one finite term, (C D)[i][j] = c_i + D[p(i)][j], so row i of C D is
+    row p(i) of D shifted by c_i, ghost exactly where D's entry is; and
+    column p(i) of D C is column i of D shifted by c_i.  Each line of A is
+    compared, magnitudes and ghost flags, with that shifted line of D.  C
+    has one finite entry in each row and each column, so every line of A
+    is compared once, and the check equals the full product with no
+    product built.
 
     Those checks imply that the conductor carries det(A), so its permanent
     is not folded.  C D is D with its rows permuted and each shifted by a
@@ -961,16 +969,13 @@ def definite_form(a: Matrix, side: Side = "left") -> tuple[Matrix, Matrix]:
         raise VerificationError("conductor is not a tangible generalized permutation")
     cmag, _ = _ints(conductor._view, scale)
     dmag, dgh = _ints(definite._view, scale)
-    pm: list = [None] * (n * n)
-    pg = [False] * (n * n)
-    for at in [at for at, m in enumerate(cmag) if m is not None]:  # one in each row
-        i, c = divmod(at, n)
-        w = cmag[at]
-        aline, dline = _lines(n, i, c, left)
-        pm[aline] = [None if d is None else w + d for d in dmag[dline]]
-        pg[aline] = dgh[dline]
-    if (tuple(pm), tuple(pg)) != (amag, agh):
-        raise VerificationError("definite factorization failed to reassemble the input")
+    for at, w in enumerate(cmag):
+        if w is None:
+            continue
+        aline, dline = _lines(n, *divmod(at, n), left)  # each line of A once
+        if dgh[dline] != agh[aline] or tuple(
+                [None if d is None else w + d for d in dmag[dline]]) != amag[aline]:
+            raise VerificationError("definite factorization failed to reassemble the input")
     if not is_definite(definite):
         raise VerificationError("definite factor is not definite")
     return conductor, definite

@@ -395,6 +395,26 @@ def test_run_check_trial_hands_the_draws_fold_on(check_id, after_draw, monkeypat
         assert len(folds) - sum(drawn) == after_draw, seed
 
 
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_every_check_reads_each_fresh_matrix_once(n, monkeypatch):
+    """Every check, on fresh copies of its draws (empty memos, the handoff
+    slot emptied), reads each matrix's kernel rows at most once.  Only a
+    slot miss in _forward reads them, so a second read is a second forward
+    fold of the same matrix: the reversal check once folded a fresh A for
+    its characteristic polynomial and again for its pseudo-inverse."""
+    read = []
+    kernel_rows = tropmat._kernel_rows
+    monkeypatch.setattr(tropmat, "_kernel_rows", lambda m: read.append(m) or kernel_rows(m))
+    for check_id, defn in CHECKS.items():
+        for seed in range(4):
+            drawn = lawcheck._inputs({}, seed, GenConfig(n=n, seed=seed), defn)
+            args = [Matrix.from_ints(m.rows, m.cols, *m._view) for m in drawn]
+            monkeypatch.setattr(tropmat, "_handoff", None)
+            read.clear()
+            defn.fn(*args)
+            assert len({id(m) for m in read}) == len(read), (check_id, seed)
+
+
 def test_definite_stabilization_closes_the_draw_once(monkeypatch):
     """The DEFINITE draw's definite_form decides that D is definite by its
     closure; the check's kleene_star(D) reads that closure back, so in a
